@@ -8,11 +8,9 @@ posterior uncertainty comes from conjugate linear models, and every
 identification claim behind the machinery has an exact finite-state check.
 """
 
-from ._kernels import backend_name
-from .calibration import (DEFAULT_G_GRID, DEFAULT_GAMMA_CAP, DEFAULT_K_GRID,
-                          benchmark_envelope, estimate_benchmark_eta,
-                          estimate_benchmark_gamma, prepare_benchmark,
-                          residual_envelope)
+from .calibration import (DEFAULT_GAMMA_CAP, benchmark_envelope,
+                          estimate_benchmark_eta, estimate_benchmark_gamma,
+                          prepare_benchmark, residual_envelope)
 from .data import (BenchmarkSpec, Dataset, SyntheticSpec, canonical_schema,
                    fractional_ranks, generate_synthetic, infer_schema,
                    load_dataset, save_dataset)
@@ -34,9 +32,8 @@ __all__ = [
     "DiscreteModel", "MediationEffects", "NIGParams", "NumericalFailure",
     "ROUTES", "RunResult", "ScalarDecomposition", "SensitivitySetting",
     "SweepResult", "SyntheticSpec", "VerificationFailure",
-    "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_G_GRID", "DEFAULT_GAMMA_CAP",
-    "DEFAULT_K_GRID", "DEFAULT_MEDIATOR_DRAWS",
-    "aggregate_xi_bar", "backend_name", "benchmark_envelope", "canonical_schema",
+    "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_GAMMA_CAP", "DEFAULT_MEDIATOR_DRAWS",
+    "aggregate_xi_bar", "benchmark_envelope", "canonical_schema",
     "check_bound_and_sharpness", "check_sweep_rows", "default_prior",
     "estimate_benchmark_eta", "estimate_benchmark_gamma", "exact_bridge_partition",
     "exact_sensitivity", "fractional_ranks", "generate_synthetic", "infer_schema",

@@ -1,44 +1,21 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
-Set BRIDGEBOUND_NO_NUMBA=1 to force the numpy path (also used automatically when
-numba is not importable). Both paths satisfy the same contracts; the jitted path
-is the default because the g-computation engine calls these per posterior draw
-over n*L points. All summation is compensated (Neumaier) so aggregates agree
-with an exact-summation oracle to well below 1e-12 and do not depend on how
-draws are scheduled across threads.
+The g-computation engine calls these per posterior draw over n*L points. All
+summation is compensated (Neumaier) so aggregates agree with an
+exact-summation oracle to well below 1e-12 and do not depend on how draws are
+scheduled across threads.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_FLAG = os.environ.get("BRIDGEBOUND_NO_NUMBA", "").strip()
-
-try:
-    if _FLAG not in ("", "0"):
-        raise ImportError("numba disabled by BRIDGEBOUND_NO_NUMBA")
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 _LANES = 4096
 
 
-def _comp_sum_np(x):
+def comp_sum(x):
     """Compensated sum: Neumaier lanes folded with an exactly rounded fsum."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
@@ -59,21 +36,21 @@ def _comp_sum_np(x):
     return math.fsum(np.concatenate([s, c, x[k * _LANES:]]))
 
 
-def _normal_logpdf_np(x, mean, var):
+def normal_logpdf(x, mean, var):
     const = -0.5 * math.log(2.0 * math.pi * var)
     inv = 1.0 / (2.0 * var)
     d = x - mean
     return const - d * d * inv
 
 
-def _outcome_mean_sum_np(m, l0, l1, a, beta):
+def outcome_mean_sum(m, l0, l1, a, beta):
     pred = (beta[0] + beta[1] * m + beta[2] * a + beta[3] * l0 + beta[4] * l1
             + beta[5] * (m * l0) + beta[6] * (m * l1) + beta[7] * (l0 * l1))
-    return _comp_sum_np(pred)
+    return comp_sum(pred)
 
 
 def gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, w):
-    """Reference sup over every observation; the fast kernels must match it."""
+    """Reference sup over every observation; the fast kernel must match it."""
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
     ir = 1.0 / (2.0 * sig2_r)
@@ -98,7 +75,7 @@ def gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, w):
 _WIN = 3
 
 
-def _gamma_sup_logratio_np(mu_c, sig2_c, mu_r, sig2_r, w):
+def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     """w must be sorted ascending; returns the same values as the brute scan."""
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
@@ -122,114 +99,6 @@ def _gamma_sup_logratio_np(mu_c, sig2_c, mu_r, sig2_r, w):
     dr = wj - mu_r[:, None]
     dc = wj - mu_c[:, None]
     return np.max(const + dr * dr * ir - dc * dc * ic, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, loop form)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _comp_sum_nb(x):
-        n = x.shape[0]
-        if n == 0:
-            return 0.0
-        s = x[0]
-        c = 0.0
-        for i in range(1, n):
-            v = x[i]
-            t = s + v
-            if abs(s) >= abs(v):
-                c += (s - t) + v
-            else:
-                c += (v - t) + s
-            s = t
-        return s + c
-
-    @numba.njit(cache=True, nogil=True)
-    def _normal_logpdf_nb(x, mean, var):
-        const = -0.5 * math.log(2.0 * math.pi * var)
-        inv = 1.0 / (2.0 * var)
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            d = x[i] - mean[i]
-            out[i] = const - d * d * inv
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _outcome_mean_sum_nb(m, l0, l1, a, beta):
-        s = 0.0
-        c = 0.0
-        for i in range(m.shape[0]):
-            v = (beta[0] + beta[1] * m[i] + beta[2] * a + beta[3] * l0[i]
-                 + beta[4] * l1[i] + beta[5] * (m[i] * l0[i])
-                 + beta[6] * (m[i] * l1[i]) + beta[7] * (l0[i] * l1[i]))
-            t = s + v
-            if abs(s) >= abs(v):
-                c += (s - t) + v
-            else:
-                c += (v - t) + s
-            s = t
-        return s + c
-
-    @numba.njit(cache=True, nogil=True)
-    def _gamma_sup_logratio_nb(mu_c, sig2_c, mu_r, sig2_r, w):
-        const = 0.5 * math.log(sig2_r / sig2_c)
-        ic = 1.0 / (2.0 * sig2_c)
-        ir = 1.0 / (2.0 * sig2_r)
-        curv = ir - ic
-        n = w.shape[0]
-        out = np.empty(mu_c.shape[0])
-        for p in range(mu_c.shape[0]):
-            best = -np.inf
-            if curv < 0.0 and n > 2 * _WIN + 2:
-                vertex = (ir * mu_r[p] - ic * mu_c[p]) / curv
-                centre = np.searchsorted(w, vertex)
-                lo = centre - _WIN
-                if lo < 0:
-                    lo = 0
-                hi = centre + _WIN
-                if hi > n - 1:
-                    hi = n - 1
-                for j in range(lo, hi + 1):
-                    dr = w[j] - mu_r[p]
-                    dc = w[j] - mu_c[p]
-                    v = const + dr * dr * ir - dc * dc * ic
-                    if v > best:
-                        best = v
-                for j in (0, n - 1):
-                    dr = w[j] - mu_r[p]
-                    dc = w[j] - mu_c[p]
-                    v = const + dr * dr * ir - dc * dc * ic
-                    if v > best:
-                        best = v
-            elif curv >= 0.0 and n > 2:
-                for j in (0, n - 1):
-                    dr = w[j] - mu_r[p]
-                    dc = w[j] - mu_c[p]
-                    v = const + dr * dr * ir - dc * dc * ic
-                    if v > best:
-                        best = v
-            else:
-                for j in range(n):
-                    dr = w[j] - mu_r[p]
-                    dc = w[j] - mu_c[p]
-                    v = const + dr * dr * ir - dc * dc * ic
-                    if v > best:
-                        best = v
-            out[p] = best
-        return out
-
-    comp_sum = _comp_sum_nb
-    normal_logpdf = _normal_logpdf_nb
-    outcome_mean_sum = _outcome_mean_sum_nb
-    gamma_sup_logratio = _gamma_sup_logratio_nb
-else:
-    comp_sum = _comp_sum_np
-    normal_logpdf = _normal_logpdf_np
-    outcome_mean_sum = _outcome_mean_sum_np
-    gamma_sup_logratio = _gamma_sup_logratio_np
 
 
 def comp_mean(x) -> float:

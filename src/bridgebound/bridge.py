@@ -9,23 +9,10 @@ value itself is needed. The outcome regressor layout is a frozen interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NonPositiveVariance
-from .linear_bayes import LinearModelDraw
-
-
-@dataclass(frozen=True)
-class BridgeScore:
-    """Arm-specific mediator densities at a common m (scalars or arrays)."""
-
-    b0: np.ndarray
-    b1: np.ndarray
-    l0: np.ndarray
-    l1: np.ndarray
+from .errors import BridgeboundError
 
 
 def mediator_means(x: np.ndarray, beta: np.ndarray):
@@ -37,7 +24,7 @@ def mediator_means(x: np.ndarray, beta: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape[0] != x.shape[1] + 2:
-        raise DimensionMismatch(
+        raise BridgeboundError(
             f"mediator beta has length {beta.shape[0]}, expected {x.shape[1] + 2}"
         )
     mean0 = beta[0] + x @ beta[2:]
@@ -47,33 +34,12 @@ def mediator_means(x: np.ndarray, beta: np.ndarray):
 def bridge_log_pair(m: np.ndarray, mean0: np.ndarray, treat_shift: float, sigma2: float):
     """Log bridge densities (l0, l1) at mediator values m, vectorized."""
     if not sigma2 > 0.0:
-        raise NonPositiveVariance(f"mediator variance must be positive, got {sigma2}")
+        raise BridgeboundError(f"mediator variance must be positive, got {sigma2}")
     m = np.ascontiguousarray(m, dtype=np.float64)
     mean0 = np.ascontiguousarray(np.broadcast_to(mean0, m.shape), dtype=np.float64)
     l0 = _kernels.normal_logpdf(m, mean0, sigma2)
     l1 = _kernels.normal_logpdf(m, mean0 + treat_shift, sigma2)
     return l0, l1
-
-
-def bridge_at(m, x: np.ndarray, draw: LinearModelDraw) -> BridgeScore:
-    """Bridge score at mediator value(s) m for covariate row(s) x.
-
-    Both arms are evaluated at the same m; that pair is what the outcome model
-    conditions on.
-    """
-    m_arr = np.atleast_1d(np.asarray(m, dtype=np.float64))
-    mean0, shift = mediator_means(x, draw.beta)
-    if mean0.shape[0] == 1 and m_arr.shape[0] > 1:
-        mean0 = np.broadcast_to(mean0, m_arr.shape)
-    elif mean0.shape[0] != m_arr.shape[0]:
-        raise DimensionMismatch(
-            f"{m_arr.shape[0]} mediator values against {mean0.shape[0]} covariate rows"
-        )
-    l0, l1 = bridge_log_pair(m_arr, mean0, shift, draw.sigma2)
-    scalar = np.isscalar(m) or (np.ndim(m) == 0)
-    if scalar:
-        return BridgeScore(float(np.exp(l0[0])), float(np.exp(l1[0])), float(l0[0]), float(l1[0]))
-    return BridgeScore(np.exp(l0), np.exp(l1), l0, l1)
 
 
 def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
@@ -89,14 +55,3 @@ def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray) -> np.ndarr
     a_col = np.broadcast_to(np.asarray(a, dtype=np.float64), m.shape)
     cols = (np.ones_like(m), m, a_col, l0, l1, m * l0, m * l1, l0 * l1)
     return np.column_stack(cols)
-
-
-def outcome_regressors(m, a, score: BridgeScore) -> np.ndarray:
-    """Regressor row(s) for the outcome model at (m, a, bridge score)."""
-    design = outcome_design(m, a, score.l0, score.l1)
-    if np.isscalar(m) or np.ndim(m) == 0:
-        return design[0]
-    return design
-
-
-N_OUTCOME_REGRESSORS = 8

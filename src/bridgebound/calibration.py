@@ -28,12 +28,10 @@ import numpy as np
 from . import _kernels
 from .data import Dataset, fractional_ranks
 from .envelope import xi_pointwise
-from .errors import DegenerateBenchmark, InvalidSensitivityParam, NoBenchmark
+from .errors import BridgeboundError, DegenerateBenchmark
 from .linear_bayes import default_prior, nig_update, posterior_sigma2_mean
 
 DEFAULT_GAMMA_CAP = 20.0
-DEFAULT_G_GRID = (1.25, 1.5, 2.0, 3.0)
-DEFAULT_K_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class BenchmarkContext:
 
 def prepare_benchmark(data: Dataset, scale: str) -> BenchmarkContext:
     if data.benchmark is None:
-        raise NoBenchmark("calibration route requires a benchmark column")
+        raise BridgeboundError("calibration route requires a benchmark column")
     if scale == "rank":
         wprime = fractional_ranks(data)
     elif scale == "raw":
@@ -61,11 +59,14 @@ def prepare_benchmark(data: Dataset, scale: str) -> BenchmarkContext:
         else:
             wprime = data.benchmark / sd
     else:
-        raise InvalidSensitivityParam(f"unknown benchmark scale {scale!r}")
+        raise BridgeboundError(f"unknown benchmark scale {scale!r}")
     rows = tuple(data.arm_indices(arm) for arm in (0, 1))
     values = tuple(np.ascontiguousarray(wprime[idx]) for idx in rows)
     sorted_vals = tuple(np.sort(v) for v in values)
     ranges = tuple(float(v.max() - v.min()) for v in values)
+    for arm, width in enumerate(ranges):
+        if width == 0.0:
+            warnings.warn(f"benchmark constant within arm {arm}", DegenerateBenchmark)
     return BenchmarkContext(scale, wprime, rows, values, sorted_vals, ranges)
 
 
@@ -79,13 +80,7 @@ def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,
     design = np.column_stack([outcome_design, context.wprime])
     post = nig_update(default_prior(design.shape[1]), design, response)
     coef = abs(float(post.mean[-1]))
-    out = []
-    for arm in (0, 1):
-        rng_a = context.arm_ranges[arm]
-        if rng_a == 0.0:
-            warnings.warn(f"benchmark constant within arm {arm}", DegenerateBenchmark)
-        out.append(coef * rng_a)
-    return out[0], out[1]
+    return coef * context.arm_ranges[0], coef * context.arm_ranges[1]
 
 
 def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.ndarray,
@@ -102,7 +97,7 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
     maximum.
     """
     if cap < 1.0 or not np.isfinite(cap):
-        raise InvalidSensitivityParam(f"gamma cap must be finite and >= 1, got {cap}")
+        raise BridgeboundError(f"gamma cap must be finite and >= 1, got {cap}")
     idx = context.arm_rows[arm]
     w_arm = context.arm_values[arm]
     ones = np.ones(idx.size)
@@ -129,7 +124,7 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
 def benchmark_envelope(eta_hat: float, gamma_hat, lam: float, kappa: float):
     """Pointwise bound under amplification: xi(lambda * eta_hat, kappa * gamma_hat)."""
     if lam < 1.0 or kappa < 1.0:
-        raise InvalidSensitivityParam(
+        raise BridgeboundError(
             f"amplification factors must be >= 1, got lambda={lam}, kappa={kappa}"
         )
     return xi_pointwise(lam * eta_hat, kappa * np.asarray(gamma_hat))
@@ -139,7 +134,7 @@ def estimate_sigma_eta(treated_response: np.ndarray, treated_prediction: np.ndar
     """Root mean squared treated-arm residual under the current outcome draw."""
     resid = np.ascontiguousarray(treated_response - treated_prediction)
     if resid.size == 0:
-        raise NoBenchmark("no treated rows to estimate the residual scale")
+        raise BridgeboundError("no treated rows to estimate the residual scale")
     return float(np.sqrt(_kernels.comp_mean(resid * resid)))
 
 
@@ -151,7 +146,7 @@ def residual_envelope(sigma_eta: float, k: float, g: float) -> float:
     caps the selection ratio. Exactly zero at k = 0 or g = 1.
     """
     if not 0.0 <= k <= 1.0:
-        raise InvalidSensitivityParam(f"k must lie in [0, 1], got {k}")
+        raise BridgeboundError(f"k must lie in [0, 1], got {k}")
     if sigma_eta < 0.0 or not np.isfinite(sigma_eta):
-        raise InvalidSensitivityParam(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
+        raise BridgeboundError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
     return xi_pointwise(2.0 * sigma_eta * np.sqrt(k), g)

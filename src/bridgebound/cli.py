@@ -88,8 +88,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n",
-                             encoding="utf-8")
+        try:
+            Path(out).write_text(text if text.endswith("\n") else text + "\n",
+                                 encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,14 @@ def _take_int(cfg: dict, key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key '{key}' must be an integer")
     return value
+
+
+def _take_floats(cfg: dict, key: str, default) -> list:
+    value = cfg.get(key, default)
+    if (not isinstance(value, list) or not value
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+        raise ConfigError(f"config key '{key}' must be a non-empty list of numbers")
+    return [float(v) for v in value]
 
 
 def setting_from_dict(raw: dict) -> SensitivitySetting:
@@ -194,7 +205,7 @@ def cmd_fit(args) -> int:
         "summary": result.summary(),
         "run": {
             "version": __version__,
-            "backend": result.backend,
+            "backend": "numpy",
             "n_units": result.n_units,
             "draws": result.n_draws,
             "burn_in": result.burn_in,
@@ -212,9 +223,7 @@ def cmd_sweep(args) -> int:
     data_path = _require(cfg, "data")
     data = load_dataset(data_path, schema_from_config(cfg, data_path))
     axis = _require(cfg, "axis")
-    grid = _require(cfg, "grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("'grid' must be a non-empty list of numbers")
+    grid = _take_floats(cfg, "grid", None)
     kwargs = _run_kwargs(cfg, args)
 
     overlays = cfg.get("overlays")
@@ -232,8 +241,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError("each overlay needs a 'setting'")
         setting = setting_from_dict(overlay["setting"])
         label = overlay.get("label", setting.route)
-        result = sweep(data, setting, axis=axis,
-                       grid=[float(v) for v in grid], **kwargs)
+        result = sweep(data, setting, axis=axis, grid=grid, **kwargs)
         for row in result.rows:
             writer.writerow([label, row["axis"], format_float(row["value"])]
                             + [format_float(row[c]) for c in SWEEP_COLUMNS[3:]])
@@ -243,8 +251,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    gammas = cfg.get("gammas", list(SHARPNESS_GAMMAS))
-    etas = cfg.get("etas", list(SHARPNESS_ETAS))
+    gammas = _take_floats(cfg, "gammas", list(SHARPNESS_GAMMAS))
+    etas = _take_floats(cfg, "etas", list(SHARPNESS_ETAS))
     n_models = _take_int(cfg, "n_models", 100)
     seed = args.seed if args.seed is not None else _take_int(cfg, "seed", 90210)
 
@@ -252,7 +260,7 @@ def cmd_verify(args) -> int:
     points = 0
     for gamma in gammas:
         for eta in etas:
-            plus, minus, bound = check_bound_and_sharpness(float(gamma), float(eta))
+            plus, minus, bound = check_bound_and_sharpness(gamma, eta)
             max_gap = max(max_gap, abs(plus - bound), abs(minus + bound))
             points += 1
     sharp_ok = max_gap <= 1e-12

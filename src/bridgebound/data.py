@@ -4,28 +4,12 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyArm,
-    InvalidSpec,
-    MissingColumn,
-    NonBinaryTreatment,
-    NonFiniteValue,
-    NumericalFailure,
-)
-
-
-@dataclass(frozen=True)
-class ObsRow:
-    treatment: int
-    mediator: float
-    outcome: float
-    covariates: np.ndarray
-    benchmark: Optional[float] = None
+from .errors import BridgeboundError, ConfigError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -54,26 +38,26 @@ class Dataset:
             cov = cov.reshape(-1, 1) if cov.size else cov.reshape(len(med), 0)
         n = med.shape[0]
         if treat.shape[0] != n or out.shape[0] != n or cov.shape[0] != n:
-            raise InvalidSpec("column lengths disagree")
+            raise BridgeboundError("column lengths disagree")
         if not np.all(np.isfinite(med)) or not np.all(np.isfinite(out)) or not np.all(np.isfinite(cov)):
-            raise NonFiniteValue("non-finite value in mediator, outcome, or covariates")
+            raise BridgeboundError("non-finite value in mediator, outcome, or covariates")
         treat_f = treat.astype(np.float64)
         if not np.all(np.isfinite(treat_f)) or not np.all(np.isin(treat_f, (0.0, 1.0))):
             bad = treat_f[~np.isin(treat_f, (0.0, 1.0))][:5]
-            raise NonBinaryTreatment(f"treatment values must be 0/1, got {bad}")
+            raise BridgeboundError(f"treatment values must be 0/1, got {bad}")
         treat_i = treat_f.astype(np.int8)
         p = cov.shape[1]
         for arm in (0, 1):
             count = int(np.sum(treat_i == arm))
             if count < p + 2:
-                raise EmptyArm(f"arm {arm} has {count} rows, needs at least {p + 2}")
+                raise BridgeboundError(f"arm {arm} has {count} rows, needs at least {p + 2}")
         bench = self.benchmark
         if bench is not None:
             bench = np.asarray(bench, dtype=np.float64)
             if bench.shape[0] != n:
-                raise InvalidSpec("benchmark column length disagrees")
+                raise BridgeboundError("benchmark column length disagrees")
             if not np.all(np.isfinite(bench)):
-                raise NonFiniteValue("non-finite value in benchmark column")
+                raise BridgeboundError("non-finite value in benchmark column")
         object.__setattr__(self, "treatment", treat_i)
         object.__setattr__(self, "mediator", med)
         object.__setattr__(self, "outcome", out)
@@ -91,11 +75,6 @@ class Dataset:
 
     def arm_indices(self, arm: int) -> np.ndarray:
         return np.flatnonzero(self.treatment == arm)
-
-    def row(self, i: int) -> ObsRow:
-        bench = None if self.benchmark is None else float(self.benchmark[i])
-        return ObsRow(int(self.treatment[i]), float(self.mediator[i]),
-                      float(self.outcome[i]), self.covariates[i].copy(), bench)
 
     def standardized(self) -> "Dataset":
         """Copy with covariates centered and scaled by the full-sample sd."""
@@ -120,27 +99,30 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     required = ("treatment", "mediator", "outcome")
     for key in required:
         if key not in schema:
-            raise MissingColumn(f"schema is missing the '{key}' mapping")
+            raise BridgeboundError(f"schema is missing the '{key}' mapping")
     cov_names = list(schema.get("covariates", ()))
     bench_name = schema.get("benchmark")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
-        wanted += cov_names + ([bench_name] if bench_name else [])
-        for col in wanted:
-            if col not in header:
-                raise MissingColumn(f"column '{col}' not in CSV header {header}")
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
+            wanted += cov_names + ([bench_name] if bench_name else [])
+            for col in wanted:
+                if col not in header:
+                    raise BridgeboundError(f"column '{col}' not in CSV header {header}")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read data {path}: {exc}") from exc
 
     def parse(col: str, raw: str) -> float:
         try:
             val = float(raw)
         except (TypeError, ValueError):
-            raise NonFiniteValue(f"column '{col}': cannot parse {raw!r}") from None
+            raise BridgeboundError(f"column '{col}': cannot parse {raw!r}") from None
         if not np.isfinite(val):
-            raise NonFiniteValue(f"column '{col}': non-finite value {raw!r}")
+            raise BridgeboundError(f"column '{col}': non-finite value {raw!r}")
         return val
 
     n = len(rows)
@@ -165,17 +147,20 @@ def save_dataset(data: Dataset, path: str, float_format: str = ".17g") -> None:
     names = ["treat", "m", "y"] + [f"x{j + 1}" for j in range(data.p)]
     if data.benchmark is not None:
         names.append("w")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(data.n):
-            row = [str(int(data.treatment[i])),
-                   format(data.mediator[i], float_format),
-                   format(data.outcome[i], float_format)]
-            row += [format(v, float_format) for v in data.covariates[i]]
-            if data.benchmark is not None:
-                row.append(format(data.benchmark[i], float_format))
-            writer.writerow(row)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            for i in range(data.n):
+                row = [str(int(data.treatment[i])),
+                       format(data.mediator[i], float_format),
+                       format(data.outcome[i], float_format)]
+                row += [format(v, float_format) for v in data.covariates[i]]
+                if data.benchmark is not None:
+                    row.append(format(data.benchmark[i], float_format))
+                writer.writerow(row)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def canonical_schema(p: int, with_benchmark: bool) -> dict:
@@ -188,11 +173,14 @@ def canonical_schema(p: int, with_benchmark: bool) -> dict:
 
 def infer_schema(path: str) -> dict:
     """Schema from a canonically named header (treat, m, y, x1.., optional w)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), [])
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), [])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read data {path}: {exc}") from exc
     missing = {"treat", "m", "y"} - set(header)
     if missing:
-        raise MissingColumn(
+        raise BridgeboundError(
             f"cannot infer schema, header lacks {sorted(missing)}; "
             "pass an explicit schema")
     xs = sorted((c for c in header if re.fullmatch(r"x\d+", c)),
@@ -211,12 +199,10 @@ def fractional_rank_within_arm(data: Dataset, arm: int) -> np.ndarray:
     output lies in (0, 1]. Invariant under strictly increasing transforms of W.
     """
     if data.benchmark is None:
-        from .errors import NoBenchmark
-
-        raise NoBenchmark("dataset has no benchmark column")
+        raise BridgeboundError("dataset has no benchmark column")
     idx = data.arm_indices(arm)
     if idx.size == 0:
-        raise EmptyArm(f"arm {arm} is empty")
+        raise BridgeboundError(f"arm {arm} is empty")
     w = data.benchmark[idx]
     ordered = np.sort(w)
     return np.searchsorted(ordered, w, side="right") / idx.size
@@ -271,19 +257,19 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
     """Draw one dataset; returns (Dataset, truth dict). Pure in (spec, seed)."""
     beta_m = np.asarray(spec.beta_m, dtype=np.float64)
     if spec.p < 0 or beta_m.shape != (spec.p + 2,):
-        raise InvalidSpec(f"beta_m must have length p + 2 = {spec.p + 2}")
+        raise BridgeboundError(f"beta_m must have length p + 2 = {spec.p + 2}")
     if spec.sigma_m <= 0 or spec.sigma_y <= 0:
-        raise InvalidSpec("sigma_m and sigma_y must be positive")
+        raise BridgeboundError("sigma_m and sigma_y must be positive")
     if not 0.0 < spec.treat_prob < 1.0:
-        raise InvalidSpec(f"treat_prob must be in (0, 1), got {spec.treat_prob}")
+        raise BridgeboundError(f"treat_prob must be in (0, 1), got {spec.treat_prob}")
     n_treat = int(round(spec.n * spec.treat_prob))
     if min(n_treat, spec.n - n_treat) < spec.p + 2:
-        raise InvalidSpec(
+        raise BridgeboundError(
             f"n = {spec.n} with treat_prob {spec.treat_prob} leaves an arm "
             f"below the minimum of p + 2 = {spec.p + 2} rows"
         )
     if spec.benchmark is not None and not spec.benchmark.high > spec.benchmark.low:
-        raise InvalidSpec("benchmark support must have high > low")
+        raise BridgeboundError("benchmark support must have high > low")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     treat = np.zeros(spec.n)

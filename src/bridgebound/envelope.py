@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import comp_mean
-from .errors import EmptyCollection, InvalidSensitivityParam
+from .errors import BridgeboundError
 
 
 def xi_pointwise(eta, gamma):
@@ -26,9 +26,9 @@ def xi_pointwise(eta, gamma):
     eta_arr = np.asarray(eta, dtype=np.float64)
     gamma_arr = np.asarray(gamma, dtype=np.float64)
     if np.any(np.isnan(eta_arr)) or np.any(np.isinf(eta_arr)) or np.any(eta_arr < 0.0):
-        raise InvalidSensitivityParam(f"eta must be finite and >= 0, got {eta}")
+        raise BridgeboundError(f"eta must be finite and >= 0, got {eta}")
     if np.any(np.isnan(gamma_arr)) or np.any(gamma_arr < 1.0):
-        raise InvalidSensitivityParam(f"gamma must be >= 1 (inf allowed), got {gamma}")
+        raise BridgeboundError(f"gamma must be >= 1 (inf allowed), got {gamma}")
     scalar = eta_arr.ndim == 0 and gamma_arr.ndim == 0
     eta_b, gamma_b = np.broadcast_arrays(eta_arr, gamma_arr)
     out = np.empty(eta_b.shape, dtype=np.float64)
@@ -44,9 +44,9 @@ def aggregate_xi_bar(xi_values) -> float:
     """Compensated mean of pointwise bounds over all (unit, draw) pairs."""
     xi = np.ascontiguousarray(xi_values, dtype=np.float64).ravel()
     if xi.size == 0:
-        raise EmptyCollection("no pointwise bounds to aggregate")
+        raise BridgeboundError("no pointwise bounds to aggregate")
     if np.any(~np.isfinite(xi)) or np.any(xi < 0.0):
-        raise InvalidSensitivityParam("pointwise bounds must be finite and >= 0")
+        raise BridgeboundError("pointwise bounds must be finite and >= 0")
     return comp_mean(xi)
 
 

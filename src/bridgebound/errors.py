@@ -1,64 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code."""
 
 
 class BridgeboundError(Exception):
-    """Base class for all package errors."""
-
-
-class MissingColumn(BridgeboundError):
-    pass
-
-
-class NonBinaryTreatment(BridgeboundError):
-    pass
-
-
-class NonFiniteValue(BridgeboundError):
-    pass
-
-
-class EmptyArm(BridgeboundError):
-    pass
-
-
-class InvalidSpec(BridgeboundError):
-    pass
-
-
-class DimensionMismatch(BridgeboundError):
-    pass
-
-
-class InvalidPrior(BridgeboundError):
-    pass
-
-
-class NonPositiveVariance(BridgeboundError):
-    pass
-
-
-class NumericalFailure(BridgeboundError):
-    """Raised when a factorization or solve fails; never masked with pinv."""
-
-
-class InvalidSensitivityParam(BridgeboundError):
-    pass
-
-
-class EmptyCollection(BridgeboundError):
-    pass
-
-
-class NoBenchmark(BridgeboundError):
-    pass
-
-
-class ZeroMassStratum(BridgeboundError):
-    pass
+    """Unusable input or parameters (CLI exit code 2); base of all package errors."""
 
 
 class ConfigError(BridgeboundError):
     """Bad or inconsistent run configuration (CLI exit code 2)."""
+
+
+class NumericalFailure(BridgeboundError):
+    """A factorization or solve failed; never masked with pinv (CLI exit code 3)."""
 
 
 class VerificationFailure(BridgeboundError):

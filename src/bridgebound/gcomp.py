@@ -36,7 +36,7 @@ from .envelope import (
     aggregate_xi_bar,
     mediation_effects,
 )
-from .errors import ConfigError, InvalidSensitivityParam, VerificationFailure
+from .errors import BridgeboundError, ConfigError, VerificationFailure
 from .linear_bayes import default_prior, nig_update, sample_draw
 
 ROUTES = ("si_anchor", "benchmark_raw", "benchmark_rank", "residual_budget")
@@ -85,20 +85,15 @@ class SensitivitySetting:
             raise ConfigError(f"unknown route {self.route!r}")
         for name in ("lambda0", "lambda1", "kappa0", "kappa1"):
             if getattr(self, name) < 1.0:
-                raise InvalidSensitivityParam(f"{name} must be >= 1")
+                raise BridgeboundError(f"{name} must be >= 1")
         for name in ("k0", "k1"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidSensitivityParam(f"{name} must lie in [0, 1]")
+                raise BridgeboundError(f"{name} must lie in [0, 1]")
         for name in ("g0", "g1"):
             if getattr(self, name) < 1.0:
-                raise InvalidSensitivityParam(f"{name} must be >= 1")
+                raise BridgeboundError(f"{name} must be >= 1")
         if self.gamma_cap < 1.0:
-            raise InvalidSensitivityParam("gamma_cap must be >= 1")
-
-
-def delta_bar_draw(xi_bar: float, prior: DeltaPrior, rng: np.random.Generator) -> float:
-    """One draw of Delta_bar from the prior supported on [-xi_bar, +xi_bar]."""
-    return xi_bar * _delta_base(prior, rng)
+            raise BridgeboundError("gamma_cap must be >= 1")
 
 
 def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
@@ -152,7 +147,6 @@ class RunResult:
     burn_in: int
     mediator_draws_per_unit: int
     seed: int
-    backend: str
 
     @property
     def field_order(self):
@@ -319,7 +313,7 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
 
     return [
         RunResult(setting, storage[j], data.n, draws, burn_in,
-                  mediator_draws_per_unit, seed, _kernels.backend_name())
+                  mediator_draws_per_unit, seed)
         for j, setting in enumerate(settings)
     ]
 

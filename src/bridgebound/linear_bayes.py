@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidPrior,
-    NonPositiveVariance,
-    NumericalFailure,
-)
+from .errors import BridgeboundError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -40,19 +35,19 @@ class NIGParams:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision_matrix", prec)
         if prec.ndim != 2 or prec.shape[0] != prec.shape[1]:
-            raise DimensionMismatch(f"precision matrix must be square, got {prec.shape}")
+            raise BridgeboundError(f"precision matrix must be square, got {prec.shape}")
         if mean.ndim != 1 or mean.shape[0] != prec.shape[0]:
-            raise DimensionMismatch(
+            raise BridgeboundError(
                 f"mean has length {mean.shape[0]}, precision is {prec.shape}"
             )
         if not (np.isfinite(self.shape) and self.shape > 0):
-            raise InvalidPrior(f"shape must be positive, got {self.shape}")
+            raise BridgeboundError(f"shape must be positive, got {self.shape}")
         if not (np.isfinite(self.scale) and self.scale > 0):
-            raise InvalidPrior(f"scale must be positive, got {self.scale}")
+            raise BridgeboundError(f"scale must be positive, got {self.scale}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(prec)):
-            raise InvalidPrior("non-finite entries in prior parameters")
+            raise BridgeboundError("non-finite entries in prior parameters")
         if not np.allclose(prec, prec.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(prec).max())):
-            raise InvalidPrior("precision matrix is not symmetric")
+            raise BridgeboundError("precision matrix is not symmetric")
 
     @property
     def dim(self) -> int:
@@ -69,7 +64,7 @@ class LinearModelDraw:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, dtype=np.float64)))
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise NonPositiveVariance(f"sigma2 must be positive, got {self.sigma2}")
+            raise BridgeboundError(f"sigma2 must be positive, got {self.sigma2}")
 
 
 def default_prior(q: int) -> NIGParams:
@@ -96,11 +91,11 @@ def nig_update(prior: NIGParams, design: np.ndarray, response: np.ndarray) -> NI
     if n == 0:
         return prior
     if design.shape[1] != prior.dim:
-        raise DimensionMismatch(
+        raise BridgeboundError(
             f"design has {design.shape[1]} columns, prior dimension is {prior.dim}"
         )
     if response.shape[0] != n:
-        raise DimensionMismatch(
+        raise BridgeboundError(
             f"{n} design rows but {response.shape[0]} responses"
         )
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
@@ -137,17 +132,5 @@ def sample_draw(params: NIGParams, rng: np.random.Generator) -> LinearModelDraw:
 def posterior_sigma2_mean(params: NIGParams) -> float:
     """Mean of the inverse-gamma sigma2 marginal (finite for shape > 1)."""
     if params.shape <= 1.0:
-        raise InvalidPrior(f"sigma2 mean undefined for shape {params.shape} <= 1")
+        raise BridgeboundError(f"sigma2 mean undefined for shape {params.shape} <= 1")
     return params.scale / (params.shape - 1.0)
-
-
-def normal_log_density(x, mean, variance):
-    """Gaussian log density; accepts scalars or broadcastable arrays."""
-    variance = np.asarray(variance, dtype=np.float64)
-    if np.any(~np.isfinite(variance)) or np.any(variance <= 0.0):
-        raise NonPositiveVariance(f"variance must be positive, got {variance}")
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    d = x - mean
-    out = -0.5 * np.log(2.0 * np.pi * variance) - d * d / (2.0 * variance)
-    return out if out.ndim else float(out)

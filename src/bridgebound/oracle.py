@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .envelope import xi_pointwise
-from .errors import InvalidSpec, ZeroMassStratum
+from .errors import BridgeboundError
 
 _SUM_TOL = 1e-12
 _INTRA_TOL = 1e-12      # members of one stratum agree on the bridge to this
@@ -66,26 +66,26 @@ class DiscreteModel:
         object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
         nx = p_x.shape[0]
         if p_u.shape[:2] != (2, nx) or p_m.shape[:3] != (2, nx, p_u.shape[2]):
-            raise InvalidSpec("table shapes disagree")
+            raise BridgeboundError("table shapes disagree")
         if psi.shape != p_u.shape or len(self.groups) != nx:
-            raise InvalidSpec("psi or groups shape disagrees")
+            raise BridgeboundError("psi or groups shape disagrees")
         for name, table in (("p_x", p_x), ("p_u", p_u), ("p_m", p_m)):
             if np.any(table < 0.0) or not np.all(np.isfinite(table)):
-                raise InvalidSpec(f"{name} has negative or non-finite entries")
+                raise BridgeboundError(f"{name} has negative or non-finite entries")
         if abs(p_x.sum() - 1.0) > _SUM_TOL:
-            raise InvalidSpec(f"p_x sums to {p_x.sum()}")
+            raise BridgeboundError(f"p_x sums to {p_x.sum()}")
         if np.max(np.abs(p_u.sum(axis=2) - 1.0)) > _SUM_TOL:
-            raise InvalidSpec("a p_u row does not sum to 1")
+            raise BridgeboundError("a p_u row does not sum to 1")
         if np.max(np.abs(p_m.sum(axis=3) - 1.0)) > _SUM_TOL:
-            raise InvalidSpec("a p_m row does not sum to 1")
+            raise BridgeboundError("a p_m row does not sum to 1")
         if not np.all(np.isfinite(psi)):
-            raise InvalidSpec("psi has non-finite entries")
+            raise BridgeboundError("psi has non-finite entries")
         for g in set(self.groups):
             members = [x for x in range(nx) if self.groups[x] == g]
             ref = psi[:, members[0], :]
             for x in members[1:]:
                 if np.max(np.abs(psi[:, x, :] - ref)) > 1e-9:
-                    raise InvalidSpec(f"psi not constant within group {g}")
+                    raise BridgeboundError(f"psi not constant within group {g}")
 
     @property
     def nx(self) -> int:
@@ -129,7 +129,7 @@ def check_balancing(model: DiscreteModel, m: int, arm: int) -> float:
         px = model.p_x[idx]
         joint = px * f[idx]
         if joint.sum() <= 0.0:
-            raise ZeroMassStratum(f"stratum {stratum} carries no mass at m={m}, arm={arm}")
+            raise BridgeboundError(f"stratum {stratum} carries no mass at m={m}, arm={arm}")
         with_m = joint / joint.sum()
         without = px / px.sum()
         worst = max(worst, 0.5 * float(np.abs(with_m - without).sum()))
@@ -160,12 +160,12 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
     g = model.groups[idx[0]]
     for x in idx:
         if model.groups[x] != g:
-            raise InvalidSpec(f"stratum {idx} mixes groups; bridge collision?")
+            raise BridgeboundError(f"stratum {idx} mixes groups; bridge collision?")
     psi = model.psi[arm, idx[0], :]
 
     p_x = model.p_x[idx]
     if p_x.sum() <= 0.0:
-        raise ZeroMassStratum(f"stratum {idx} has zero covariate mass")
+        raise BridgeboundError(f"stratum {idx} has zero covariate mass")
     weights = p_x / p_x.sum()
 
     p_u = model.p_u[arm, idx, :]                   # (s, nu)
@@ -174,7 +174,7 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
     joint = weights[:, None] * p_u * p_m_at        # (s, nu), P(x, u, m | a, S) / P(S)
     mass = joint.sum()
     if mass <= 0.0:
-        raise ZeroMassStratum(f"no mediator mass at m={m} in stratum {idx}, arm={arm}")
+        raise BridgeboundError(f"no mediator mass at m={m} in stratum {idx}, arm={arm}")
     f1 = joint.sum(axis=0) / mass
 
     support = f0 > 0.0
@@ -190,7 +190,7 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
         pu_x = model.p_u[arm, x, :]
         fx = float(pu_x @ model.p_m[arm, x, :, m])
         if fx <= 0.0:
-            raise ZeroMassStratum(f"f_{arm}(m={m} | x={x}) = 0")
+            raise BridgeboundError(f"f_{arm}(m={m} | x={x}) = 0")
         f1_x = pu_x * model.p_m[arm, x, :, m] / fx
         sup_x = pu_x > 0.0
         psi_x = model.psi[arm, x, :]
@@ -272,7 +272,7 @@ def make_sharpness_model(gamma: float, eta: float) -> DiscreteModel:
     gamma; psi = (eta, 0) swings by eta across the two points.
     """
     if gamma < 1.0 or eta < 0.0:
-        raise InvalidSpec(f"need gamma >= 1 and eta >= 0, got {gamma}, {eta}")
+        raise BridgeboundError(f"need gamma >= 1 and eta >= 0, got {gamma}, {eta}")
     p_x = np.array([1.0])
     p_u = np.tile(np.array([1.0 / gamma, 1.0 - 1.0 / gamma]), (2, 1, 1))
     p_m = np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1, 1))
@@ -317,7 +317,7 @@ def check_scalar_reduction(model: DiscreteModel) -> dict:
     """
     if np.max(np.abs(model.p_u[0] - model.p_u[1])) > 0.0 or \
             np.max(np.abs(model.psi[0] - model.psi[1])) > 0.0:
-        raise InvalidSpec("scalar reduction needs arm-free latent law and psi")
+        raise BridgeboundError("scalar reduction needs arm-free latent law and psi")
 
     f = model.bridge_values()
     theta_direct = 0.0
@@ -344,7 +344,7 @@ def check_scalar_reduction(model: DiscreteModel) -> dict:
             w1 = model.p_x[idx][:, None] * model.p_u[1, idx, :] * model.p_m[1, idx, :, m]
             mass = w1.sum()
             if mass <= 0.0:
-                raise ZeroMassStratum(f"no treated mass at m={m}, stratum {stratum}")
+                raise BridgeboundError(f"no treated mass at m={m}, stratum {stratum}")
             mu1 = float((w1 * model.psi[1, idx, :]).sum() / mass)
             sens = {arm: exact_sensitivity(model, arm, m, stratum) for arm in (0, 1)}
             cells[key] = (mu1, sens)
@@ -493,7 +493,7 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
         model = DiscreteModel(p_x, p_u, p_m, psi, tuple(int(g) for g in groups))
         if _well_separated(model):
             return model
-    raise InvalidSpec("could not draw a well-separated model; widen max_tries")
+    raise BridgeboundError("could not draw a well-separated model; widen max_tries")
 
 
 def _well_separated(model: DiscreteModel) -> bool:

@@ -7,13 +7,16 @@ criteria that read different statistics off the same fuzz report.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bridgebound
 from bridgebound.data import SyntheticSpec, generate_synthetic
 from bridgebound.gcomp import SensitivitySetting, run, sweep
 from bridgebound.linear_bayes import NIGParams, nig_update, sample_draw
@@ -224,9 +227,14 @@ def test_criterion_12_variance_bound_on_corpus(corpus):
 
 
 def test_criterion_13_cli_determinism(tmp_path):
+    # the subprocesses import the same package as this test, installed or not
+    src = str(Path(bridgebound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
     def cli(*argv):
         proc = subprocess.run([sys.executable, "-m", "bridgebound.cli", *argv],
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

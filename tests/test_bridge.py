@@ -6,17 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bridgebound.bridge import (N_OUTCOME_REGRESSORS, bridge_at,
-                                bridge_log_pair, mediator_means,
-                                outcome_design, outcome_regressors)
-from bridgebound.errors import DimensionMismatch, NonPositiveVariance
-from bridgebound.linear_bayes import LinearModelDraw
+from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
+from bridgebound.errors import BridgeboundError
 
 from conftest import rng
 
 
-def draw(beta, sigma2=1.0):
-    return LinearModelDraw(np.asarray(beta, dtype=np.float64), sigma2)
+def log_pair(m, x, beta, sigma2=1.0):
+    mean0, shift = mediator_means(x, np.asarray(beta, dtype=np.float64))
+    return bridge_log_pair(np.asarray(m, dtype=np.float64), mean0, shift, sigma2)
 
 
 def test_mediator_means_shift_is_arm_coefficient():
@@ -24,7 +22,7 @@ def test_mediator_means_shift_is_arm_coefficient():
     mean0, shift = mediator_means(x, np.array([0.5, 1.2, 0.8, -0.4]))
     assert shift == 1.2
     assert np.allclose(mean0, [0.5 + 0.8 - 0.8, 0.5 + 0.4])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BridgeboundError, match="mediator beta has length 3"):
         mediator_means(x, np.array([0.5, 1.2, 0.8]))
 
 
@@ -32,17 +30,16 @@ def test_zero_shift_collapses_arms():
     x = rng(3).standard_normal((40, 2))
     beta = np.array([0.3, 0.0, 1.0, -2.0])
     m = rng(4).standard_normal(40)
-    score = bridge_at(m, x, draw(beta, 0.7))
-    assert np.array_equal(score.b0, score.b1)
-    assert np.array_equal(score.l0, score.l1)
+    l0, l1 = log_pair(m, x, beta, 0.7)
+    assert np.array_equal(np.exp(l0), np.exp(l1))
+    assert np.array_equal(l0, l1)
 
 
 def test_frozen_standard_normal_values():
     # unit-variance model, mean0 = 0, shift = 1, evaluated at m = 0
-    score = bridge_at(0.0, np.array([[0.0]]), draw([0.0, 1.0, 0.0]))
-    assert math.isclose(score.b0, 0.3989422804014327, rel_tol=1e-15)
-    assert math.isclose(score.b1, 0.24197072451914337, rel_tol=1e-15)
-    assert isinstance(score.b0, float)
+    l0, l1 = log_pair([0.0], np.array([[0.0]]), [0.0, 1.0, 0.0])
+    assert math.isclose(math.exp(l0[0]), 0.3989422804014327, rel_tol=1e-15)
+    assert math.isclose(math.exp(l1[0]), 0.24197072451914337, rel_tol=1e-15)
 
 
 def test_log_pair_matches_reference_density():
@@ -57,19 +54,17 @@ def test_log_pair_matches_reference_density():
 
 
 def test_log_pair_rejects_bad_variance():
-    with pytest.raises(NonPositiveVariance):
+    with pytest.raises(BridgeboundError, match="mediator variance must be positive"):
         bridge_log_pair(np.zeros(3), np.zeros(3), 0.0, 0.0)
 
 
-def test_bridge_at_shape_contract():
+def test_log_pair_shape_contract():
     x = rng(6).standard_normal((5, 2))
-    score = bridge_at(np.zeros(5), x, draw([0.0, 1.0, 0.2, 0.1]))
-    assert score.b0.shape == (5,)
-    with pytest.raises(DimensionMismatch):
-        bridge_at(np.zeros(4), x, draw([0.0, 1.0, 0.2, 0.1]))
+    l0, l1 = log_pair(np.zeros(5), x, [0.0, 1.0, 0.2, 0.1])
+    assert l0.shape == l1.shape == (5,)
     # one covariate row broadcasts across many mediator values
-    fan = bridge_at(np.linspace(-1, 1, 7), x[:1], draw([0.0, 1.0, 0.2, 0.1]))
-    assert fan.b0.shape == (7,)
+    f0, f1 = log_pair(np.linspace(-1, 1, 7), x[:1], [0.0, 1.0, 0.2, 0.1])
+    assert f0.shape == f1.shape == (7,)
 
 
 def test_outcome_design_frozen_rows():
@@ -77,20 +72,7 @@ def test_outcome_design_frozen_rows():
     assert np.array_equal(row, [1.0, 0.0, 1.0, -0.5, -0.7, 0.0, -0.0, 0.35])
     row = outcome_design(np.array([2.0]), 1.0, np.array([-1.0]), np.array([-2.0]))[0]
     assert np.array_equal(row, [1.0, 2.0, 1.0, -1.0, -2.0, -2.0, -4.0, 2.0])
-    assert row.shape == (N_OUTCOME_REGRESSORS,)
-
-
-def test_outcome_regressors_scalar_and_vector():
-    score = bridge_at(0.5, np.array([[1.0]]), draw([0.0, 1.0, 0.3]))
-    row = outcome_regressors(0.5, 0, score)
-    assert row.shape == (N_OUTCOME_REGRESSORS,)
-    assert row[0] == 1.0 and row[1] == 0.5 and row[2] == 0.0
-    assert row[3] == score.l0 and row[4] == score.l1
-
-    many = bridge_at(np.array([0.5, 1.5]), np.array([[1.0], [2.0]]), draw([0.0, 1.0, 0.3]))
-    mat = outcome_regressors(np.array([0.5, 1.5]), 1, many)
-    assert mat.shape == (2, N_OUTCOME_REGRESSORS)
-    assert np.array_equal(mat[:, 2], [1.0, 1.0])
+    assert row.shape == (8,)
 
 
 @given(st.floats(0.1, 4.0), st.floats(-3.0, 3.0))

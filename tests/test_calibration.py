@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      estimate_sigma_eta, prepare_benchmark,
                                      residual_envelope)
 from bridgebound.data import Dataset
-from bridgebound.errors import (DegenerateBenchmark, InvalidSensitivityParam,
-                                NoBenchmark)
+from bridgebound.errors import BridgeboundError, DegenerateBenchmark
 
 from conftest import rng
 
@@ -29,12 +29,12 @@ class TestPrepare:
     def test_requires_benchmark(self):
         data = Dataset(np.array([0, 0, 1, 1]), np.zeros(4), np.zeros(4),
                        np.empty((4, 0)))
-        with pytest.raises(NoBenchmark):
+        with pytest.raises(BridgeboundError, match="requires a benchmark column"):
             prepare_benchmark(data, "raw")
 
     def test_unknown_scale(self):
         data = dataset_with_benchmark(rng(1).uniform(size=20))
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="unknown benchmark scale"):
             prepare_benchmark(data, "logit")
 
     def test_constant_benchmark_warns(self):
@@ -77,13 +77,19 @@ class TestEta:
             assert abs(coef - 0.8) <= 0.02
 
     def test_constant_within_arm_gives_zero_and_warns(self):
+        # the warning fires once per run in prepare_benchmark, on either scale,
+        # and never again per draw
         w = np.where(np.arange(30) % 2 == 0, 1.0, np.linspace(0.0, 2.0, 30))
         data = dataset_with_benchmark(w)
-        ctx = prepare_benchmark(data, "raw")
-        design = np.ones((30, 1))
-        with pytest.warns(DegenerateBenchmark, match="arm 0"):
-            eta0, eta1 = estimate_benchmark_eta(design, rng(5).normal(size=30), ctx)
-        assert eta0 == 0.0 and eta1 > 0.0
+        for scale in ("raw", "rank"):
+            with pytest.warns(DegenerateBenchmark, match="arm 0") as caught:
+                ctx = prepare_benchmark(data, scale)
+            assert len(caught) == 1
+            design = np.ones((30, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eta0, eta1 = estimate_benchmark_eta(design, rng(5).normal(size=30), ctx)
+            assert eta0 == 0.0 and eta1 > 0.0
 
 
 class TestGamma:
@@ -134,7 +140,7 @@ class TestGamma:
 
     def test_invalid_cap(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=1.0, n=60)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="gamma cap must be finite"):
             estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1, cap=0.5)
 
 
@@ -147,9 +153,9 @@ class TestEnvelopes:
         assert widths == sorted(widths) and widths[0] < widths[-1]
 
     def test_benchmark_envelope_validation(self):
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="amplification factors"):
             benchmark_envelope(1.0, 2.0, 0.9, 1.0)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="amplification factors"):
             benchmark_envelope(1.0, 2.0, 1.0, 0.0)
 
     def test_sigma_eta(self):
@@ -157,7 +163,7 @@ class TestEnvelopes:
         assert estimate_sigma_eta(y, y) == 0.0
         noisy = estimate_sigma_eta(y, np.zeros_like(y))
         assert abs(noisy - 2.0) <= 0.1
-        with pytest.raises(NoBenchmark):
+        with pytest.raises(BridgeboundError, match="no treated rows"):
             estimate_sigma_eta(np.empty(0), np.empty(0))
 
     def test_residual_envelope_exact_zeros(self):
@@ -170,11 +176,11 @@ class TestEnvelopes:
         assert residual_envelope(2.0, 0.25, 2.0) == 1.0
 
     def test_residual_envelope_validation(self):
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="k must lie in"):
             residual_envelope(1.0, -0.1, 2.0)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="k must lie in"):
             residual_envelope(1.0, 1.5, 2.0)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="sigma_eta must be finite"):
             residual_envelope(-1.0, 0.5, 2.0)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="gamma must be >= 1"):
             residual_envelope(1.0, 0.5, 0.5)

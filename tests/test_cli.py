@@ -109,6 +109,12 @@ class TestSimulate:
                          "--out", str(tmp_path / "d.csv")]) == 2
         assert "effect" in capsys.readouterr().err
 
+    def test_unwritable_dataset_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", self.spec_cfg())
+        out = tmp_path / "no-such-dir" / "sim.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_out_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.json", self.spec_cfg())
         assert cli.main(["simulate", "--config", cfg]) == 2
@@ -153,6 +159,29 @@ class TestFit:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["fit", "--config", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(tmp_path / "absent.csv"),
+            "setting": {"route": "si_anchor"}, **FAST})
+        assert cli.main(["fit", "--config", cfg]) == 2
+        assert "cannot read data" in capsys.readouterr().err
+
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("treat,m,y\n0,1.0,caf\u00e9\n".encode("latin-1"))
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(path), "setting": {"route": "si_anchor"}, **FAST})
+        assert cli.main(["fit", "--config", cfg]) == 2
+        assert "cannot read data" in capsys.readouterr().err
+
+    def test_unwritable_out_path(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(data_dir / "null.csv"),
+            "setting": {"route": "si_anchor"}, **FAST})
+        out = tmp_path / "no-such-dir" / "fit.json"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_config_without_data_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {"setting": {"route": "si_anchor"}})
@@ -260,6 +289,14 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [["x"], [1.0, True], [], 2.0])
+    def test_non_numeric_grid(self, data_dir, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": str(data_dir / "bench.csv"), "axis": "kappa", "grid": grid,
+            "setting": {"route": "benchmark_raw"}, **FAST})
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert "'grid' must be a non-empty list of numbers" in capsys.readouterr().err
+
     def test_axis_route_mismatch(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep.json", {
             "data": str(data_dir / "bench.csv"), "axis": "k", "grid": [0.0, 0.5],
@@ -287,6 +324,13 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sharpness"]["points"] == 1
 
+    @pytest.mark.parametrize("key,value", [("gammas", ["abc"]), ("gammas", 5),
+                                           ("etas", [None]), ("etas", "1.0")])
+    def test_non_numeric_sharpness_grid(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "verify.json", {key: value, "n_models": 4})
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert f"'{key}' must be a non-empty list of numbers" in capsys.readouterr().err
+
     def test_corruption_self_test_fails_loudly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "verify.json", {
             "n_models": 4, "seed": 4, "inject_corrupt": True})
@@ -312,3 +356,13 @@ def test_take_int_rejects_bool_and_float():
     with pytest.raises(ConfigError):
         cli._take_int({"draws": 2.5}, "draws", 1)
     assert cli._take_int({}, "draws", 7) == 7
+
+
+def test_take_floats_requires_numbers():
+    assert cli._take_floats({"grid": [1, 2.5]}, "grid", None) == [1.0, 2.5]
+    assert cli._take_floats({}, "grid", [3]) == [3.0]
+    for bad in (["1.5"], [True], [], 1.5, None):
+        with pytest.raises(ConfigError):
+            cli._take_floats({"grid": bad}, "grid", None)
+    with pytest.raises(ConfigError):
+        cli._take_floats({}, "grid", None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bridgebound.envelope import (MediationEffects, ScalarDecomposition,
                                   aggregate_xi_bar, mediation_effects,
                                   xi_pointwise)
-from bridgebound.errors import EmptyCollection, InvalidSensitivityParam
+from bridgebound.errors import BridgeboundError
 
 from conftest import rng
 
@@ -32,13 +32,13 @@ def test_xi_scalar_and_array_forms():
 
 
 def test_xi_rejects_out_of_range():
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="eta must be finite"):
         xi_pointwise(-0.1, 2.0)
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="gamma must be >= 1"):
         xi_pointwise(1.0, 0.99)
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="eta must be finite"):
         xi_pointwise(math.inf, 2.0)
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="gamma must be >= 1"):
         xi_pointwise(1.0, math.nan)
 
 
@@ -72,11 +72,11 @@ def test_aggregate_tracks_fsum():
 
 
 def test_aggregate_rejects_bad_input():
-    with pytest.raises(EmptyCollection):
+    with pytest.raises(BridgeboundError, match="no pointwise bounds"):
         aggregate_xi_bar(np.empty(0))
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="finite and >= 0"):
         aggregate_xi_bar(np.array([1.0, -0.5]))
-    with pytest.raises(InvalidSensitivityParam):
+    with pytest.raises(BridgeboundError, match="finite and >= 0"):
         aggregate_xi_bar(np.array([1.0, math.nan]))
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bridgebound.errors import (ConfigError, InvalidSensitivityParam,
+from bridgebound.errors import (BridgeboundError, ConfigError,
                                 VerificationFailure)
-from bridgebound.gcomp import (DeltaPrior, SensitivitySetting,
-                               counterfactual_mediator_draws, delta_bar_draw,
-                               run, sweep, check_sweep_rows)
+from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
+                               counterfactual_mediator_draws, run, sweep,
+                               check_sweep_rows)
 
 from conftest import rng
 
@@ -40,16 +40,16 @@ class TestCounterfactualDraws:
 class TestDeltaPrior:
     def test_zero_envelope_kills_every_kind(self):
         for kind in ("uniform", "beta", "endpoint_lower", "endpoint_upper"):
-            assert delta_bar_draw(0.0, DeltaPrior(kind=kind), rng(6)) == 0.0
+            assert 0.0 * _delta_base(DeltaPrior(kind=kind), rng(6)) == 0.0
 
     def test_endpoints_are_exact(self):
-        assert delta_bar_draw(0.7, DeltaPrior(kind="endpoint_upper"), rng(7)) == 0.7
-        assert delta_bar_draw(0.7, DeltaPrior(kind="endpoint_lower"), rng(7)) == -0.7
+        assert 0.7 * _delta_base(DeltaPrior(kind="endpoint_upper"), rng(7)) == 0.7
+        assert 0.7 * _delta_base(DeltaPrior(kind="endpoint_lower"), rng(7)) == -0.7
 
     def test_uniform_moments_and_support(self):
         r = rng(8)
         prior = DeltaPrior()
-        draws = np.array([delta_bar_draw(2.0, prior, r) for _ in range(100_000)])
+        draws = np.array([2.0 * _delta_base(prior, r) for _ in range(100_000)])
         assert np.all(np.abs(draws) <= 2.0)
         assert abs(draws.mean()) <= 0.02
         assert abs(draws.std() - 2.0 / np.sqrt(3.0)) <= 0.02
@@ -57,7 +57,7 @@ class TestDeltaPrior:
     def test_beta_mean(self):
         r = rng(9)
         prior = DeltaPrior(kind="beta", shape1=2.0, shape2=5.0)
-        draws = np.array([delta_bar_draw(1.0, prior, r) for _ in range(50_000)])
+        draws = np.array([_delta_base(prior, r) for _ in range(50_000)])
         assert abs(draws.mean() - (2.0 * 2.0 / 7.0 - 1.0)) <= 0.01
 
     def test_validation(self):
@@ -73,15 +73,15 @@ class TestSettingValidation:
             SensitivitySetting(route="anchor")
 
     def test_parameter_ranges(self):
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="lambda0 must be >= 1"):
             SensitivitySetting(lambda0=0.5)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="kappa1 must be >= 1"):
             SensitivitySetting(kappa1=0.99)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="k0 must lie in"):
             SensitivitySetting(k0=1.5)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="g1 must be >= 1"):
             SensitivitySetting(g1=0.0)
-        with pytest.raises(InvalidSensitivityParam):
+        with pytest.raises(BridgeboundError, match="gamma_cap must be >= 1"):
             SensitivitySetting(gamma_cap=0.9)
 
 

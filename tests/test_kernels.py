@@ -1,39 +1,28 @@
+"""Each kernel against an independent reference: math.fsum for the sums, an
+explicit design product for the outcome mean, the closed-form normal log
+density, and the brute-force scan for the density-ratio sup."""
+
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgebound import _kernels
-from bridgebound._kernels import (_comp_sum_np, _gamma_sup_logratio_np,
-                                  _normal_logpdf_np, _outcome_mean_sum_np,
-                                  backend_name, comp_mean, comp_sum,
+from bridgebound._kernels import (_LANES, comp_mean, comp_sum,
                                   gamma_sup_logratio, gamma_sup_logratio_brute,
                                   normal_logpdf, outcome_mean_sum)
 
 from conftest import rng
 
 
-def test_backend_name_is_known():
-    assert backend_name() in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy_backend():
-    code = "from bridgebound import backend_name; print(backend_name())"
-    env = dict(os.environ, BRIDGEBOUND_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
 def test_comp_sum_matches_fsum_on_cancellation():
     x = np.array([1e16, 1.0, -1e16, 1.0])
     assert comp_sum(x) == math.fsum(x) == 2.0
-    assert _comp_sum_np(x) == 2.0
+    # long enough for the lane-folded path; a period of 3 puts big and small
+    # values in every lane, so each lane loses its ones without compensation
+    long = np.tile([1e16, 1.0, -1e16], 3 * _LANES)
+    assert comp_sum(long) == math.fsum(long) == 3.0 * _LANES
 
 
 def test_comp_sum_empty_and_large():
@@ -41,7 +30,6 @@ def test_comp_sum_empty_and_large():
     x = rng(1).standard_normal(100_000)
     exact = math.fsum(x)
     assert abs(comp_sum(x) - exact) <= 1e-10 * max(1.0, abs(exact))
-    assert abs(_comp_sum_np(x) - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 @given(st.lists(st.floats(min_value=-1e8, max_value=1e8,
@@ -61,7 +49,6 @@ def test_normal_logpdf_matches_numpy_reference():
     mean = rng(3).standard_normal(500)
     var = np.float64(1.7)
     got = normal_logpdf(x, mean, var)
-    assert np.array_equal(got, _normal_logpdf_np(x, mean, var))
     direct = -0.5 * np.log(2 * np.pi * var) - (x - mean) ** 2 / (2 * var)
     assert np.allclose(got, direct, atol=1e-12)
 
@@ -76,8 +63,6 @@ def test_outcome_mean_sum_equals_design_dot():
         exact = math.fsum(design @ beta)
         got = outcome_mean_sum(m, l0, l1, np.float64(a), beta)
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
-        ref = _outcome_mean_sum_np(m, l0, l1, np.float64(a), beta)
-        assert abs(ref - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 class TestGammaSupLogratio:
@@ -94,8 +79,6 @@ class TestGammaSupLogratio:
         mu_r = mu_c + 0.2 * r.standard_normal(3000)
         fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
         assert np.array_equal(fast, brute)
-        np_fast = _gamma_sup_logratio_np(mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-        assert np.array_equal(np_fast, brute)
 
     def test_small_grids_fall_back_to_full_scan(self):
         r = rng(6)
@@ -115,11 +98,9 @@ class TestGammaSupLogratio:
     def test_two_normal_closed_form(self):
         # ratio N(w; 0.5, 1) / N(w; 0, 1) = exp(0.5 w - 0.125), sup on [-3, 3] at w=3
         w = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
-        pts = np.array([0.0])
         sup = gamma_sup_logratio(np.full(1, 0.5), np.float64(1.0),
                                  np.zeros(1), np.float64(1.0), w)
         assert math.isclose(float(np.exp(sup[0])), math.exp(1.375), rel_tol=1e-14)
-        assert pts.shape == (1,)
 
     @given(st.integers(0, 2**32 - 1))
     def test_random_geometry_matches_brute(self, seed):

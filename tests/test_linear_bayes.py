@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bridgebound.errors import (DimensionMismatch, InvalidPrior,
-                                NonPositiveVariance)
-from bridgebound.linear_bayes import (NIGParams, default_prior,
-                                      nig_update, normal_log_density,
+from bridgebound._kernels import normal_logpdf
+from bridgebound.errors import BridgeboundError
+from bridgebound.linear_bayes import (NIGParams, default_prior, nig_update,
                                       posterior_sigma2_mean, sample_draw)
 
 from conftest import rng
@@ -106,18 +105,18 @@ def test_posterior_sigma2_mean_formula_and_guard():
     assert posterior_sigma2_mean(params) == 2.0
     shallow = NIGParams(mean=np.zeros(1), precision_matrix=np.eye(1),
                         shape=1.0, scale=4.0)
-    with pytest.raises(InvalidPrior):
+    with pytest.raises(BridgeboundError, match="sigma2 mean undefined"):
         posterior_sigma2_mean(shallow)
 
 
 def test_prior_validation():
-    with pytest.raises(InvalidPrior):
+    with pytest.raises(BridgeboundError, match="shape must be positive"):
         NIGParams(mean=np.zeros(2), precision_matrix=np.eye(2), shape=-1.0, scale=1.0)
-    with pytest.raises(InvalidPrior):
+    with pytest.raises(BridgeboundError, match="scale must be positive"):
         NIGParams(mean=np.zeros(2), precision_matrix=np.eye(2), shape=1.0, scale=0.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BridgeboundError, match="mean has length 3"):
         NIGParams(mean=np.zeros(3), precision_matrix=np.eye(2), shape=1.0, scale=1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BridgeboundError, match="design has 3 columns"):
         nig_update(unit_prior(2), np.ones((5, 3)), np.ones(5))
 
 
@@ -129,11 +128,11 @@ def test_default_prior_shape():
 
 
 def test_normal_log_density_values():
+    # the kernel does not check the variance; bridge_log_pair rejects a
+    # non-positive one (test_log_pair_rejects_bad_variance)
     # at x = mean with var = 1/(2 pi) the constant cancels the exponent
-    assert abs(normal_log_density(0.7, 0.7, 1.0 / (2.0 * math.pi))) <= 1e-15
-    assert math.isclose(normal_log_density(0.0, 0.0, 1.0),
+    assert abs(normal_logpdf(0.7, 0.7, 1.0 / (2.0 * math.pi))) <= 1e-15
+    assert math.isclose(normal_logpdf(0.0, 0.0, 1.0),
                         -0.9189385332046727, rel_tol=1e-15)
     # symmetric around the mean; use 0 so both offsets are the same float
-    assert normal_log_density(0.83, 0.0, 2.3) == normal_log_density(-0.83, 0.0, 2.3)
-    with pytest.raises(NonPositiveVariance):
-        normal_log_density(0.0, 0.0, 0.0)
+    assert normal_logpdf(0.83, 0.0, 2.3) == normal_logpdf(-0.83, 0.0, 2.3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgebound.envelope import xi_pointwise
-from bridgebound.errors import InvalidSpec, ZeroMassStratum
+from bridgebound.errors import BridgeboundError
 from bridgebound.oracle import (CHECK_THRESHOLDS, DiscreteModel,
                                 bound_gap, check_balancing,
                                 check_bound_and_sharpness, check_popoviciu,
@@ -103,7 +103,7 @@ class TestBalancing:
 
     def test_zero_mass_detected(self):
         dead = single_x_model([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
-        with pytest.raises(ZeroMassStratum):
+        with pytest.raises(BridgeboundError, match="carries no mass"):
             check_balancing(dead, 1, 0)
 
 
@@ -143,7 +143,7 @@ class TestSensitivity:
     def test_mixed_group_stratum_rejected(self):
         model = mirrored_pair_model()
         bad = DiscreteModel(model.p_x, model.p_u, model.p_m, model.psi, (0, 1))
-        with pytest.raises(InvalidSpec, match="mixes groups"):
+        with pytest.raises(BridgeboundError, match="mixes groups"):
             exact_sensitivity(bad, 0, 0, [0, 1])
 
 
@@ -164,9 +164,9 @@ class TestSharpness:
                 assert abs(minus + bound) <= 1e-12
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="need gamma >= 1"):
             make_sharpness_model(0.5, 1.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="eta >= 0"):
             make_sharpness_model(2.0, -1.0)
 
 
@@ -248,7 +248,7 @@ class TestScalarReduction:
         p_u[1, 0] = [0.25, 0.75]
         p_u[1, 1] = [0.25, 0.75]
         biased = DiscreteModel(model.p_x, p_u, model.p_m, model.psi, model.groups)
-        with pytest.raises(InvalidSpec, match="arm-free"):
+        with pytest.raises(BridgeboundError, match="arm-free"):
             check_scalar_reduction(biased)
 
     def test_ignorable_model_has_exact_anchor(self):
@@ -281,23 +281,23 @@ class TestScalarReduction:
 
 class TestModelValidation:
     def test_bad_sums_rejected(self):
-        with pytest.raises(InvalidSpec, match="p_x"):
+        with pytest.raises(BridgeboundError, match="p_x"):
             DiscreteModel(np.array([0.6, 0.6]), np.ones((2, 2, 1)),
                           np.ones((2, 2, 1, 1)), np.zeros((2, 2, 1)), (0, 1))
-        with pytest.raises(InvalidSpec, match="p_u"):
+        with pytest.raises(BridgeboundError, match="p_u"):
             single_x_model([0.5, 0.4], [[0.75, 0.25], [0.25, 0.75]], [1.0, 0.0])
-        with pytest.raises(InvalidSpec, match="p_m"):
+        with pytest.raises(BridgeboundError, match="p_m"):
             single_x_model([0.5, 0.5], [[0.8, 0.25], [0.25, 0.75]], [1.0, 0.0])
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="negative or non-finite"):
             single_x_model([1.5, -0.5], [[0.75, 0.25], [0.25, 0.75]], [1.0, 0.0])
 
     def test_shape_disagreement(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="table shapes disagree"):
             DiscreteModel(np.array([1.0]), np.ones((2, 2, 1)),
                           np.ones((2, 1, 1, 1)), np.zeros((2, 1, 1)), (0,))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="psi or groups shape"):
             DiscreteModel(np.array([1.0]), np.ones((2, 1, 1)),
                           np.ones((2, 1, 1, 1)), np.zeros((2, 1, 1)), (0, 0))
 
@@ -305,11 +305,11 @@ class TestModelValidation:
         model = mirrored_pair_model()
         psi = model.psi.copy()
         psi[:, 1, :] = [0.0, 1.0]
-        with pytest.raises(InvalidSpec, match="group"):
+        with pytest.raises(BridgeboundError, match="group"):
             DiscreteModel(model.p_x, model.p_u, model.p_m, psi, model.groups)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(BridgeboundError, match="psi has non-finite"):
             single_x_model([0.5, 0.5], [[0.75, 0.25], [0.25, 0.75]],
                            [np.inf, 0.0])
 
