@@ -137,6 +137,19 @@ def _take_floats(cfg: dict, key: str, default) -> list:
     return [float(v) for v in value]
 
 
+def _check_numbers(raw: dict, where: str) -> None:
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} key '{key}' must be a number")
+
+
+def _take_seed(cfg: dict, args, default: int) -> int:
+    seed = args.seed if args.seed is not None else _take_int(cfg, "seed", default)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def setting_from_dict(raw: dict) -> SensitivitySetting:
     if not isinstance(raw, dict):
         raise ConfigError("'setting' must be a JSON object")
@@ -178,13 +191,12 @@ def schema_from_config(cfg: dict, data_path: str) -> dict:
 
 
 def _run_kwargs(cfg: dict, args) -> dict:
-    seed = args.seed if args.seed is not None else _take_int(cfg, "seed", DEFAULT_SEED)
     threads = args.threads if args.threads is not None else _take_int(cfg, "threads", 1)
     return {
         "draws": _take_int(cfg, "draws", DEFAULT_DRAWS),
         "burn_in": _take_int(cfg, "burn_in", DEFAULT_BURN_IN),
         "mediator_draws_per_unit": _take_int(cfg, "mediator_draws", DEFAULT_MEDIATOR_DRAWS),
-        "seed": seed,
+        "seed": _take_seed(cfg, args, DEFAULT_SEED),
         "threads": threads,
     }
 
@@ -228,20 +240,30 @@ def cmd_sweep(args) -> int:
 
     overlays = cfg.get("overlays")
     if overlays is None:
-        setting = setting_from_dict(_require(cfg, "setting"))
-        overlays = [{"label": setting.route, "setting": _require(cfg, "setting")}]
+        overlays = [{"setting": _require(cfg, "setting")}]
     if not isinstance(overlays, list) or not overlays:
         raise ConfigError("'overlays' must be a non-empty list")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    labels, settings = [], []
     for overlay in overlays:
         if not isinstance(overlay, dict) or "setting" not in overlay:
             raise ConfigError("each overlay needs a 'setting'")
+        unknown = set(overlay) - {"setting", "label"}
+        if unknown:
+            raise ConfigError(f"unknown overlay keys: {sorted(unknown)}")
         setting = setting_from_dict(overlay["setting"])
         label = overlay.get("label", setting.route)
-        result = sweep(data, setting, axis=axis, grid=grid, **kwargs)
+        if not isinstance(label, str):
+            raise ConfigError("overlay 'label' must be a string")
+        if label in labels:
+            raise ConfigError(f"duplicate overlay label {label!r}; labels must be distinct")
+        labels.append(label)
+        settings.append(setting)
+
+    results = sweep(data, settings, axis=axis, grid=grid, **kwargs)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    for label, result in zip(labels, results):
         for row in result.rows:
             writer.writerow([label, row["axis"], format_float(row["value"])]
                             + [format_float(row[c]) for c in SWEEP_COLUMNS[3:]])
@@ -254,7 +276,7 @@ def cmd_verify(args) -> int:
     gammas = _take_floats(cfg, "gammas", list(SHARPNESS_GAMMAS))
     etas = _take_floats(cfg, "etas", list(SHARPNESS_ETAS))
     n_models = _take_int(cfg, "n_models", 100)
-    seed = args.seed if args.seed is not None else _take_int(cfg, "seed", 90210)
+    seed = _take_seed(cfg, args, 90210)
 
     max_gap = 0.0
     points = 0
@@ -308,18 +330,25 @@ def cmd_simulate(args) -> int:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
+    for key in ("n", "p"):
+        if key in raw:
+            raw[key] = _take_int(raw, key, None)
+    if "beta_m" in raw:
+        raw["beta_m"] = tuple(_take_floats(raw, "beta_m", None))
+    _check_numbers({k: v for k, v in raw.items() if k not in ("n", "p", "beta_m")}, "spec")
     if bench_raw is not None:
+        if not isinstance(bench_raw, dict):
+            raise ConfigError("'benchmark' must be a JSON object")
+        _check_numbers(bench_raw, "benchmark")
         try:
             bench_raw = BenchmarkSpec(**bench_raw)
         except TypeError as exc:
             raise ConfigError(f"bad benchmark spec: {exc}") from exc
-    if "beta_m" in raw:
-        raw["beta_m"] = tuple(float(v) for v in raw["beta_m"])
     try:
         spec = SyntheticSpec(benchmark=bench_raw, **raw)
     except TypeError as exc:
         raise ConfigError(f"bad spec: {exc}") from exc
-    seed = args.seed if args.seed is not None else _take_int(cfg, "seed", DEFAULT_SEED)
+    seed = _take_seed(cfg, args, DEFAULT_SEED)
     if args.out is None:
         raise ConfigError("simulate needs --out for the dataset CSV")
     data, truth = generate_synthetic(spec, seed)

@@ -6,13 +6,15 @@ counterfactual mediator draws through both models, turn the chosen calibration
 route into an aggregated envelope Xi_bar per arm, draw the shift Delta_bar from
 its prior on [-Xi_bar, +Xi_bar], and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models), each driven by its own seed substream, so
-results are byte-identical regardless of thread count, and a sweep can evaluate
-a whole grid of sensitivity settings against shared model draws.
+results are byte-identical regardless of thread count. Steps 1-3 run once per
+draw for any list of settings, whatever their routes and priors; each setting
+gets exactly the values a run of its own would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -83,17 +85,16 @@ class SensitivitySetting:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ConfigError(f"unknown route {self.route!r}")
-        for name in ("lambda0", "lambda1", "kappa0", "kappa1"):
-            if getattr(self, name) < 1.0:
+        # written as `not x >= 1` so that NaN fails; kappa and g may be +inf
+        for name in ("lambda0", "lambda1", "kappa0", "kappa1", "g0", "g1", "gamma_cap"):
+            if not getattr(self, name) >= 1.0:
                 raise BridgeboundError(f"{name} must be >= 1")
+        for name in ("lambda0", "lambda1", "gamma_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise BridgeboundError(f"{name} must be finite")
         for name in ("k0", "k1"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise BridgeboundError(f"{name} must lie in [0, 1]")
-        for name in ("g0", "g1"):
-            if getattr(self, name) < 1.0:
-                raise BridgeboundError(f"{name} must be >= 1")
-        if self.gamma_cap < 1.0:
-            raise BridgeboundError("gamma_cap must be >= 1")
 
 
 def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
@@ -150,7 +151,7 @@ class RunResult:
 
     @property
     def field_order(self):
-        return _CORE_FIELDS + _ROUTE_FIELDS[self.setting.route]
+        return tuple(self.records)
 
     def summary(self) -> dict:
         out = {}
@@ -163,6 +164,9 @@ class RunResult:
         return out
 
 
+_BENCH_SCALE = {"benchmark_raw": "raw", "benchmark_rank": "rank"}
+
+
 class _Engine:
     """Dataset-level state shared by every draw of one run or sweep."""
 
@@ -170,26 +174,11 @@ class _Engine:
                  mediator_draws_per_unit: int):
         if not settings:
             raise ConfigError("need at least one sensitivity setting")
-        first = settings[0]
-        for s in settings[1:]:
-            same = (s.route == first.route and s.delta_prior == first.delta_prior
-                    and s.comonotone == first.comonotone
-                    and s.pooled_gamma == first.pooled_gamma
-                    and s.gamma_cap == first.gamma_cap)
-            if not same:
-                raise ConfigError(
-                    "settings evaluated against shared draws must agree on "
-                    "route, delta prior, comonotone, pooled_gamma, gamma_cap"
-                )
         if mediator_draws_per_unit < 1:
             raise ConfigError("mediator_draws_per_unit must be >= 1")
         self.data = data
         self.settings = list(settings)
-        self.route = first.route
-        self.prior = first.delta_prior
-        self.comonotone = first.comonotone
         self.n_per_unit = mediator_draws_per_unit
-        self.fields = _CORE_FIELDS + _ROUTE_FIELDS[self.route]
 
         n = data.n
         self.design_med = np.column_stack([np.ones(n), data.treatment.astype(np.float64),
@@ -198,10 +187,11 @@ class _Engine:
         self.outcome_prior = default_prior(8)
         self.treated = data.arm_indices(1)
         self.treat_col = data.treatment.astype(np.float64)
-        self.bench = None
-        if self.route in ("benchmark_raw", "benchmark_rank"):
-            scale = "raw" if self.route == "benchmark_raw" else "rank"
-            self.bench = prepare_benchmark(data, scale)
+        self.bench = {}
+        for setting in self.settings:
+            scale = _BENCH_SCALE.get(setting.route)
+            if scale is not None and scale not in self.bench:
+                self.bench[scale] = prepare_benchmark(data, scale)
 
     def run_draw(self, rng: np.random.Generator, t: int, storage):
         data = self.data
@@ -226,65 +216,57 @@ class _Engine:
         delta0 = _kernels.outcome_mean_sum(m0, l0_cf, l1_cf, 0.0, beta_y) / n_pts
         delta1 = _kernels.outcome_mean_sum(m1, l0_cf1, l1_cf1, 1.0, beta_y) / n_pts
 
-        # 4) route-specific calibration, shared by every setting in the grid
-        diag = {}
-        eta_hat = gamma_pts = sigma_eta = None
-        if self.route in ("benchmark_raw", "benchmark_rank"):
-            eta_hat = estimate_benchmark_eta(design_y, data.outcome, self.bench)
-            first = self.settings[0]
-            gamma_pts = tuple(
-                estimate_benchmark_gamma(
-                    data.mediator, l0_obs, l1_obs, self.bench, arm,
-                    m0, l0_cf, l1_cf, cap=first.gamma_cap, pooled=first.pooled_gamma)
-                for arm in (0, 1))
-            diag["eta_hat_0"], diag["eta_hat_1"] = eta_hat
-            diag["gamma_max_0"] = float(gamma_pts[0].max())
-            diag["gamma_max_1"] = float(gamma_pts[1].max())
-        elif self.route == "residual_budget":
-            pred = design_y[self.treated] @ beta_y
-            sigma_eta = estimate_sigma_eta(data.outcome[self.treated], pred)
-            diag["sigma_eta"] = sigma_eta
-
-        # 5) prior base variates, drawn once so grid points share them
-        base0 = _delta_base(self.prior, rng)
-        base1 = base0 if self.comonotone else _delta_base(self.prior, rng)
-
-        # 6) assemble each setting from the shared pieces
+        # calibration consumes no variates, so every setting draws its prior
+        # base variates from the state a run of its own would reach here
+        state = rng.bit_generator.state
+        eta_memo, gamma_memo, sigma_eta = {}, {}, None
         for j, setting in enumerate(self.settings):
-            if self.route == "si_anchor":
-                xi0 = xi1 = 0.0
-            elif self.route == "residual_budget":
-                xi0 = residual_envelope(sigma_eta, setting.k0, setting.g0)
-                xi1 = residual_envelope(sigma_eta, setting.k1, setting.g1)
-            else:
+            # 4) route-specific calibration, computed once per draw and shared
+            scale = _BENCH_SCALE.get(setting.route)
+            if scale is not None:
+                bench = self.bench[scale]
+                if scale not in eta_memo:
+                    eta_memo[scale] = estimate_benchmark_eta(design_y, data.outcome, bench)
+                eta_hat = eta_memo[scale]
+                key = (scale, setting.gamma_cap, setting.pooled_gamma)
+                if key not in gamma_memo:
+                    gamma_memo[key] = tuple(
+                        estimate_benchmark_gamma(
+                            data.mediator, l0_obs, l1_obs, bench, arm, m0, l0_cf, l1_cf,
+                            cap=setting.gamma_cap, pooled=setting.pooled_gamma)
+                        for arm in (0, 1))
+                gamma_pts = gamma_memo[key]
                 xi0 = aggregate_xi_bar(benchmark_envelope(
                     eta_hat[0], gamma_pts[0], setting.lambda0, setting.kappa0))
                 xi1 = aggregate_xi_bar(benchmark_envelope(
                     eta_hat[1], gamma_pts[1], setting.lambda1, setting.kappa1))
+                diag = (*eta_hat, float(gamma_pts[0].max()), float(gamma_pts[1].max()))
+            elif setting.route == "residual_budget":
+                if sigma_eta is None:
+                    pred = design_y[self.treated] @ beta_y
+                    sigma_eta = estimate_sigma_eta(data.outcome[self.treated], pred)
+                xi0 = residual_envelope(sigma_eta, setting.k0, setting.g0)
+                xi1 = residual_envelope(sigma_eta, setting.k1, setting.g1)
+                diag = (sigma_eta,)
+            else:
+                xi0 = xi1 = 0.0
+                diag = ()
+
+            # 5) prior base variates, shared by settings with the same prior
+            rng.bit_generator.state = state
+            base0 = _delta_base(setting.delta_prior, rng)
+            base1 = base0 if setting.comonotone else _delta_base(setting.delta_prior, rng)
+
+            # 6) assemble the setting's row, in _CORE_FIELDS + _ROUTE_FIELDS order
             dec = ScalarDecomposition.assemble(theta_si, xi0 * base0, xi1 * base1, xi0, xi1)
             eff = mediation_effects(dec.theta, delta0, delta1)
             theta_lower = (theta_si - xi0) - xi1
             theta_upper = (theta_si + xi0) + xi1
-            rec = storage[j]
-            rec["theta_si"][t] = theta_si
-            rec["delta0"][t] = delta0
-            rec["delta1"][t] = delta1
-            rec["xi_bar_0"][t] = xi0
-            rec["xi_bar_1"][t] = xi1
-            rec["delta_bar_0"][t] = dec.delta_bar_0
-            rec["delta_bar_1"][t] = dec.delta_bar_1
-            rec["theta"][t] = dec.theta
-            rec["nde"][t] = eff.nde
-            rec["nie"][t] = eff.nie
-            rec["te"][t] = eff.te
-            rec["theta_lower"][t] = theta_lower
-            rec["theta_upper"][t] = theta_upper
-            rec["nde_lower"][t] = theta_lower - delta0
-            rec["nde_upper"][t] = theta_upper - delta0
-            rec["nie_lower"][t] = delta1 - theta_upper
-            rec["nie_upper"][t] = delta1 - theta_lower
-            for key, val in diag.items():
-                rec[key][t] = val
+            storage[j][t] = (
+                theta_si, delta0, delta1, xi0, xi1, dec.delta_bar_0, dec.delta_bar_1,
+                dec.theta, eff.nde, eff.nie, eff.te, theta_lower, theta_upper,
+                theta_lower - delta0, theta_upper - delta0,
+                delta1 - theta_upper, delta1 - theta_lower, *diag)
 
 
 def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
@@ -298,7 +280,9 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
     # draws are i.i.d.; burn-in is honored as a substream offset so configs
     # that specify it stay reproducible
     children = np.random.SeedSequence(seed).spawn(burn_in + draws)[burn_in:]
-    storage = [{name: np.empty(draws) for name in engine.fields} for _ in settings]
+    fields = [_CORE_FIELDS + _ROUTE_FIELDS[s.route] for s in settings]
+    # column-major, so each field's column is a contiguous view
+    storage = [np.empty((draws, len(f)), order="F") for f in fields]
 
     def task(t: int):
         rng = np.random.default_rng(children[t])
@@ -312,8 +296,8 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
             list(pool.map(task, range(draws)))
 
     return [
-        RunResult(setting, storage[j], data.n, draws, burn_in,
-                  mediator_draws_per_unit, seed)
+        RunResult(setting, dict(zip(fields[j], storage[j].T)), data.n, draws,
+                  burn_in, mediator_draws_per_unit, seed)
         for j, setting in enumerate(settings)
     ]
 
@@ -346,50 +330,55 @@ class SweepResult:
     seed: int
 
 
-def sweep(data: Dataset, base_setting: SensitivitySetting, axis: str,
+def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
           grid: Sequence[float], *, draws: int = DEFAULT_DRAWS,
           burn_in: int = DEFAULT_BURN_IN,
           mediator_draws_per_unit: int = DEFAULT_MEDIATOR_DRAWS,
-          seed: int, threads: int = 1) -> SweepResult:
-    """Evaluate a grid of one sensitivity axis against shared model draws.
+          seed: int, threads: int = 1) -> tuple:
+    """Evaluate a grid of one sensitivity axis around each base setting.
 
-    The swept axis sets both arms. Model draws, calibration quantities, and
-    prior base variates are computed once per draw, so grid points differ only
-    through the envelope; a grid of length one reproduces run() exactly.
+    The swept axis sets both arms. Every base and grid point shares one model
+    pass per draw and differs only through calibration, envelope and prior,
+    so each base's SweepResult equals a sweep of that base alone, and a grid
+    of length one reproduces run() exactly. Returns one SweepResult per base.
     """
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(_AXIS_FIELDS)}")
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
     benchmark_axis = axis in ("kappa", "lambda")
-    if benchmark_axis != base_setting.route.startswith("benchmark"):
-        raise ConfigError(f"axis {axis!r} does not apply to route {base_setting.route!r}")
+    for base in base_settings:
+        if benchmark_axis != base.route.startswith("benchmark"):
+            raise ConfigError(f"axis {axis!r} does not apply to route {base.route!r}")
     f0, f1 = _AXIS_FIELDS[axis]
-    settings = [dataclasses.replace(base_setting, **{f0: v, f1: v}) for v in grid]
+    settings = [dataclasses.replace(base, **{f0: v, f1: v})
+                for base in base_settings for v in grid]
     results = _run_grid(data, settings, draws=draws, burn_in=burn_in,
                         mediator_draws_per_unit=mediator_draws_per_unit,
                         seed=seed, threads=threads)
-    rows = []
-    for value, res in zip(grid, results):
-        rec = res.records
-        si_center = _kernels.comp_mean(rec["delta1"] - rec["theta_si"])
-        row = {
-            "axis": axis,
-            "value": float(value),
-            "si_center": si_center,
-            "nie_lower": _kernels.comp_mean(rec["nie_lower"]),
-            "nie_upper": _kernels.comp_mean(rec["nie_upper"]),
-            "nie_lower_q2.5": float(np.quantile(rec["nie_lower"], 0.025)),
-            "nie_upper_q97.5": float(np.quantile(rec["nie_upper"], 0.975)),
-            "nde_lower": _kernels.comp_mean(rec["nde_lower"]),
-            "nde_upper": _kernels.comp_mean(rec["nde_upper"]),
-            "half_width": _kernels.comp_mean(rec["xi_bar_0"] + rec["xi_bar_1"]),
-            "theta_si_mean": _kernels.comp_mean(rec["theta_si"]),
-        }
-        rows.append(row)
-    check_sweep_rows(rows)
-    return SweepResult(axis, tuple(float(v) for v in grid), base_setting,
-                       tuple(results), tuple(rows), seed)
+    out = []
+    for i, base in enumerate(base_settings):
+        mine = results[i * len(grid):(i + 1) * len(grid)]
+        rows = []
+        for value, res in zip(grid, mine):
+            rec = res.records
+            rows.append({
+                "axis": axis,
+                "value": float(value),
+                "si_center": _kernels.comp_mean(rec["delta1"] - rec["theta_si"]),
+                "nie_lower": _kernels.comp_mean(rec["nie_lower"]),
+                "nie_upper": _kernels.comp_mean(rec["nie_upper"]),
+                "nie_lower_q2.5": float(np.quantile(rec["nie_lower"], 0.025)),
+                "nie_upper_q97.5": float(np.quantile(rec["nie_upper"], 0.975)),
+                "nde_lower": _kernels.comp_mean(rec["nde_lower"]),
+                "nde_upper": _kernels.comp_mean(rec["nde_upper"]),
+                "half_width": _kernels.comp_mean(rec["xi_bar_0"] + rec["xi_bar_1"]),
+                "theta_si_mean": _kernels.comp_mean(rec["theta_si"]),
+            })
+        check_sweep_rows(rows)
+        out.append(SweepResult(axis, tuple(float(v) for v in grid), base,
+                               tuple(mine), tuple(rows), seed))
+    return tuple(out)
 
 
 def check_sweep_rows(rows) -> None:

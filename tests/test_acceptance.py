@@ -163,10 +163,10 @@ def test_criterion_10_sweep_contracts(bench_data, null_data):
     resid_base = SensitivitySetting(route="residual_budget", k0=0.5, k1=0.5,
                                     g0=2.0, g1=2.0)
     sweeps = [
-        sweep(bench_data, bench_base, "kappa", [1.0, 1.5, 2.0, 3.0], **kw),
-        sweep(bench_data, bench_base, "lambda", [1.0, 1.5, 2.0], **kw),
-        sweep(null_data, resid_base, "k", [0.0, 0.25, 0.5, 1.0], **kw),
-        sweep(null_data, resid_base, "g", [1.0, 1.5, 2.0, 3.0], **kw),
+        sweep(bench_data, [bench_base], "kappa", [1.0, 1.5, 2.0, 3.0], **kw)[0],
+        sweep(bench_data, [bench_base], "lambda", [1.0, 1.5, 2.0], **kw)[0],
+        sweep(null_data, [resid_base], "k", [0.0, 0.25, 0.5, 1.0], **kw)[0],
+        sweep(null_data, [resid_base], "g", [1.0, 1.5, 2.0, 3.0], **kw)[0],
     ]
     for swept in sweeps:
         widths = [row["half_width"] for row in swept.rows]
@@ -201,8 +201,8 @@ def test_criterion_11_benchmark_scale_invariance(bench_data):
     # rank route: bit-identical output under any strictly increasing transform
     rank_base = SensitivitySetting(route="benchmark_rank")
     grid = [1.0, 1.5, 2.0]
-    a = sweep(bench_data, rank_base, "kappa", grid, **kw)
-    b = sweep(exp_data, rank_base, "kappa", grid, **kw)
+    a = sweep(bench_data, [rank_base], "kappa", grid, **kw)[0]
+    b = sweep(exp_data, [rank_base], "kappa", grid, **kw)[0]
     for row_a, row_b in zip(a.rows, b.rows):
         assert row_a == row_b
     for res_a, res_b in zip(a.results, b.results):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bridgebound.cli as cli
+import bridgebound.gcomp as gcomp
 from bridgebound.data import save_dataset
 from bridgebound.errors import ConfigError, NumericalFailure
 from conftest import BENCH_SPEC, NULL_SPEC
@@ -120,6 +121,42 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("beta_m", ["x", 1.0], "'beta_m' must be a non-empty list of numbers"),
+        ("n", "60", "'n' must be an integer"),
+        ("n", 60.0, "'n' must be an integer"),
+        ("p", True, "'p' must be an integer"),
+        ("sigma_m", "1", "spec key 'sigma_m' must be a number"),
+        ("c_a", None, "spec key 'c_a' must be a number"),
+        ("treat_prob", False, "spec key 'treat_prob' must be a number"),
+        ("benchmark", {"low": "0", "high": 2.0}, "benchmark key 'low' must be a number"),
+        ("benchmark", [0.0, 2.0], "'benchmark' must be a JSON object"),
+    ])
+    def test_non_numeric_spec_values(self, tmp_path, capsys, key, value, message):
+        spec = {"n": 60, "p": 0, "beta_m": [0.0, 1.0], key: value}
+        cfg = write_config(tmp_path, "sim.json", {"spec": spec})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "d.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "sweep", "verify"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_config_error(data_dir, tmp_path, capsys, command, where):
+    cfg = {"simulate": {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0]}},
+           "fit": {"data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}},
+           "sweep": {"data": str(data_dir / "null.csv"), "axis": "k", "grid": [0.5],
+                     "setting": {"route": "residual_budget"}},
+           "verify": {"n_models": 4}}[command]
+    argv = [command, "--out", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg["seed"] = -1
+    argv += ["--config", write_config(tmp_path, "cfg.json", cfg)]
+    assert cli.main(argv) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
 
 class TestFit:
     def test_null_data_near_zero_nie(self, data_dir, tmp_path, capsys):
@@ -226,6 +263,20 @@ class TestFit:
         capsys.readouterr()
 
 
+MIXED = [
+    {"label": "raw", "setting": {"route": "benchmark_raw"}},
+    {"label": "rank-beta", "setting": {
+        "route": "benchmark_rank",
+        "delta_prior": {"kind": "beta", "shape1": 2.0, "shape2": 5.0}}},
+    {"label": "raw-upper-co", "setting": {
+        "route": "benchmark_raw", "comonotone": True,
+        "delta_prior": {"kind": "endpoint_upper"}}},
+    {"label": "rank-cap", "setting": {
+        "route": "benchmark_rank", "gamma_cap": 1.2, "lambda0": 1.5, "lambda1": 1.5}},
+    {"label": "raw-pooled", "setting": {"route": "benchmark_raw", "pooled_gamma": True}},
+]
+
+
 class TestSweep:
     def sweep_cfg(self, data_dir, **extra):
         cfg = {"data": str(data_dir / "bench.csv"), "axis": "kappa",
@@ -296,6 +347,66 @@ class TestSweep:
             "setting": {"route": "benchmark_raw"}, **FAST})
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "'grid' must be a non-empty list of numbers" in capsys.readouterr().err
+
+    def test_mixed_overlays_byte_identical_across_threads(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir, overlays=MIXED))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["sweep", "--config", cfg, "--threads", "1", "--out", str(a)]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--threads", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 1 + len(MIXED) * 4
+
+    def test_each_overlay_matches_its_own_sweep(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir, overlays=MIXED))
+        together = tmp_path / "all.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(together)]) == 0
+        expected = [",".join(cli.SWEEP_COLUMNS)]
+        for i, overlay in enumerate(MIXED):
+            cfg = write_config(tmp_path, f"one{i}.json",
+                               self.sweep_cfg(data_dir, overlays=[overlay]))
+            alone = tmp_path / f"one{i}.csv"
+            assert cli.main(["sweep", "--config", cfg, "--out", str(alone)]) == 0
+            expected += alone.read_text().splitlines()[1:]
+        assert together.read_text().splitlines() == expected
+
+    @pytest.mark.parametrize("overlays,message", [
+        ([{"lable": "raw", "setting": {"route": "benchmark_raw"}}],
+         "unknown overlay keys: ['lable']"),
+        ([{"setting": {"route": "benchmark_raw"}},
+          {"setting": {"route": "benchmark_raw", "lambda0": 1.5}}],
+         "duplicate overlay label 'benchmark_raw'"),
+        ([{"label": "a", "setting": {"route": "benchmark_raw"}},
+          {"label": "a", "setting": {"route": "benchmark_rank"}}],
+         "duplicate overlay label 'a'"),
+        ([{"label": 3, "setting": {"route": "benchmark_raw"}}],
+         "overlay 'label' must be a string"),
+    ])
+    def test_ambiguous_or_unknown_overlay(self, data_dir, tmp_path, capsys,
+                                          overlays, message):
+        cfg = write_config(tmp_path, "sweep.json",
+                           self.sweep_cfg(data_dir, overlays=overlays))
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_later_overlay_fails_before_any_draw(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw ran before every overlay was checked")
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", fail)
+        for bad in ({"route": "residual_budget"}, {"route": "benchmark_rank", "slope": 1}):
+            overlays = [{"label": "raw", "setting": {"route": "benchmark_raw"}},
+                        {"label": "bad", "setting": bad}]
+            cfg = write_config(tmp_path, "sweep.json",
+                               self.sweep_cfg(data_dir, overlays=overlays))
+            assert cli.main(["sweep", "--config", cfg]) == 2
+            capsys.readouterr()
+
+    def test_nan_setting_value_names_the_key(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir, overlays=[
+            {"setting": {"route": "benchmark_raw", "lambda0": float("nan")}}]))
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert "lambda0 must be >= 1" in capsys.readouterr().err
 
     def test_axis_route_mismatch(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep.json", {

@@ -3,9 +3,10 @@ import pytest
 
 from bridgebound.errors import (BridgeboundError, ConfigError,
                                 VerificationFailure)
+import bridgebound.gcomp as gcomp
 from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
-                               counterfactual_mediator_draws, run, sweep,
-                               check_sweep_rows)
+                               _run_grid, counterfactual_mediator_draws, run,
+                               sweep, check_sweep_rows)
 
 from conftest import rng
 
@@ -83,6 +84,22 @@ class TestSettingValidation:
             SensitivitySetting(g1=0.0)
         with pytest.raises(BridgeboundError, match="gamma_cap must be >= 1"):
             SensitivitySetting(gamma_cap=0.9)
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("lambda0", np.nan, "lambda0 must be >= 1"),
+        ("kappa1", np.nan, "kappa1 must be >= 1"),
+        ("k0", np.nan, "k0 must lie in"),
+        ("g0", np.nan, "g0 must be >= 1"),
+        ("gamma_cap", np.nan, "gamma_cap must be >= 1"),
+        ("lambda1", np.inf, "lambda1 must be finite"),
+        ("gamma_cap", np.inf, "gamma_cap must be finite"),
+    ])
+    def test_nan_and_infinite_parameters(self, name, value, message):
+        with pytest.raises(BridgeboundError, match=message):
+            SensitivitySetting(**{name: value})
+
+    def test_infinite_amplification_and_ratio_allowed(self):
+        SensitivitySetting(kappa0=np.inf, kappa1=np.inf, g0=np.inf, g1=np.inf)
 
 
 def run_small(data, setting, seed=5, draws=20, **kw):
@@ -192,16 +209,16 @@ class TestSweep:
     def test_singleton_grid_matches_run(self, bench_data):
         base = SensitivitySetting(route="benchmark_raw", kappa0=1.5, kappa1=1.5)
         single = run_small(bench_data, base)
-        swept = sweep(bench_data, base, "kappa", [1.5], draws=20, burn_in=3,
-                      mediator_draws_per_unit=8, seed=5)
+        swept = sweep(bench_data, [base], "kappa", [1.5], draws=20, burn_in=3,
+                      mediator_draws_per_unit=8, seed=5)[0]
         for name in single.field_order:
             assert np.array_equal(single.records[name],
                                   swept.results[0].records[name])
 
     def test_kappa_sweep_contracts(self, bench_data):
         base = SensitivitySetting(route="benchmark_raw")
-        swept = sweep(bench_data, base, "kappa", [1.0, 1.5, 2.0, 3.0], draws=20,
-                      burn_in=3, mediator_draws_per_unit=8, seed=5)
+        swept = sweep(bench_data, [base], "kappa", [1.0, 1.5, 2.0, 3.0], draws=20,
+                      burn_in=3, mediator_draws_per_unit=8, seed=5)[0]
         widths = [row["half_width"] for row in swept.rows]
         centers = {row["si_center"] for row in swept.rows}
         assert widths == sorted(widths)
@@ -209,23 +226,23 @@ class TestSweep:
 
     def test_g_sweep_zero_at_unit_ratio(self, null_data):
         base = SensitivitySetting(route="residual_budget", k0=0.5, k1=0.5)
-        swept = sweep(null_data, base, "g", [1.0, 1.5, 2.0], draws=15, burn_in=2,
-                      mediator_draws_per_unit=6, seed=5)
+        swept = sweep(null_data, [base], "g", [1.0, 1.5, 2.0], draws=15, burn_in=2,
+                      mediator_draws_per_unit=6, seed=5)[0]
         assert swept.rows[0]["half_width"] == 0.0
         assert swept.rows[-1]["half_width"] > 0.0
 
     def test_axis_route_compatibility(self, bench_data, null_data):
         with pytest.raises(ConfigError):
-            sweep(null_data, SensitivitySetting(route="residual_budget"),
+            sweep(null_data, [SensitivitySetting(route="residual_budget")],
                   "kappa", [1.0, 2.0], draws=5, seed=1)
         with pytest.raises(ConfigError):
-            sweep(bench_data, SensitivitySetting(route="benchmark_raw"),
+            sweep(bench_data, [SensitivitySetting(route="benchmark_raw")],
                   "k", [0.0, 0.5], draws=5, seed=1)
         with pytest.raises(ConfigError):
-            sweep(bench_data, SensitivitySetting(route="benchmark_raw"),
+            sweep(bench_data, [SensitivitySetting(route="benchmark_raw")],
                   "slope", [1.0], draws=5, seed=1)
         with pytest.raises(ConfigError):
-            sweep(bench_data, SensitivitySetting(route="benchmark_raw"),
+            sweep(bench_data, [SensitivitySetting(route="benchmark_raw")],
                   "kappa", [], draws=5, seed=1)
 
     def test_check_sweep_rows_catches_violations(self):
@@ -239,3 +256,77 @@ class TestSweep:
             check_sweep_rows(rows)
         with pytest.raises(VerificationFailure):
             check_sweep_rows([])
+
+
+SHARED = dict(draws=12, burn_in=2, mediator_draws_per_unit=6, seed=5)
+BETA = DeltaPrior(kind="beta", shape1=2.0, shape2=5.0)
+
+
+class TestSharedModelPass:
+    @pytest.mark.parametrize("axis,grid,bases", [
+        ("kappa", [1.0, 2.0], [
+            SensitivitySetting(route="benchmark_raw"),
+            SensitivitySetting(route="benchmark_rank", delta_prior=BETA),
+            SensitivitySetting(route="benchmark_raw", comonotone=True,
+                               delta_prior=DeltaPrior(kind="endpoint_upper")),
+            SensitivitySetting(route="benchmark_rank", gamma_cap=1.2, lambda0=1.5,
+                               delta_prior=DeltaPrior(kind="endpoint_lower")),
+            SensitivitySetting(route="benchmark_raw", pooled_gamma=True, delta_prior=BETA),
+        ]),
+        ("k", [0.0, 0.5], [
+            SensitivitySetting(route="residual_budget", g0=2.0, g1=1.5),
+            SensitivitySetting(route="residual_budget", g0=3.0, g1=3.0,
+                               comonotone=True, delta_prior=BETA),
+            SensitivitySetting(route="si_anchor"),
+        ]),
+    ])
+    def test_mixed_bases_match_each_base_alone(self, bench_data, axis, grid, bases):
+        together = sweep(bench_data, bases, axis, grid, **SHARED)
+        assert len(together) == len(bases)
+        for base, swept in zip(bases, together):
+            alone = sweep(bench_data, [base], axis, grid, **SHARED)[0]
+            assert swept.base_setting == base and swept.rows == alone.rows
+            for res, ref in zip(swept.results, alone.results):
+                assert res.field_order == ref.field_order
+                for name in ref.field_order:
+                    assert np.array_equal(res.records[name], ref.records[name]), name
+
+    def test_every_route_in_one_engine_matches_run(self, bench_data):
+        settings = [
+            SensitivitySetting(route="residual_budget", k0=0.5, k1=0.25, g0=2.0, g1=1.5),
+            SensitivitySetting(route="benchmark_rank", kappa0=1.5, delta_prior=BETA),
+            SensitivitySetting(),
+            SensitivitySetting(route="benchmark_raw", kappa0=2.0, kappa1=2.0,
+                               comonotone=True),
+        ]
+        for threads in (1, 3):
+            together = _run_grid(bench_data, settings, threads=threads, **SHARED)
+            for setting, res in zip(settings, together):
+                ref = run(bench_data, setting, **SHARED)
+                assert res.setting == setting and res.field_order == ref.field_order
+                for name in ref.field_order:
+                    assert np.array_equal(res.records[name], ref.records[name]), name
+
+    def test_one_model_pass_per_draw(self, bench_data, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counterfactual_mediator_draws(*args, **kwargs)
+
+        monkeypatch.setattr(gcomp, "counterfactual_mediator_draws", counting)
+        bases = [SensitivitySetting(route="benchmark_raw"),
+                 SensitivitySetting(route="benchmark_rank", comonotone=True)]
+        sweep(bench_data, bases, "kappa", [1.0, 1.5, 2.0], **SHARED)
+        # one control-law and one treated-law call per draw, for all six settings
+        assert len(calls) == 2 * SHARED["draws"]
+
+    def test_every_base_checked_before_any_draw(self, bench_data, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw ran before the bases were checked")
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", fail)
+        bases = [SensitivitySetting(route="benchmark_raw"),
+                 SensitivitySetting(route="residual_budget")]
+        with pytest.raises(ConfigError, match="does not apply to route 'residual_budget'"):
+            sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
