@@ -15,7 +15,7 @@ from .data import (BenchmarkSpec, Dataset, SyntheticSpec, canonical_schema,
                    fractional_ranks, generate_synthetic, infer_schema,
                    load_dataset, save_dataset)
 from .envelope import (MediationEffects, ScalarDecomposition,
-                       aggregate_xi_bar, mediation_effects, xi_pointwise)
+                       mediation_effects, xi_pointwise)
 from .errors import (BridgeboundError, ConfigError, NumericalFailure,
                      VerificationFailure)
 from .gcomp import (DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS,
@@ -33,7 +33,7 @@ __all__ = [
     "ROUTES", "RunResult", "ScalarDecomposition", "SensitivitySetting",
     "SweepResult", "SyntheticSpec", "VerificationFailure",
     "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_GAMMA_CAP", "DEFAULT_MEDIATOR_DRAWS",
-    "aggregate_xi_bar", "benchmark_envelope", "canonical_schema",
+    "benchmark_envelope", "canonical_schema",
     "check_bound_and_sharpness", "check_sweep_rows", "default_prior",
     "estimate_benchmark_eta", "estimate_benchmark_gamma", "exact_bridge_partition",
     "exact_sensitivity", "fractional_ranks", "generate_synthetic", "infer_schema",

@@ -20,6 +20,7 @@ unobserved confounder is this many times stronger than W".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -86,15 +87,13 @@ def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,
 def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.ndarray,
                              context: BenchmarkContext, arm: int,
                              pts_m: np.ndarray, pts_l0: np.ndarray, pts_l1: np.ndarray,
-                             cap: float = DEFAULT_GAMMA_CAP,
-                             pooled: bool = False) -> np.ndarray:
+                             cap: float = DEFAULT_GAMMA_CAP) -> np.ndarray:
     """gamma_hat at each evaluation point, for one arm.
 
     Fits W' | (m, l0, l1) and W' | (l0, l1) on the arm's rows as conjugate
     Gaussian regressions (posterior-mean coefficients and variances), then
     maximizes the fitted-density ratio over the arm's observed W' values.
-    Clamped to [1, cap]; `pooled` replaces the per-point values with their
-    maximum.
+    Clamped to [1, cap].
     """
     if cap < 1.0 or not np.isfinite(cap):
         raise BridgeboundError(f"gamma cap must be finite and >= 1, got {cap}")
@@ -115,19 +114,23 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
         np.ascontiguousarray(mu_c), sig2_c,
         np.ascontiguousarray(mu_r), sig2_r, context.arm_sorted[arm]
     )
-    gamma = np.clip(np.exp(log_sup), 1.0, cap)
-    if pooled:
-        gamma = np.full_like(gamma, gamma.max())
-    return gamma
+    return np.clip(np.exp(log_sup), 1.0, cap)
 
 
-def benchmark_envelope(eta_hat: float, gamma_hat, lam: float, kappa: float):
-    """Pointwise bound under amplification: xi(lambda * eta_hat, kappa * gamma_hat)."""
-    if lam < 1.0 or kappa < 1.0:
+def benchmark_envelope(eta_hat: float, inv_gamma_mean: float, lam: float, kappa: float):
+    """Mean over the points of xi(lambda * eta_hat, kappa * gamma_i), in closed form.
+
+    With H = mean_i 1 / gamma_i the mean is lambda * eta_hat * (1 - H / kappa),
+    finite and >= 0; kappa = +inf gives lambda * eta_hat.
+    """
+    if not (1.0 <= lam < math.inf and kappa >= 1.0):  # NaN fails too
         raise BridgeboundError(
-            f"amplification factors must be >= 1, got lambda={lam}, kappa={kappa}"
+            f"amplification factors must be >= 1 (lambda finite), got lambda={lam}, kappa={kappa}"
         )
-    return xi_pointwise(lam * eta_hat, kappa * np.asarray(gamma_hat))
+    if not (0.0 <= eta_hat < math.inf and 0.0 < inv_gamma_mean <= 1.0):
+        raise BridgeboundError("eta_hat must be finite and >= 0 and the mean inverse gamma in "
+                               f"(0, 1], got {eta_hat} and {inv_gamma_mean}")
+    return lam * eta_hat * (1.0 - inv_gamma_mean / kappa)
 
 
 def estimate_sigma_eta(treated_response: np.ndarray, treated_prediction: np.ndarray) -> float:

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -53,21 +54,32 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """JSON text with sorted keys and '.17g' floats; stable to the byte."""
+def _finite_text(x, where: str) -> str:
+    if not math.isfinite(x):
+        raise NumericalFailure(f"non-finite value {float(x)} at {where}; refusing to write it")
+    return format_float(x)
+
+
+def render_json(obj, indent: int = 0, path: str = "") -> str:
+    """JSON text with sorted keys and '.17g' floats; stable to the byte.
+
+    A NaN or infinite float, which JSON cannot spell, raises NumericalFailure
+    naming its key path (e.g. ``summary.theta.mean``).
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f'{inner}{json.dumps(str(k))}: {render_json(obj[k], indent + 1)}'
+        parts = [f'{inner}{json.dumps(str(k))}: {render_json(obj[k], indent + 1, f"{path}.{k}")}'
                  for k in sorted(obj, key=str)]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
-        parts = [f"{inner}{render_json(v, indent + 1)}" for v in seq]
+        parts = [f"{inner}{render_json(v, indent + 1, path + f'[{i}]')}"
+                 for i, v in enumerate(seq)]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
@@ -76,7 +88,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        return _finite_text(obj, path.removeprefix(".") or "the top level")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ConfigError(f"cannot render {type(obj).__name__} as JSON")
@@ -120,6 +132,13 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config key '{key}' is required")
     return cfg[key]
+
+
+def _take_str(cfg: dict, key: str, required: bool = True) -> Optional[str]:
+    value = _require(cfg, key) if required else cfg.get(key)
+    if not (isinstance(value, str) or (value is None and not required)):
+        raise ConfigError(f"config key '{key}' must be a string")
+    return value
 
 
 def _take_int(cfg: dict, key: str, default: int) -> int:
@@ -208,7 +227,7 @@ def _run_kwargs(cfg: dict, args) -> dict:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    data_path = _require(cfg, "data")
+    data_path = _take_str(cfg, "data")
     data = load_dataset(data_path, schema_from_config(cfg, data_path))
     setting = setting_from_dict(_require(cfg, "setting"))
     kwargs = _run_kwargs(cfg, args)
@@ -232,9 +251,9 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    data_path = _require(cfg, "data")
+    data_path = _take_str(cfg, "data")
     data = load_dataset(data_path, schema_from_config(cfg, data_path))
-    axis = _require(cfg, "axis")
+    axis = _take_str(cfg, "axis")
     grid = _take_floats(cfg, "grid", None)
     kwargs = _run_kwargs(cfg, args)
 
@@ -265,8 +284,11 @@ def cmd_sweep(args) -> int:
     writer.writerow(SWEEP_COLUMNS)
     for label, result in zip(labels, results):
         for row in result.rows:
-            writer.writerow([label, row["axis"], format_float(row["value"])]
-                            + [format_float(row[c]) for c in SWEEP_COLUMNS[3:]])
+            # the grid value may be +inf; every computed column must be finite
+            value = format_float(row["value"])
+            where = f"overlay {label!r}, {row['axis']} = {value}, column"
+            writer.writerow([label, row["axis"], value]
+                            + [_finite_text(row[c], f"{where} {c}") for c in SWEEP_COLUMNS[3:]])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -276,6 +298,11 @@ def cmd_verify(args) -> int:
     gammas = _take_floats(cfg, "gammas", list(SHARPNESS_GAMMAS))
     etas = _take_floats(cfg, "etas", list(SHARPNESS_ETAS))
     n_models = _take_int(cfg, "n_models", 100)
+    if n_models < 1:
+        raise ConfigError(f"n_models must be >= 1, got {n_models}")
+    inject_corrupt = cfg.get("inject_corrupt", False)
+    if not isinstance(inject_corrupt, bool):
+        raise ConfigError("config key 'inject_corrupt' must be true or false")
     seed = _take_seed(cfg, args, 90210)
 
     max_gap = 0.0
@@ -303,7 +330,7 @@ def cmd_verify(args) -> int:
         },
         "passed": sharp_ok and fuzz_ok,
     }
-    if cfg.get("inject_corrupt", False):
+    if inject_corrupt:
         # harness self-test: a corrupted check input must surface as a failure
         model, gap = self_test_failure()
         payload["self_test"] = {
@@ -349,12 +376,12 @@ def cmd_simulate(args) -> int:
     except TypeError as exc:
         raise ConfigError(f"bad spec: {exc}") from exc
     seed = _take_seed(cfg, args, DEFAULT_SEED)
+    truth_out = _take_str(cfg, "truth_out", required=False)
     if args.out is None:
         raise ConfigError("simulate needs --out for the dataset CSV")
     data, truth = generate_synthetic(spec, seed)
     save_dataset(data, args.out)
     truth_text = render_json(truth)
-    truth_out = cfg.get("truth_out")
     if truth_out is not None:
         _emit(truth_text, truth_out)
     sys.stdout.write(truth_text + "\n")

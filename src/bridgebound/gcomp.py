@@ -33,11 +33,7 @@ from .calibration import (
     residual_envelope,
 )
 from .data import Dataset
-from .envelope import (
-    ScalarDecomposition,
-    aggregate_xi_bar,
-    mediation_effects,
-)
+from .envelope import ScalarDecomposition, mediation_effects
 from .errors import BridgeboundError, ConfigError, VerificationFailure
 from .linear_bayes import default_prior, nig_update, sample_draw
 
@@ -60,8 +56,11 @@ class DeltaPrior:
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ConfigError(f"unknown delta prior kind {self.kind!r}")
-        if self.kind == "beta" and not (self.shape1 > 0 and self.shape2 > 0):
-            raise ConfigError("beta prior needs positive shape parameters")
+        for name in ("shape1", "shape2"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):  # NaN fails too
+                raise ConfigError(f"delta prior {name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,9 @@ class SensitivitySetting:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ConfigError(f"unknown route {self.route!r}")
+        for name in ("comonotone", "pooled_gamma"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         # written as `not x >= 1` so that NaN fails; kappa and g may be +inf
         for name in ("lambda0", "lambda1", "kappa0", "kappa1", "g0", "g1", "gamma_cap"):
             if not getattr(self, name) >= 1.0:
@@ -228,19 +230,20 @@ class _Engine:
                 if scale not in eta_memo:
                     eta_memo[scale] = estimate_benchmark_eta(design_y, data.outcome, bench)
                 eta_hat = eta_memo[scale]
-                key = (scale, setting.gamma_cap, setting.pooled_gamma)
+                key = (scale, setting.gamma_cap)
                 if key not in gamma_memo:
-                    gamma_memo[key] = tuple(
-                        estimate_benchmark_gamma(
-                            data.mediator, l0_obs, l1_obs, bench, arm, m0, l0_cf, l1_cf,
-                            cap=setting.gamma_cap, pooled=setting.pooled_gamma)
-                        for arm in (0, 1))
-                gamma_pts = gamma_memo[key]
-                xi0 = aggregate_xi_bar(benchmark_envelope(
-                    eta_hat[0], gamma_pts[0], setting.lambda0, setting.kappa0))
-                xi1 = aggregate_xi_bar(benchmark_envelope(
-                    eta_hat[1], gamma_pts[1], setting.lambda1, setting.kappa1))
-                diag = (*eta_hat, float(gamma_pts[0].max()), float(gamma_pts[1].max()))
+                    gammas = (estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs, bench, arm,
+                                                       m0, l0_cf, l1_cf, cap=setting.gamma_cap)
+                              for arm in (0, 1))
+                    # per arm: H = mean of 1/gamma over the points, and the max gamma
+                    gamma_memo[key] = [(_kernels.comp_mean(1.0 / g), float(g.max()))
+                                       for g in gammas]
+                (h0, gmax0), (h1, gmax1) = gamma_memo[key]
+                if setting.pooled_gamma:
+                    h0, h1 = 1.0 / gmax0, 1.0 / gmax1
+                xi0 = benchmark_envelope(eta_hat[0], h0, setting.lambda0, setting.kappa0)
+                xi1 = benchmark_envelope(eta_hat[1], h1, setting.lambda1, setting.kappa1)
+                diag = (*eta_hat, gmax0, gmax1)
             elif setting.route == "residual_budget":
                 if sigma_eta is None:
                     pred = design_y[self.treated] @ beta_y

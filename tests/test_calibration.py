@@ -11,6 +11,7 @@ from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      estimate_sigma_eta, prepare_benchmark,
                                      residual_envelope)
 from bridgebound.data import Dataset
+from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError, DegenerateBenchmark
 
 from conftest import rng
@@ -130,14 +131,6 @@ class TestGamma:
         unit = estimate_benchmark_gamma(m, l0, l1, ctx, 1, pts, pl0, pl1, cap=1.0)
         assert np.array_equal(unit, np.ones_like(pts))
 
-    def test_pooled_replaces_with_max(self):
-        m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=2.0)
-        per_point = estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1)
-        pooled = estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1,
-                                          pooled=True)
-        assert np.all(pooled == per_point.max())
-        assert np.all(pooled >= per_point)
-
     def test_invalid_cap(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=1.0, n=60)
         with pytest.raises(BridgeboundError, match="gamma cap must be finite"):
@@ -145,18 +138,47 @@ class TestGamma:
 
 
 class TestEnvelopes:
+    # the second argument is H = mean 1/gamma; a single point gamma gives 1/gamma
     def test_benchmark_envelope_frozen(self):
-        assert benchmark_envelope(2.0, 1.5, 1.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert benchmark_envelope(2.0, 1.0 / 1.5, 1.0, 2.0) == pytest.approx(4.0 / 3.0,
+                                                                            rel=1e-15)
         assert benchmark_envelope(2.0, 1.0, 3.0, 1.0) == 0.0
-        widths = [float(benchmark_envelope(1.0, 2.0, 1.0, kappa))
+        widths = [benchmark_envelope(1.0, 1.0 / 2.0, 1.0, kappa)
                   for kappa in (1.0, 1.5, 2.0, 3.0)]
         assert widths == sorted(widths) and widths[0] < widths[-1]
+        assert benchmark_envelope(2.0, 0.5, 1.5, math.inf) == 3.0
 
     def test_benchmark_envelope_validation(self):
         with pytest.raises(BridgeboundError, match="amplification factors"):
-            benchmark_envelope(1.0, 2.0, 0.9, 1.0)
+            benchmark_envelope(1.0, 0.5, 0.9, 1.0)
         with pytest.raises(BridgeboundError, match="amplification factors"):
-            benchmark_envelope(1.0, 2.0, 1.0, 0.0)
+            benchmark_envelope(1.0, 0.5, 1.0, 0.0)
+        for lam, kappa in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 2.0)):
+            with pytest.raises(BridgeboundError, match="amplification factors"):
+                benchmark_envelope(1.0, 0.5, lam, kappa)
+        for eta in (-0.1, math.nan, math.inf):
+            with pytest.raises(BridgeboundError, match="eta_hat must be finite and >= 0"):
+                benchmark_envelope(eta, 0.5, 1.0, 1.0)
+        for inv_mean in (0.0, 1.0 + 1e-15, math.nan, -0.5):
+            with pytest.raises(BridgeboundError, match=r"mean inverse gamma in \(0, 1\]"):
+                benchmark_envelope(1.0, inv_mean, 1.0, 1.0)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.3, 2.0, 7.5, math.inf])
+    @pytest.mark.parametrize("cap", [1.5, DEFAULT_GAMMA_CAP, 1e6])
+    def test_closed_form_matches_pointwise_mean(self, kappa, cap):
+        r = rng(int(cap) + 17)
+        for size in (1, 37, 5000):
+            gamma = r.uniform(1.0, cap, size=size)
+            gamma[r.random(size) < 0.2] = 1.0   # clamped points, as the engine has
+            eta, lam = r.uniform(0.0, 4.0), r.uniform(1.0, 3.0)
+            ref = math.fsum(xi_pointwise(lam * eta, kappa * g) for g in gamma) / size
+            closed = benchmark_envelope(eta, math.fsum(1.0 / gamma) / size, lam, kappa)
+            assert closed == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_unit_gamma_at_unit_kappa_is_exactly_zero(self):
+        inv_mean = math.fsum(1.0 / np.ones(500)) / 500
+        for eta, lam in ((0.0, 1.0), (2.5, 1.0), (1e6, 4.0)):
+            assert benchmark_envelope(eta, inv_mean, lam, 1.0) == 0.0
 
     def test_sigma_eta(self):
         y = rng(7).normal(size=2000) * 2.0

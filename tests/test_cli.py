@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestRenderJson:
     def test_empty_containers(self):
         assert cli.render_json({}) == "{}"
         assert cli.render_json([]) == "[]"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    @pytest.mark.parametrize("obj,path", [
+        (lambda v: {"summary": {"theta": {"mean": v, "q2.5": 0.0}}}, "summary.theta.mean"),
+        (lambda v: {"fuzz": {"stats": [1.0, v]}}, "fuzz.stats[1]"),
+        (lambda v: v, "the top level"),
+    ])
+    def test_non_finite_float_is_numerical_failure(self, bad, obj, path):
+        with pytest.raises(NumericalFailure, match=f"at {re.escape(path)};"):
+            cli.render_json(obj(bad))
 
 
 class TestSimulate:
@@ -158,6 +169,47 @@ def test_negative_seed_is_config_error(data_dir, tmp_path, capsys, command, wher
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("fit", "pooled_gamma", "false"),
+    ("fit", "comonotone", 1),
+    ("fit", "pooled_gamma", None),
+    ("sweep", "comonotone", "true"),
+    ("verify", "inject_corrupt", "false"),
+    ("verify", "inject_corrupt", 1),
+])
+def test_flags_must_be_json_booleans(data_dir, tmp_path, capsys, command, key, value):
+    setting = {"route": "benchmark_raw", key: value}
+    cfg = {"fit": {"data": str(data_dir / "bench.csv"), "setting": setting, **FAST},
+           "sweep": {"data": str(data_dir / "bench.csv"), "axis": "kappa",
+                     "grid": [1.0], "setting": setting, **FAST},
+           "verify": {"n_models": 4, key: value}}[command]
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "must be true or false" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("fit", "data", None),
+    ("fit", "data", 5),
+    ("sweep", "data", None),
+    ("sweep", "axis", ["kappa"]),
+    ("simulate", "truth_out", 5),
+])
+def test_string_keys_must_be_json_strings(data_dir, tmp_path, capsys, command, key, value):
+    cfg = {"fit": {"data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}},
+           "sweep": {"data": str(data_dir / "null.csv"), "axis": "k", "grid": [0.5],
+                     "setting": {"route": "residual_budget"}},
+           "simulate": {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0]}}}[command]
+    cfg.update(FAST if command != "simulate" else {}, **{key: value})
+    argv = [command, "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"config key '{key}' must be a string" in capsys.readouterr().err
+
+
 class TestFit:
     def test_null_data_near_zero_nie(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {
@@ -250,6 +302,34 @@ class TestFit:
             "setting": {"route": "si_anchor"}, **FAST})
         assert cli.main(["fit", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape1", ["1e999", '"2"', "true", "0", "-1", "null"])
+    def test_bad_beta_shape_is_config_error(self, data_dir, tmp_path, capsys, shape1):
+        cfg = tmp_path / "fit.json"
+        # written as text so that 1e999 reaches the parser as an overflowing literal
+        cfg.write_text(
+            '{"data": %s, "setting": {"route": "benchmark_raw", "delta_prior": '
+            '{"kind": "beta", "shape1": %s, "shape2": 2.0}}}'
+            % (json.dumps(str(data_dir / "bench.csv")), shape1), encoding="utf-8")
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "delta prior shape1 must be a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_summary_is_numerical_failure(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        def nan_theta(*args, **kwargs):
+            result = gcomp.run(*args, **kwargs)
+            result.records["theta"][0] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "run", nan_theta)
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}, **FAST})
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 3
+        assert "non-finite value nan at summary.theta.mean" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_linalg_error_exit_code(self, data_dir, tmp_path, capsys, monkeypatch):
         def boom(*a, **kw):
@@ -408,6 +488,33 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "lambda0 must be >= 1" in capsys.readouterr().err
 
+    def test_non_finite_column_is_numerical_failure(self, data_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        def inf_row(*args, **kwargs):
+            results = gcomp.sweep(*args, **kwargs)
+            results[1].rows[2]["nie_upper"] = float("inf")
+            return results
+
+        monkeypatch.setattr(cli, "sweep", inf_row)
+        cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite value inf at overlay 'raw-amplified', kappa = 2, " \
+               "column nie_upper" in err
+        assert not out.exists()
+
+    def test_infinite_grid_value_is_written(self, data_dir, tmp_path):
+        # json.dumps spells the infinite grid point as Infinity, which the
+        # config parser reads back as +inf
+        cfg = write_config(tmp_path, "sweep.json",
+                           self.sweep_cfg(data_dir, grid=[1.0, float("inf")]))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["1", "inf", "1", "inf"]
+        assert all(np.isfinite(float(v)) for r in rows for v in r[3:])
+
     def test_axis_route_mismatch(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep.json", {
             "data": str(data_dir / "bench.csv"), "axis": "k", "grid": [0.0, 0.5],
@@ -441,6 +548,14 @@ class TestVerify:
         cfg = write_config(tmp_path, "verify.json", {key: value, "n_models": 4})
         assert cli.main(["verify", "--config", cfg]) == 2
         assert f"'{key}' must be a non-empty list of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_models", [0, -1])
+    def test_no_models_is_config_error(self, tmp_path, capsys, n_models):
+        cfg = write_config(tmp_path, "verify.json", {"n_models": n_models})
+        out = tmp_path / "verify.out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert f"n_models must be >= 1, got {n_models}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corruption_self_test_fails_loudly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "verify.json", {

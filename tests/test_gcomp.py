@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from bridgebound.calibration import benchmark_envelope
+from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError,
                                 VerificationFailure)
 import bridgebound.gcomp as gcomp
@@ -67,6 +71,13 @@ class TestDeltaPrior:
         with pytest.raises(ConfigError):
             DeltaPrior(kind="beta", shape1=0.0)
 
+    @pytest.mark.parametrize("name", ["shape1", "shape2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0, "2", True, None])
+    def test_shapes_must_be_finite_positive_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"delta prior {name} must be a finite number > 0"):
+            DeltaPrior(kind="beta", **{name: value})
+        DeltaPrior(kind="beta", **{name: 3})
+
 
 class TestSettingValidation:
     def test_route_checked(self):
@@ -100,6 +111,12 @@ class TestSettingValidation:
 
     def test_infinite_amplification_and_ratio_allowed(self):
         SensitivitySetting(kappa0=np.inf, kappa1=np.inf, g0=np.inf, g1=np.inf)
+
+    @pytest.mark.parametrize("name", ["comonotone", "pooled_gamma"])
+    @pytest.mark.parametrize("value", ["false", "true", 1, 0, None, np.bool_(True)])
+    def test_flags_must_be_booleans(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be true or false"):
+            SensitivitySetting(route="benchmark_raw", **{name: value})
 
 
 def run_small(data, setting, seed=5, draws=20, **kw):
@@ -179,6 +196,43 @@ class TestRun:
             route="benchmark_raw", kappa0=2.0, kappa1=2.0), draws=40)
         prod_free = free.records["delta_bar_0"] * free.records["delta_bar_1"]
         assert np.any(prod_free < 0.0)
+
+    def test_pooled_replaces_with_max(self, bench_data):
+        # pooling replaces every point's gamma with the arm's max, so the mean
+        # of 1/gamma the closed form takes is 1/gamma_max, on every draw
+        setting = SensitivitySetting(route="benchmark_raw", lambda0=1.3, kappa0=1.5,
+                                     kappa1=2.0, pooled_gamma=True)
+        rec = run_small(bench_data, setting).records
+        for arm, lam, kappa in ((0, 1.3, 1.5), (1, 1.0, 2.0)):
+            expected = [benchmark_envelope(eta, 1.0 / gmax, lam, kappa) for eta, gmax
+                        in zip(rec[f"eta_hat_{arm}"], rec[f"gamma_max_{arm}"])]
+            assert np.array_equal(rec[f"xi_bar_{arm}"], expected)
+
+    def test_envelope_matches_mean_of_pointwise_bounds(self, bench_data, monkeypatch):
+        # reference: the fsum mean of xi(lambda * eta_hat, kappa * gamma_i) over
+        # the gamma points the engine computed, in its call order
+        fitted = []
+        gamma_fit = gcomp.estimate_benchmark_gamma
+
+        def recording(*args, **kwargs):
+            fitted.append(gamma_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(gcomp, "estimate_benchmark_gamma", recording)
+        for kappa in (1.0, 1.7, math.inf):
+            fitted.clear()
+            setting = SensitivitySetting(route="benchmark_rank", lambda1=1.4,
+                                         kappa0=kappa, kappa1=kappa)
+            rec = run_small(bench_data, setting, draws=6).records
+            assert len(fitted) == 2 * 6
+            for t in range(6):
+                for arm, lam in ((0, 1.0), (1, 1.4)):
+                    gamma = fitted[2 * t + arm]
+                    eta = rec[f"eta_hat_{arm}"][t]
+                    ref = math.fsum(xi_pointwise(lam * eta, kappa * g)
+                                    for g in gamma) / gamma.size
+                    assert rec[f"xi_bar_{arm}"][t] == pytest.approx(ref, rel=1e-13, abs=0.0)
+                    assert rec[f"gamma_max_{arm}"][t] == gamma.max()
 
     def test_pooled_gamma_widens(self, bench_data):
         base = SensitivitySetting(route="benchmark_raw", kappa0=1.5, kappa1=1.5)
@@ -319,6 +373,23 @@ class TestSharedModelPass:
                  SensitivitySetting(route="benchmark_rank", comonotone=True)]
         sweep(bench_data, bases, "kappa", [1.0, 1.5, 2.0], **SHARED)
         # one control-law and one treated-law call per draw, for all six settings
+        assert len(calls) == 2 * SHARED["draws"]
+
+    def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
+        calls = []
+        gamma_fit = gcomp.estimate_benchmark_gamma
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gamma_fit(*args, **kwargs)
+
+        monkeypatch.setattr(gcomp, "estimate_benchmark_gamma", counting)
+        bases = [SensitivitySetting(route="benchmark_raw"),
+                 SensitivitySetting(route="benchmark_raw", pooled_gamma=True),
+                 SensitivitySetting(route="benchmark_raw", comonotone=True,
+                                    pooled_gamma=True)]
+        sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
+        # one fit per arm per draw, shared by every setting with the same cap
         assert len(calls) == 2 * SHARED["draws"]
 
     def test_every_base_checked_before_any_draw(self, bench_data, monkeypatch):
