@@ -11,9 +11,8 @@ identification claim behind the machinery has an exact finite-state check.
 from .calibration import (DEFAULT_GAMMA_CAP, benchmark_envelope,
                           estimate_benchmark_eta, estimate_benchmark_gamma,
                           prepare_benchmark, residual_envelope)
-from .data import (BenchmarkSpec, Dataset, SyntheticSpec, canonical_schema,
-                   fractional_ranks, generate_synthetic, infer_schema,
-                   load_dataset, save_dataset)
+from .data import (BenchmarkSpec, Dataset, SyntheticSpec, fractional_ranks,
+                   generate_synthetic, infer_schema, load_dataset, save_dataset)
 from .envelope import (MediationEffects, ScalarDecomposition,
                        mediation_effects, xi_pointwise)
 from .errors import (BridgeboundError, ConfigError, NumericalFailure,
@@ -33,7 +32,7 @@ __all__ = [
     "ROUTES", "RunResult", "ScalarDecomposition", "SensitivitySetting",
     "SweepResult", "SyntheticSpec", "VerificationFailure",
     "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_GAMMA_CAP", "DEFAULT_MEDIATOR_DRAWS",
-    "benchmark_envelope", "canonical_schema",
+    "benchmark_envelope",
     "check_bound_and_sharpness", "check_sweep_rows", "default_prior",
     "estimate_benchmark_eta", "estimate_benchmark_gamma", "exact_bridge_partition",
     "exact_sensitivity", "fractional_ranks", "generate_synthetic", "infer_schema",

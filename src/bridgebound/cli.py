@@ -28,12 +28,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .data import (BenchmarkSpec, SyntheticSpec, generate_synthetic,
-                   infer_schema, load_dataset, save_dataset)
-from .errors import (BridgeboundError, ConfigError, NumericalFailure,
-                     VerificationFailure)
+from .data import (SCHEMA_KEYS, SPEC_KEYS, BenchmarkSpec, SyntheticSpec,
+                   generate_synthetic, infer_schema, load_dataset, save_dataset)
+from .errors import (BridgeboundError, ConfigError, Key, NumericalFailure,
+                     VerificationFailure, check)
 from .gcomp import (DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS,
-                    DeltaPrior, SensitivitySetting, run, sweep)
+                    RUN_KEYS, SETTING_KEYS, DeltaPrior, SensitivitySetting, run,
+                    sweep)
 from .oracle import check_bound_and_sharpness, run_fuzz, self_test_failure
 
 DEFAULT_SEED = 1729
@@ -128,95 +129,48 @@ def load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config key '{key}' is required")
-    return cfg[key]
+_RUN = {"draws": RUN_KEYS["draws"], "burn_in": RUN_KEYS["burn_in"],
+        "mediator_draws": RUN_KEYS["mediator_draws_per_unit"],
+        "seed": RUN_KEYS["seed"], "threads": RUN_KEYS["threads"]}
+FIT_KEYS = {"data": Key("str", required=True), "schema": Key(SCHEMA_KEYS),
+            "setting": Key(SETTING_KEYS, required=True), **_RUN}
+OVERLAY_KEYS = {"label": Key("str"), "setting": Key(SETTING_KEYS, required=True)}
+SWEEP_KEYS = {**FIT_KEYS, "setting": Key(SETTING_KEYS), "axis": Key("str", required=True),
+              "grid": Key(["number"], inf=True, required=True), "overlays": Key([OVERLAY_KEYS])}
+VERIFY_KEYS = {"gammas": Key(["number"], (1, math.inf)), "etas": Key(["number"], (0, math.inf)),
+               "n_models": Key("int", (1, math.inf)), "inject_corrupt": Key("bool"),
+               "seed": RUN_KEYS["seed"]}
+SIMULATE_KEYS = {"spec": Key(SPEC_KEYS, required=True), "truth_out": Key("str"),
+                 "seed": RUN_KEYS["seed"]}
 
 
-def _take_str(cfg: dict, key: str, required: bool = True) -> Optional[str]:
-    value = _require(cfg, key) if required else cfg.get(key)
-    if not (isinstance(value, str) or (value is None and not required)):
-        raise ConfigError(f"config key '{key}' must be a string")
-    return value
-
-
-def _take_int(cfg: dict, key: str, default: int) -> int:
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key '{key}' must be an integer")
-    return value
-
-
-def _take_floats(cfg: dict, key: str, default) -> list:
-    value = cfg.get(key, default)
-    if (not isinstance(value, list) or not value
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"config key '{key}' must be a non-empty list of numbers")
-    return [float(v) for v in value]
-
-
-def _check_numbers(raw: dict, where: str) -> None:
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} key '{key}' must be a number")
-
-
-def _take_seed(cfg: dict, args, default: int) -> int:
-    seed = args.seed if args.seed is not None else _take_int(cfg, "seed", default)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def _config(args, table: dict) -> dict:
+    """The command's config with --seed/--threads folded in, checked against table."""
+    cfg = load_config(args.config)
+    for name in ("seed", "threads"):
+        if getattr(args, name) is not None and name in table:
+            cfg[name] = getattr(args, name)
+    return check("config", cfg, table)
 
 
 def setting_from_dict(raw: dict) -> SensitivitySetting:
-    if not isinstance(raw, dict):
-        raise ConfigError("'setting' must be a JSON object")
-    raw = dict(raw)
-    prior_raw = raw.pop("delta_prior", None)
-    known = {f for f in SensitivitySetting.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown setting keys: {sorted(unknown)}")
-    if "route" not in raw:
-        raise ConfigError("setting needs a 'route'")
-    if prior_raw is not None:
-        if not isinstance(prior_raw, dict):
-            raise ConfigError("'delta_prior' must be a JSON object")
-        extra = set(prior_raw) - {"kind", "shape1", "shape2"}
-        if extra:
-            raise ConfigError(f"unknown delta_prior keys: {sorted(extra)}")
-        raw["delta_prior"] = DeltaPrior(**prior_raw)
-    try:
-        return SensitivitySetting(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad setting: {exc}") from exc
+    raw = dict(check("setting", raw, SETTING_KEYS))
+    if "delta_prior" in raw:
+        raw["delta_prior"] = DeltaPrior(**raw["delta_prior"])
+    return SensitivitySetting(**raw)
 
 
 def schema_from_config(cfg: dict, data_path: str) -> dict:
-    raw = cfg.get("schema")
-    if raw is None:
-        return infer_schema(data_path)
-    if not isinstance(raw, dict):
-        raise ConfigError("'schema' must be a JSON object")
-    allowed = {"treatment", "mediator", "outcome", "covariates", "benchmark"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-    for key in ("treatment", "mediator", "outcome"):
-        if key not in raw:
-            raise ConfigError(f"schema missing key '{key}'")
-    return raw
+    return cfg["schema"] if "schema" in cfg else infer_schema(data_path)
 
 
-def _run_kwargs(cfg: dict, args) -> dict:
-    threads = args.threads if args.threads is not None else _take_int(cfg, "threads", 1)
+def _run_kwargs(cfg: dict) -> dict:
     return {
-        "draws": _take_int(cfg, "draws", DEFAULT_DRAWS),
-        "burn_in": _take_int(cfg, "burn_in", DEFAULT_BURN_IN),
-        "mediator_draws_per_unit": _take_int(cfg, "mediator_draws", DEFAULT_MEDIATOR_DRAWS),
-        "seed": _take_seed(cfg, args, DEFAULT_SEED),
-        "threads": threads,
+        "draws": cfg.get("draws", DEFAULT_DRAWS),
+        "burn_in": cfg.get("burn_in", DEFAULT_BURN_IN),
+        "mediator_draws_per_unit": cfg.get("mediator_draws", DEFAULT_MEDIATOR_DRAWS),
+        "seed": cfg.get("seed", DEFAULT_SEED),
+        "threads": cfg.get("threads", 1),
     }
 
 
@@ -226,12 +180,10 @@ def _run_kwargs(cfg: dict, args) -> dict:
 
 
 def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
-    data_path = _take_str(cfg, "data")
-    data = load_dataset(data_path, schema_from_config(cfg, data_path))
-    setting = setting_from_dict(_require(cfg, "setting"))
-    kwargs = _run_kwargs(cfg, args)
-    result = run(data, setting, **kwargs)
+    cfg = _config(args, FIT_KEYS)
+    data = load_dataset(cfg["data"], schema_from_config(cfg, cfg["data"]))
+    setting = setting_from_dict(cfg["setting"])
+    result = run(data, setting, **_run_kwargs(cfg))
     payload = {
         "summary": result.summary(),
         "run": {
@@ -250,35 +202,21 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    data_path = _take_str(cfg, "data")
-    data = load_dataset(data_path, schema_from_config(cfg, data_path))
-    axis = _take_str(cfg, "axis")
-    grid = _take_floats(cfg, "grid", None)
-    kwargs = _run_kwargs(cfg, args)
-
-    overlays = cfg.get("overlays")
-    if overlays is None:
-        overlays = [{"setting": _require(cfg, "setting")}]
-    if not isinstance(overlays, list) or not overlays:
-        raise ConfigError("'overlays' must be a non-empty list")
+    cfg = _config(args, SWEEP_KEYS)
+    data = load_dataset(cfg["data"], schema_from_config(cfg, cfg["data"]))
+    if "overlays" not in cfg and "setting" not in cfg:
+        raise ConfigError("config key 'setting' is required when 'overlays' is not given")
     labels, settings = [], []
-    for overlay in overlays:
-        if not isinstance(overlay, dict) or "setting" not in overlay:
-            raise ConfigError("each overlay needs a 'setting'")
-        unknown = set(overlay) - {"setting", "label"}
-        if unknown:
-            raise ConfigError(f"unknown overlay keys: {sorted(unknown)}")
+    for overlay in cfg.get("overlays", [{"setting": cfg.get("setting")}]):
         setting = setting_from_dict(overlay["setting"])
         label = overlay.get("label", setting.route)
-        if not isinstance(label, str):
-            raise ConfigError("overlay 'label' must be a string")
         if label in labels:
             raise ConfigError(f"duplicate overlay label {label!r}; labels must be distinct")
         labels.append(label)
         settings.append(setting)
 
-    results = sweep(data, settings, axis=axis, grid=grid, **kwargs)
+    grid = [float(v) for v in cfg["grid"]]
+    results = sweep(data, settings, axis=cfg["axis"], grid=grid, **_run_kwargs(cfg))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -294,16 +232,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    gammas = _take_floats(cfg, "gammas", list(SHARPNESS_GAMMAS))
-    etas = _take_floats(cfg, "etas", list(SHARPNESS_ETAS))
-    n_models = _take_int(cfg, "n_models", 100)
-    if n_models < 1:
-        raise ConfigError(f"n_models must be >= 1, got {n_models}")
+    cfg = _config(args, VERIFY_KEYS)
+    gammas = [float(v) for v in cfg.get("gammas", SHARPNESS_GAMMAS)]
+    etas = [float(v) for v in cfg.get("etas", SHARPNESS_ETAS)]
+    n_models = cfg.get("n_models", 100)
     inject_corrupt = cfg.get("inject_corrupt", False)
-    if not isinstance(inject_corrupt, bool):
-        raise ConfigError("config key 'inject_corrupt' must be true or false")
-    seed = _take_seed(cfg, args, 90210)
+    seed = cfg.get("seed", 90210)
 
     max_gap = 0.0
     points = 0
@@ -347,36 +281,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    raw = _require(cfg, "spec")
-    if not isinstance(raw, dict):
-        raise ConfigError("'spec' must be a JSON object")
-    raw = dict(raw)
-    bench_raw = raw.pop("benchmark", None)
-    known = {f for f in SyntheticSpec.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
-    for key in ("n", "p"):
-        if key in raw:
-            raw[key] = _take_int(raw, key, None)
-    if "beta_m" in raw:
-        raw["beta_m"] = tuple(_take_floats(raw, "beta_m", None))
-    _check_numbers({k: v for k, v in raw.items() if k not in ("n", "p", "beta_m")}, "spec")
-    if bench_raw is not None:
-        if not isinstance(bench_raw, dict):
-            raise ConfigError("'benchmark' must be a JSON object")
-        _check_numbers(bench_raw, "benchmark")
-        try:
-            bench_raw = BenchmarkSpec(**bench_raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad benchmark spec: {exc}") from exc
-    try:
-        spec = SyntheticSpec(benchmark=bench_raw, **raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad spec: {exc}") from exc
-    seed = _take_seed(cfg, args, DEFAULT_SEED)
-    truth_out = _take_str(cfg, "truth_out", required=False)
+    cfg = _config(args, SIMULATE_KEYS)
+    raw = dict(cfg["spec"])
+    if "benchmark" in raw:
+        raw["benchmark"] = BenchmarkSpec(**raw["benchmark"])
+    spec = SyntheticSpec(**raw)
+    seed = cfg.get("seed", DEFAULT_SEED)
+    truth_out = cfg.get("truth_out")
     if args.out is None:
         raise ConfigError("simulate needs --out for the dataset CSV")
     data, truth = generate_synthetic(spec, seed)

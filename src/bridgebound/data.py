@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BridgeboundError, ConfigError, NumericalFailure
+from .errors import BridgeboundError, ConfigError, Key, check
 
 
 @dataclass(frozen=True)
@@ -76,30 +77,15 @@ class Dataset:
     def arm_indices(self, arm: int) -> np.ndarray:
         return np.flatnonzero(self.treatment == arm)
 
-    def standardized(self) -> "Dataset":
-        """Copy with covariates centered and scaled by the full-sample sd."""
-        if self.p == 0:
-            return self
-        sd = self.covariates.std(axis=0)
-        if np.any(sd == 0.0):
-            names = [self.covariate_names[j] if self.covariate_names else str(j)
-                     for j in np.flatnonzero(sd == 0.0)]
-            raise NumericalFailure(f"constant covariate(s) cannot be standardized: {names}")
-        cov = (self.covariates - self.covariates.mean(axis=0)) / sd
-        return Dataset(self.treatment, self.mediator, self.outcome, cov,
-                       self.covariate_names, self.benchmark, self.benchmark_name)
+
+_COLUMN = Key("str", required=True)
+SCHEMA_KEYS = {"treatment": _COLUMN, "mediator": _COLUMN, "outcome": _COLUMN,
+               "covariates": Key(["str"]), "benchmark": Key("str")}
 
 
 def load_dataset(path: str, schema: dict) -> Dataset:
-    """Read a UTF-8 CSV with a header row, mapping columns via schema.
-
-    schema keys: treatment, mediator, outcome, covariates (list, may be
-    empty), benchmark (optional).
-    """
-    required = ("treatment", "mediator", "outcome")
-    for key in required:
-        if key not in schema:
-            raise BridgeboundError(f"schema is missing the '{key}' mapping")
+    """Read a UTF-8 CSV with a header row, mapping columns via schema (SCHEMA_KEYS)."""
+    check("schema", schema, SCHEMA_KEYS)
     cov_names = list(schema.get("covariates", ()))
     bench_name = schema.get("benchmark")
 
@@ -163,14 +149,6 @@ def save_dataset(data: Dataset, path: str, float_format: str = ".17g") -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def canonical_schema(p: int, with_benchmark: bool) -> dict:
-    schema = {"treatment": "treat", "mediator": "m", "outcome": "y",
-              "covariates": [f"x{j + 1}" for j in range(p)]}
-    if with_benchmark:
-        schema["benchmark"] = "w"
-    return schema
-
-
 def infer_schema(path: str) -> dict:
     """Schema from a canonically named header (treat, m, y, x1.., optional w)."""
     try:
@@ -217,6 +195,9 @@ def fractional_ranks(data: Dataset) -> np.ndarray:
     return out
 
 
+BENCHMARK_KEYS = dict.fromkeys(("low", "high", "coef_m", "coef_y"), Key("number"))
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Observed proxy W ~ Uniform(low, high), feeding mediator and outcome."""
@@ -225,6 +206,23 @@ class BenchmarkSpec:
     high: float = 1.0
     coef_m: float = 0.0
     coef_y: float = 0.0
+
+    def __post_init__(self):
+        check("benchmark", asdict(self), BENCHMARK_KEYS)
+        if not (self.high > self.low and math.isfinite(self.high - self.low)):
+            raise ConfigError("benchmark support must have high > low and a finite width, "
+                              f"got low={self.low!r}, high={self.high!r}")
+
+
+_REAL = Key("number")
+_SCALE = Key("number", (0, math.inf), open=True)
+SPEC_KEYS = {
+    "n": Key("int", required=True), "p": Key("int", (0, math.inf), required=True),
+    "beta_m": Key(["number"], required=True),
+    "c0": _REAL, "c_a": _REAL, "c_m": _REAL, "x_scale": _REAL, "confounder_strength": _REAL,
+    "sigma_m": _SCALE, "sigma_y": _SCALE, "treat_prob": Key("number", (0, 1), open=True),
+    "benchmark": Key(BENCHMARK_KEYS),
+}
 
 
 @dataclass(frozen=True)
@@ -252,24 +250,24 @@ class SyntheticSpec:
     confounder_strength: float = 0.0
     benchmark: Optional[BenchmarkSpec] = None
 
+    def __post_init__(self):
+        fields = asdict(self)
+        if self.benchmark is None:  # the default: no benchmark column
+            del fields["benchmark"]
+        check("spec", fields, SPEC_KEYS)
+
 
 def generate_synthetic(spec: SyntheticSpec, seed: int):
     """Draw one dataset; returns (Dataset, truth dict). Pure in (spec, seed)."""
     beta_m = np.asarray(spec.beta_m, dtype=np.float64)
-    if spec.p < 0 or beta_m.shape != (spec.p + 2,):
+    if beta_m.shape != (spec.p + 2,):
         raise BridgeboundError(f"beta_m must have length p + 2 = {spec.p + 2}")
-    if spec.sigma_m <= 0 or spec.sigma_y <= 0:
-        raise BridgeboundError("sigma_m and sigma_y must be positive")
-    if not 0.0 < spec.treat_prob < 1.0:
-        raise BridgeboundError(f"treat_prob must be in (0, 1), got {spec.treat_prob}")
     n_treat = int(round(spec.n * spec.treat_prob))
     if min(n_treat, spec.n - n_treat) < spec.p + 2:
         raise BridgeboundError(
             f"n = {spec.n} with treat_prob {spec.treat_prob} leaves an arm "
             f"below the minimum of p + 2 = {spec.p + 2} rows"
         )
-    if spec.benchmark is not None and not spec.benchmark.high > spec.benchmark.low:
-        raise BridgeboundError("benchmark support must have high > low")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     treat = np.zeros(spec.n)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package, one per CLI exit code."""
+"""Exception types shared across the package, one per CLI exit code, and the
+declarative checker that every config object goes through."""
+
+import math
+import numbers
+from typing import NamedTuple
 
 
 class BridgeboundError(Exception):
@@ -19,3 +24,90 @@ class VerificationFailure(BridgeboundError):
 
 class DegenerateBenchmark(UserWarning):
     """Benchmark variable is constant within an arm; calibration collapses to zero."""
+
+
+class Key(NamedTuple):
+    """How one key of a config object is checked.
+
+    kind is "int", "number", "bool" or "str"; a tuple of the allowed strings;
+    a table (dict of Keys) for a nested JSON object; or a one-element list
+    holding any of these for a JSON list of them. Lists must be non-empty,
+    except lists of strings. A bool is never a number and a float never an
+    integer. Numbers must lie in range, closed unless open is set, and be
+    finite, except that inf lets +inf through; NaN never passes.
+    """
+
+    kind: object
+    range: tuple = (-math.inf, math.inf)
+    inf: bool = False
+    required: bool = False
+    open: bool = False
+
+
+def check(where: str, raw, table: dict) -> dict:
+    """Check the config object raw against table and return it unchanged.
+
+    Raises ConfigError naming the object and the first offending key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, key in table.items():
+        if name not in raw:
+            if key.required:
+                raise ConfigError(f"{where} key '{name}' is required")
+        elif not _fits(name, raw[name], key):
+            raise ConfigError(f"{where} key '{name}' must be {_what(key)}, got {raw[name]!r}")
+    return raw
+
+
+def _fits(name: str, value, key: Key) -> bool:
+    kind = key.kind
+    if isinstance(kind, dict):
+        if isinstance(value, dict):
+            check(name, value, kind)  # a nested object names its own offending key
+        return isinstance(value, dict)
+    if isinstance(kind, list):
+        item = key._replace(kind=kind[0])
+        return (isinstance(value, (list, tuple)) and (bool(value) or kind[0] == "str")
+                and all(_fits(f"{name}[{i}]", v, item) for i, v in enumerate(value)))
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind in ("str", "bool"):
+        return isinstance(value, str if kind == "str" else bool)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind == "int" else numbers.Real):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    lo, hi = key.range
+    return ((math.isfinite(x) or (key.inf and x == math.inf))
+            and (lo < x < hi if key.open else lo <= x <= hi))
+
+
+_NOUNS = {"int": ("an integer", "integers"), "number": ("a number", "numbers"),
+          "str": ("a string", "strings"), "object": ("a JSON object", "JSON objects")}
+
+
+def _what(key: Key, many: bool = False) -> str:
+    """The rule a key's value breaks, in words."""
+    kind, (lo, hi) = key.kind, key.range
+    if isinstance(kind, list):
+        size = "" if kind[0] == "str" else "non-empty "
+        return f"a {size}list of {_what(key._replace(kind=kind[0]), True)}"
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(map(repr, kind))
+    if kind == "bool":
+        return "true or false"
+    text = _NOUNS["object" if isinstance(kind, dict) else kind][many]
+    if hi < math.inf:
+        text += f" in {'(' if key.open else '['}{lo:g}, {hi:g}{')' if key.open else ']'}"
+    elif lo > -math.inf:
+        text += f" {'>' if key.open else '>='} {lo:g}"
+    if kind == "number":
+        text += " (+inf allowed)" if key.inf else " (finite)"
+    return text

@@ -34,7 +34,7 @@ from .calibration import (
 )
 from .data import Dataset
 from .envelope import ScalarDecomposition, mediation_effects
-from .errors import BridgeboundError, ConfigError, VerificationFailure
+from .errors import ConfigError, Key, VerificationFailure, check
 from .linear_bayes import default_prior, nig_update, sample_draw
 
 ROUTES = ("si_anchor", "benchmark_raw", "benchmark_rank", "residual_budget")
@@ -43,6 +43,9 @@ PRIOR_KINDS = ("uniform", "beta", "endpoint_lower", "endpoint_upper")
 DEFAULT_DRAWS = 2000
 DEFAULT_BURN_IN = 500
 DEFAULT_MEDIATOR_DRAWS = 50
+
+_SHAPE = Key("number", (0, math.inf), open=True)
+PRIOR_KEYS = {"kind": Key(PRIOR_KINDS), "shape1": _SHAPE, "shape2": _SHAPE}
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,21 @@ class DeltaPrior:
     shape2: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ConfigError(f"unknown delta prior kind {self.kind!r}")
-        for name in ("shape1", "shape2"):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value < math.inf):  # NaN fails too
-                raise ConfigError(f"delta prior {name} must be a finite number > 0, got {value!r}")
+        check("delta_prior", dataclasses.asdict(self), PRIOR_KEYS)
+
+
+_FACTOR = Key("number", (1, math.inf))
+_RATIO = Key("number", (1, math.inf), inf=True)
+_SHARE = Key("number", (0, 1))
+SETTING_KEYS = {
+    "route": Key(ROUTES, required=True),
+    "lambda0": _FACTOR, "lambda1": _FACTOR,
+    "kappa0": _RATIO, "kappa1": _RATIO,
+    "k0": _SHARE, "k1": _SHARE,
+    "g0": _RATIO, "g1": _RATIO,
+    "delta_prior": Key(PRIOR_KEYS), "comonotone": Key("bool"), "pooled_gamma": Key("bool"),
+    "gamma_cap": _FACTOR,
+}
 
 
 @dataclass(frozen=True)
@@ -82,21 +93,13 @@ class SensitivitySetting:
     gamma_cap: float = DEFAULT_GAMMA_CAP
 
     def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ConfigError(f"unknown route {self.route!r}")
-        for name in ("comonotone", "pooled_gamma"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false")
-        # written as `not x >= 1` so that NaN fails; kappa and g may be +inf
-        for name in ("lambda0", "lambda1", "kappa0", "kappa1", "g0", "g1", "gamma_cap"):
-            if not getattr(self, name) >= 1.0:
-                raise BridgeboundError(f"{name} must be >= 1")
-        for name in ("lambda0", "lambda1", "gamma_cap"):
-            if not math.isfinite(getattr(self, name)):
-                raise BridgeboundError(f"{name} must be finite")
-        for name in ("k0", "k1"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise BridgeboundError(f"{name} must lie in [0, 1]")
+        check("setting", dataclasses.asdict(self), SETTING_KEYS)
+
+
+# the arguments of run() and sweep() that shape the draw loop
+_POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
+RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws_per_unit": _POSITIVE,
+            "seed": _NONNEGATIVE, "threads": _POSITIVE}
 
 
 def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
@@ -176,8 +179,6 @@ class _Engine:
                  mediator_draws_per_unit: int):
         if not settings:
             raise ConfigError("need at least one sensitivity setting")
-        if mediator_draws_per_unit < 1:
-            raise ConfigError("mediator_draws_per_unit must be >= 1")
         self.data = data
         self.settings = list(settings)
         self.n_per_unit = mediator_draws_per_unit
@@ -275,20 +276,18 @@ class _Engine:
 def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
               draws: int, burn_in: int, mediator_draws_per_unit: int,
               seed: int, threads: int = 1):
-    if draws < 1:
-        raise ConfigError("draws must be >= 1")
-    if burn_in < 0:
-        raise ConfigError("burn_in must be >= 0")
+    check("run", dict(draws=draws, burn_in=burn_in, seed=seed, threads=threads,
+                      mediator_draws_per_unit=mediator_draws_per_unit), RUN_KEYS)
     engine = _Engine(data, settings, mediator_draws_per_unit)
-    # draws are i.i.d.; burn-in is honored as a substream offset so configs
-    # that specify it stay reproducible
-    children = np.random.SeedSequence(seed).spawn(burn_in + draws)[burn_in:]
     fields = [_CORE_FIELDS + _ROUTE_FIELDS[s.route] for s in settings]
     # column-major, so each field's column is a contiguous view
     storage = [np.empty((draws, len(f)), order="F") for f in fields]
 
     def task(t: int):
-        rng = np.random.default_rng(children[t])
+        # draws are i.i.d.; burn-in is honored as a substream offset so configs
+        # that specify it stay reproducible. This is child burn_in + t of
+        # SeedSequence(seed).spawn(), built without the burn_in children before it.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(burn_in + t,)))
         engine.run_draw(rng, t, storage)
 
     if threads <= 1:

@@ -1,13 +1,24 @@
+import contextlib
+import copy
+import csv
+import io
 import json
+import math
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bridgebound.cli as cli
 import bridgebound.gcomp as gcomp
-from bridgebound.data import save_dataset
-from bridgebound.errors import ConfigError, NumericalFailure
+from bridgebound.gcomp import PRIOR_KEYS, SETTING_KEYS
+from bridgebound.data import BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, save_dataset
+from bridgebound.errors import ConfigError, Key, NumericalFailure, check
 from conftest import BENCH_SPEC, NULL_SPEC
 from bridgebound.data import generate_synthetic
 
@@ -166,7 +177,7 @@ def test_negative_seed_is_config_error(data_dir, tmp_path, capsys, command, wher
         cfg["seed"] = -1
     argv += ["--config", write_config(tmp_path, "cfg.json", cfg)]
     assert cli.main(argv) == 2
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "key 'seed' must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -313,7 +324,7 @@ class TestFit:
             % (json.dumps(str(data_dir / "bench.csv")), shape1), encoding="utf-8")
         out = tmp_path / "fit.out"
         assert cli.main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "delta prior shape1 must be a finite number > 0" in capsys.readouterr().err
+        assert "delta_prior key 'shape1' must be a number > 0 (finite)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_summary_is_numerical_failure(self, data_dir, tmp_path, capsys,
@@ -451,7 +462,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("overlays,message", [
         ([{"lable": "raw", "setting": {"route": "benchmark_raw"}}],
-         "unknown overlay keys: ['lable']"),
+         "unknown overlays[0] keys: ['lable']"),
         ([{"setting": {"route": "benchmark_raw"}},
           {"setting": {"route": "benchmark_raw", "lambda0": 1.5}}],
          "duplicate overlay label 'benchmark_raw'"),
@@ -459,8 +470,11 @@ class TestSweep:
           {"label": "a", "setting": {"route": "benchmark_rank"}}],
          "duplicate overlay label 'a'"),
         ([{"label": 3, "setting": {"route": "benchmark_raw"}}],
-         "overlay 'label' must be a string"),
-    ])
+         "overlays[0] key 'label' must be a string, got 3"),
+    ], ids=["overlays0-unknown overlay keys: ['lable']",
+            "overlays1-duplicate overlay label 'benchmark_raw'",
+            "overlays2-duplicate overlay label 'a'",
+            "overlays3-overlay 'label' must be a string"])
     def test_ambiguous_or_unknown_overlay(self, data_dir, tmp_path, capsys,
                                           overlays, message):
         cfg = write_config(tmp_path, "sweep.json",
@@ -486,7 +500,7 @@ class TestSweep:
         cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir, overlays=[
             {"setting": {"route": "benchmark_raw", "lambda0": float("nan")}}]))
         assert cli.main(["sweep", "--config", cfg]) == 2
-        assert "lambda0 must be >= 1" in capsys.readouterr().err
+        assert "setting key 'lambda0' must be a number >= 1 (finite), got nan" in capsys.readouterr().err
 
     def test_non_finite_column_is_numerical_failure(self, data_dir, tmp_path, capsys,
                                                     monkeypatch):
@@ -554,7 +568,7 @@ class TestVerify:
         cfg = write_config(tmp_path, "verify.json", {"n_models": n_models})
         out = tmp_path / "verify.out"
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
-        assert f"n_models must be >= 1, got {n_models}" in capsys.readouterr().err
+        assert f"key 'n_models' must be an integer >= 1, got {n_models}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corruption_self_test_fails_loudly(self, tmp_path, capsys):
@@ -577,18 +591,178 @@ def test_version_flag(capsys):
 
 
 def test_take_int_rejects_bool_and_float():
-    with pytest.raises(ConfigError):
-        cli._take_int({"draws": True}, "draws", 1)
-    with pytest.raises(ConfigError):
-        cli._take_int({"draws": 2.5}, "draws", 1)
-    assert cli._take_int({}, "draws", 7) == 7
+    table = {"draws": Key("int")}
+    with pytest.raises(ConfigError, match="'draws' must be an integer, got True"):
+        check("config", {"draws": True}, table)
+    with pytest.raises(ConfigError, match="'draws' must be an integer, got 2.5"):
+        check("config", {"draws": 2.5}, table)
+    assert check("config", {}, table) == {}
 
 
 def test_take_floats_requires_numbers():
-    assert cli._take_floats({"grid": [1, 2.5]}, "grid", None) == [1.0, 2.5]
-    assert cli._take_floats({}, "grid", [3]) == [3.0]
+    table = {"grid": Key(["number"])}
+    assert check("config", {"grid": [1, 2.5]}, table) == {"grid": [1, 2.5]}
+    assert check("config", {}, table) == {}
     for bad in (["1.5"], [True], [], 1.5, None):
-        with pytest.raises(ConfigError):
-            cli._take_floats({"grid": bad}, "grid", None)
-    with pytest.raises(ConfigError):
-        cli._take_floats({}, "grid", None)
+        with pytest.raises(ConfigError, match="'grid' must be a non-empty list of numbers"):
+            check("config", {"grid": bad}, table)
+    with pytest.raises(ConfigError, match="config key 'grid' is required"):
+        check("config", {}, {"grid": Key(["number"], required=True)})
+
+
+@pytest.mark.parametrize("command,edit,flags,key", [
+    ("fit", {"setting": {"route": "residual_budget", "k0": True}}, [], "'k0'"),
+    ("fit", {"setting": {"route": "benchmark_raw", "lambda0": True}}, [], "'lambda0'"),
+    ("fit", {"setting": {"route": "benchmark_raw", "gamma_cap": True}}, [], "'gamma_cap'"),
+    ("fit", {"drwas": 100}, [], "'drwas'"),
+    ("fit", {"threads": 0}, [], "'threads'"),
+    ("sweep", {}, ["--threads", "-4"], "'threads'"),
+    ("fit", {"schema": {"treatment": "treat", "mediator": "m", "outcome": "y",
+                        "covariates": 5}}, [], "'covariates'"),
+    ("fit", {"schema": {"treatment": "treat", "mediator": "m", "outcome": "y",
+                        "covariates": {"x1": 0}}}, [], "'covariates'"),
+    ("simulate", {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0],
+                           "benchmark": {"low": -math.inf}}}, [], "'low'"),
+    ("simulate", {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0],
+                           "benchmark": {"low": -1e308, "high": 1e308}}}, [], "high="),
+])
+def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
+                                              command, edit, flags, key):
+    cfg = {"fit": {"data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}},
+           "sweep": {"data": str(data_dir / "null.csv"), "axis": "k", "grid": [0.5],
+                     "setting": {"route": "residual_budget"}},
+           "simulate": {}}[command]
+    cfg.update(FAST if command != "simulate" else {}, **edit)
+    out = tmp_path / "out"
+    # json.dumps spells -inf as the -Infinity literal, as a hand-written config may
+    argv = [command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]
+    assert cli.main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _table_paths(table, prefix=()):
+    """Every key path of a table, nested objects and list items included."""
+    for name, key in table.items():
+        yield prefix + (name,)
+        kind = key.kind[0] if isinstance(key.kind, list) else key.kind
+        if isinstance(kind, dict):
+            yield from _table_paths(kind, prefix + ((name, 0) if isinstance(key.kind, list)
+                                                    else (name,)))
+
+
+# small values only: no example may start many threads or allocate a large array
+FUZZ_VALUES = ["1", True, None, [], {}, -1, 0, 0.5, 1, 2, 1e308, -1e308,
+               math.nan, math.inf, -math.inf]
+_DELETE = "<delete>"
+
+
+def _fuzz_base(data_dir):
+    bench = str(data_dir / "bench.csv")
+    schema = {"treatment": "treat", "mediator": "m", "outcome": "y",
+              "covariates": ["x1", "x2"], "benchmark": "w"}
+    run = {"draws": 2, "burn_in": 1, "mediator_draws": 2, "seed": 3, "threads": 1}
+    setting = {"route": "benchmark_raw", "kappa0": 1.5, "lambda1": 1.2, "k0": 0.0, "g0": 1.0,
+               "delta_prior": {"kind": "beta", "shape1": 2.0, "shape2": 2.0},
+               "comonotone": False, "pooled_gamma": False, "gamma_cap": 5.0}
+    return {
+        "fit": {"data": bench, "schema": schema, "setting": setting, **run},
+        "sweep": {"data": bench, "schema": schema, "axis": "kappa", "grid": [1.0, 2.0],
+                  "setting": setting,
+                  "overlays": [{"label": "a", "setting": setting},
+                               {"label": "b", "setting": {"route": "benchmark_rank"}}],
+                  **run},
+        "verify": {"gammas": [2.0], "etas": [1.0], "n_models": 2, "inject_corrupt": False,
+                   "seed": 3},
+        "simulate": {"spec": {"n": 40, "p": 1, "beta_m": [0.5, 1.0, 0.3], "c0": 0.1,
+                              "c_a": 0.2, "c_m": 0.3, "x_scale": 0.4, "sigma_m": 1.0,
+                              "sigma_y": 1.0, "treat_prob": 0.5, "confounder_strength": 0.1,
+                              "benchmark": {"low": 0.0, "high": 2.0, "coef_m": 0.5,
+                                            "coef_y": 0.4}},
+                     "truth_out": "truth.json", "seed": 3},
+    }
+
+
+FUZZ_TABLES = {"fit": cli.FIT_KEYS, "sweep": cli.SWEEP_KEYS, "verify": cli.VERIFY_KEYS,
+               "simulate": cli.SIMULATE_KEYS}
+FUZZ_EDITS = {command: st.lists(st.tuples(st.sampled_from(list(_table_paths(table))),
+                                          st.sampled_from(FUZZ_VALUES + [_DELETE])),
+                                min_size=1, max_size=2)
+              for command, table in FUZZ_TABLES.items()}
+
+
+def _apply(base: dict, edits) -> dict:
+    """A copy of base with each (path, value) edit made; edits under a missing parent drop."""
+    cfg = copy.deepcopy(base)
+    for path, value in edits:
+        parent = cfg
+        try:
+            for step in path[:-1]:
+                parent = parent[step]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(parent, dict):
+            continue
+        if value == _DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_TABLES))
+def test_cli_fuzz_exits_cleanly(data_dir, monkeypatch, command):
+    """Mutate the type or value of one or two table keys of a small valid config."""
+    base = _fuzz_base(data_dir)[command]
+    # a deleted run key falls back to its default; keep those small too
+    monkeypatch.setattr(cli, "DEFAULT_DRAWS", 2)
+    monkeypatch.setattr(cli, "DEFAULT_MEDIATOR_DRAWS", 2)
+
+    @settings(derandomize=True, max_examples=80)
+    @given(edits=FUZZ_EDITS[command])
+    def one(edits):
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                Path("cfg.json").write_text(json.dumps(_apply(base, edits)), encoding="utf-8")
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([command, "--config", "cfg.json", "--out", "out"])
+                written = {p.name: p.read_text(encoding="utf-8") for p in Path(".").iterdir()
+                           if p.name != "cfg.json"}
+            finally:
+                os.chdir(home)
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if command == "sweep" and "out" in written:
+            rows = list(csv.reader(io.StringIO(written["out"])))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row[3:])
+        elif command == "simulate":
+            written.pop("out", None)  # the dataset CSV
+            written["stdout"] = stdout.getvalue()
+        for name, text in written.items():
+            if command != "sweep" and text:
+                json.loads(text, parse_constant=_reject_constant)
+
+    if command == "simulate":
+        # finite bounds whose width overflows
+        one = example(edits=[(("spec", "benchmark", "low"), -1e308),
+                             (("spec", "benchmark", "high"), 1e308)])(one)
+    one()
+
+
+def test_readme_lists_every_config_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Config keys", 1)[1].split("\n## ")[0]
+    tables = [cli.FIT_KEYS, cli.SWEEP_KEYS, cli.VERIFY_KEYS, cli.SIMULATE_KEYS,
+              cli.OVERLAY_KEYS, SETTING_KEYS, PRIOR_KEYS, SCHEMA_KEYS, SPEC_KEYS,
+              BENCHMARK_KEYS]
+    missing = sorted({name for table in tables for name in table} - set(
+        re.findall(r"`([a-z_0-9]+)`", section)))
+    assert not missing

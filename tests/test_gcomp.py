@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -74,7 +76,8 @@ class TestDeltaPrior:
     @pytest.mark.parametrize("name", ["shape1", "shape2"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0, "2", True, None])
     def test_shapes_must_be_finite_positive_numbers(self, name, value):
-        with pytest.raises(ConfigError, match=f"delta prior {name} must be a finite number > 0"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"delta_prior key '{name}' must be a number > 0 (finite), got {value!r}")):
             DeltaPrior(kind="beta", **{name: value})
         DeltaPrior(kind="beta", **{name: 3})
 
@@ -85,29 +88,37 @@ class TestSettingValidation:
             SensitivitySetting(route="anchor")
 
     def test_parameter_ranges(self):
-        with pytest.raises(BridgeboundError, match="lambda0 must be >= 1"):
+        with pytest.raises(BridgeboundError, match="'lambda0' must be a number >= 1"):
             SensitivitySetting(lambda0=0.5)
-        with pytest.raises(BridgeboundError, match="kappa1 must be >= 1"):
+        with pytest.raises(BridgeboundError, match="'kappa1' must be a number >= 1"):
             SensitivitySetting(kappa1=0.99)
-        with pytest.raises(BridgeboundError, match="k0 must lie in"):
+        with pytest.raises(BridgeboundError, match=r"'k0' must be a number in \[0, 1\]"):
             SensitivitySetting(k0=1.5)
-        with pytest.raises(BridgeboundError, match="g1 must be >= 1"):
+        with pytest.raises(BridgeboundError, match="'g1' must be a number >= 1"):
             SensitivitySetting(g1=0.0)
-        with pytest.raises(BridgeboundError, match="gamma_cap must be >= 1"):
+        with pytest.raises(BridgeboundError, match="'gamma_cap' must be a number >= 1"):
             SensitivitySetting(gamma_cap=0.9)
 
     @pytest.mark.parametrize("name,value,message", [
-        ("lambda0", np.nan, "lambda0 must be >= 1"),
-        ("kappa1", np.nan, "kappa1 must be >= 1"),
-        ("k0", np.nan, "k0 must lie in"),
-        ("g0", np.nan, "g0 must be >= 1"),
-        ("gamma_cap", np.nan, "gamma_cap must be >= 1"),
-        ("lambda1", np.inf, "lambda1 must be finite"),
-        ("gamma_cap", np.inf, "gamma_cap must be finite"),
-    ])
+        ("lambda0", np.nan, "'lambda0' must be a number >= 1 (finite), got nan"),
+        ("kappa1", np.nan, "'kappa1' must be a number >= 1 (+inf allowed), got nan"),
+        ("k0", np.nan, "'k0' must be a number in [0, 1] (finite), got nan"),
+        ("g0", np.nan, "'g0' must be a number >= 1 (+inf allowed), got nan"),
+        ("gamma_cap", np.nan, "'gamma_cap' must be a number >= 1 (finite), got nan"),
+        ("lambda1", np.inf, "'lambda1' must be a number >= 1 (finite), got inf"),
+        ("gamma_cap", np.inf, "'gamma_cap' must be a number >= 1 (finite), got inf"),
+    ], ids=["lambda0-nan-lambda0 must be >= 1", "kappa1-nan-kappa1 must be >= 1",
+            "k0-nan-k0 must lie in", "g0-nan-g0 must be >= 1",
+            "gamma_cap-nan-gamma_cap must be >= 1", "lambda1-inf-lambda1 must be finite",
+            "gamma_cap-inf-gamma_cap must be finite"])
     def test_nan_and_infinite_parameters(self, name, value, message):
-        with pytest.raises(BridgeboundError, match=message):
+        with pytest.raises(BridgeboundError, match=re.escape(message)):
             SensitivitySetting(**{name: value})
+
+    @pytest.mark.parametrize("name", ["k0", "lambda0", "gamma_cap"])
+    def test_bool_is_not_a_number(self, name):
+        with pytest.raises(ConfigError, match=f"'{name}' must be a number"):
+            SensitivitySetting(route="residual_budget", **{name: True})
 
     def test_infinite_amplification_and_ratio_allowed(self):
         SensitivitySetting(kappa0=np.inf, kappa1=np.inf, g0=np.inf, g1=np.inf)
@@ -115,7 +126,7 @@ class TestSettingValidation:
     @pytest.mark.parametrize("name", ["comonotone", "pooled_gamma"])
     @pytest.mark.parametrize("value", ["false", "true", 1, 0, None, np.bool_(True)])
     def test_flags_must_be_booleans(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be true or false"):
+        with pytest.raises(ConfigError, match=f"'{name}' must be true or false"):
             SensitivitySetting(route="benchmark_raw", **{name: value})
 
 
@@ -141,6 +152,11 @@ class TestRun:
         tail = run_small(null_data, setting, draws=8, burn_in=4)
         for name in head.field_order:
             assert np.array_equal(head.records[name][4:], tail.records[name])
+
+    def test_burn_in_builds_no_skipped_substreams(self, null_data):
+        start = time.perf_counter()
+        run_small(null_data, SensitivitySetting(), draws=1, burn_in=10**6)
+        assert time.perf_counter() - start < 2.0
 
     def test_si_anchor_has_zero_envelope(self, null_data):
         res = run_small(null_data, SensitivitySetting())
@@ -257,6 +273,9 @@ class TestRun:
             run_small(null_data, SensitivitySetting(), burn_in=-1)
         with pytest.raises(ConfigError):
             run_small(null_data, SensitivitySetting(), mediator_draws_per_unit=0)
+        for name, value in (("threads", 0), ("seed", -1), ("draws", True), ("threads", 1.0)):
+            with pytest.raises(ConfigError, match=f"run key '{name}' must be an integer"):
+                run_small(null_data, SensitivitySetting(), **{name: value})
 
 
 class TestSweep:
