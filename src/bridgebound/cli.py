@@ -215,8 +215,8 @@ def cmd_sweep(args) -> int:
         labels.append(label)
         settings.append(setting)
 
-    grid = [float(v) for v in cfg["grid"]]
-    results = sweep(data, settings, axis=cfg["axis"], grid=grid, **_run_kwargs(cfg))
+    results = sweep(data, settings, axis=cfg["axis"], grid=[float(v) for v in cfg["grid"]],
+                    **_run_kwargs(cfg))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -233,22 +233,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args, VERIFY_KEYS)
-    gammas = [float(v) for v in cfg.get("gammas", SHARPNESS_GAMMAS)]
-    etas = [float(v) for v in cfg.get("etas", SHARPNESS_ETAS)]
-    n_models = cfg.get("n_models", 100)
-    inject_corrupt = cfg.get("inject_corrupt", False)
-    seed = cfg.get("seed", 90210)
-
     max_gap = 0.0
     points = 0
-    for gamma in gammas:
-        for eta in etas:
+    for gamma in cfg.get("gammas", SHARPNESS_GAMMAS):
+        for eta in cfg.get("etas", SHARPNESS_ETAS):
             plus, minus, bound = check_bound_and_sharpness(gamma, eta)
             max_gap = max(max_gap, abs(plus - bound), abs(minus + bound))
             points += 1
     sharp_ok = max_gap <= 1e-12
 
-    report = run_fuzz(n_models=n_models, seed=seed)
+    report = run_fuzz(n_models=cfg.get("n_models", 100), seed=cfg.get("seed", 90210))
     failures = report.failures()
     fuzz_ok = not failures
 
@@ -264,7 +258,7 @@ def cmd_verify(args) -> int:
         },
         "passed": sharp_ok and fuzz_ok,
     }
-    if inject_corrupt:
+    if cfg.get("inject_corrupt", False):
         # harness self-test: a corrupted check input must surface as a failure
         model, gap = self_test_failure()
         payload["self_test"] = {
@@ -286,15 +280,13 @@ def cmd_simulate(args) -> int:
     if "benchmark" in raw:
         raw["benchmark"] = BenchmarkSpec(**raw["benchmark"])
     spec = SyntheticSpec(**raw)
-    seed = cfg.get("seed", DEFAULT_SEED)
-    truth_out = cfg.get("truth_out")
     if args.out is None:
         raise ConfigError("simulate needs --out for the dataset CSV")
-    data, truth = generate_synthetic(spec, seed)
+    data, truth = generate_synthetic(spec, cfg.get("seed", DEFAULT_SEED))
     save_dataset(data, args.out)
     truth_text = render_json(truth)
-    if truth_out is not None:
-        _emit(truth_text, truth_out)
+    if "truth_out" in cfg:
+        _emit(truth_text, cfg["truth_out"])
     sys.stdout.write(truth_text + "\n")
     return 0
 
