@@ -612,8 +612,10 @@ def test_take_floats_requires_numbers():
 
 @pytest.mark.parametrize("command,edit,flags,key", [
     ("fit", {"setting": {"route": "residual_budget", "k0": True}}, [], "'k0'"),
-    ("fit", {"setting": {"route": "benchmark_raw", "lambda0": True}}, [], "'lambda0'"),
-    ("fit", {"setting": {"route": "benchmark_raw", "gamma_cap": True}}, [], "'gamma_cap'"),
+    ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw", "lambda0": True}}, [],
+     "'lambda0'"),
+    ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw", "gamma_cap": True}}, [],
+     "'gamma_cap'"),
     ("fit", {"drwas": 100}, [], "'drwas'"),
     ("fit", {"threads": 0}, [], "'threads'"),
     ("sweep", {}, ["--threads", "-4"], "'threads'"),
@@ -628,11 +630,13 @@ def test_take_floats_requires_numbers():
 ])
 def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
                                               command, edit, flags, key):
-    cfg = {"fit": {"data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}},
-           "sweep": {"data": str(data_dir / "null.csv"), "axis": "k", "grid": [0.5],
+    cfg = {"fit": {"data": "null.csv", "setting": {"route": "si_anchor"}},
+           "sweep": {"data": "null.csv", "axis": "k", "grid": [0.5],
                      "setting": {"route": "residual_budget"}},
            "simulate": {}}[command]
     cfg.update(FAST if command != "simulate" else {}, **edit)
+    if "data" in cfg:
+        cfg["data"] = str(data_dir / cfg["data"])
     out = tmp_path / "out"
     # json.dumps spells -inf as the -Infinity literal, as a hand-written config may
     argv = [command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]
