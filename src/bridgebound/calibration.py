@@ -117,20 +117,23 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
     return np.clip(np.exp(log_sup), 1.0, cap)
 
 
-def benchmark_envelope(eta_hat: float, inv_gamma_mean: float, lam: float, kappa: float):
+def benchmark_envelope(eta_hat: float, gap_mean: float, lam: float, kappa: float):
     """Mean over the points of xi(lambda * eta_hat, kappa * gamma_i), in closed form.
 
-    With H = mean_i 1 / gamma_i the mean is lambda * eta_hat * (1 - H / kappa),
-    finite and >= 0; kappa = +inf gives lambda * eta_hat.
+    With G = mean_i (gamma_i - 1) / gamma_i (unlike 1 - mean_i 1 / gamma_i, it
+    does not cancel when every gamma_i is near 1) the mean is finite, >= 0 and
+    lambda * eta_hat * ((kappa - 1) / kappa + G / kappa); kappa = +inf gives
+    lambda * eta_hat.
     """
     if not (1.0 <= lam < math.inf and kappa >= 1.0):  # NaN fails too
         raise BridgeboundError(
             f"amplification factors must be >= 1 (lambda finite), got lambda={lam}, kappa={kappa}"
         )
-    if not (0.0 <= eta_hat < math.inf and 0.0 < inv_gamma_mean <= 1.0):
-        raise BridgeboundError("eta_hat must be finite and >= 0 and the mean inverse gamma in "
-                               f"(0, 1], got {eta_hat} and {inv_gamma_mean}")
-    return lam * eta_hat * (1.0 - inv_gamma_mean / kappa)
+    if not (0.0 <= eta_hat < math.inf and 0.0 <= gap_mean < 1.0):
+        raise BridgeboundError("eta_hat must be finite and >= 0 and the mean of "
+                               f"(gamma - 1) / gamma in [0, 1), got {eta_hat} and {gap_mean}")
+    head = 1.0 if kappa == math.inf else (kappa - 1.0) / kappa
+    return lam * eta_hat * (head + gap_mean / kappa)
 
 
 def estimate_sigma_eta(treated_response: np.ndarray, treated_prediction: np.ndarray) -> float:

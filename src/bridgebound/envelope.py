@@ -2,10 +2,11 @@
 
 xi_pointwise is the attainable bound on the local confounding shift given the
 two sensitivity parameters (outcome range eta, selection ratio gamma). Its
-average over counterfactual mediator points has a closed form (see
-calibration.benchmark_envelope), so no per-point array of bounds is ever
-built. Everything downstream of a run reduces to these few identities, so they
-are kept in one place and the g-computation engine calls them rather than
+amplified average over counterfactual mediator points is lambda * eta_hat *
+((kappa - 1) / kappa + G / kappa), G the mean of (gamma - 1) / gamma (see
+calibration.benchmark_envelope), so no per-point array of bounds is built.
+Everything downstream of a run reduces to these few identities, so they are
+kept in one place and the g-computation engine calls them rather than
 re-deriving.
 """
 

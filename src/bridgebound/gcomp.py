@@ -236,14 +236,14 @@ class _Engine:
                     gammas = (estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs, bench, arm,
                                                        m0, l0_cf, l1_cf, cap=setting.gamma_cap)
                               for arm in (0, 1))
-                    # per arm: H = mean of 1/gamma over the points, and the max gamma
-                    gamma_memo[key] = [(_kernels.comp_mean(1.0 / g), float(g.max()))
+                    # per arm: the mean of (gamma - 1) / gamma over the points, and the max gamma
+                    gamma_memo[key] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
                                        for g in gammas]
-                (h0, gmax0), (h1, gmax1) = gamma_memo[key]
+                (gap0, gmax0), (gap1, gmax1) = gamma_memo[key]
                 if setting.pooled_gamma:
-                    h0, h1 = 1.0 / gmax0, 1.0 / gmax1
-                xi0 = benchmark_envelope(eta_hat[0], h0, setting.lambda0, setting.kappa0)
-                xi1 = benchmark_envelope(eta_hat[1], h1, setting.lambda1, setting.kappa1)
+                    gap0, gap1 = (gmax0 - 1.0) / gmax0, (gmax1 - 1.0) / gmax1
+                xi0 = benchmark_envelope(eta_hat[0], gap0, setting.lambda0, setting.kappa0)
+                xi1 = benchmark_envelope(eta_hat[1], gap1, setting.lambda1, setting.kappa1)
                 diag = (*eta_hat, gmax0, gmax1)
             elif setting.route == "residual_budget":
                 if sigma_eta is None:

@@ -1,9 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bridgebound import _kernels
 from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      benchmark_envelope,
                                      estimate_benchmark_eta,
@@ -138,11 +140,12 @@ class TestGamma:
 
 
 class TestEnvelopes:
-    # the second argument is H = mean 1/gamma; a single point gamma gives 1/gamma
+    # the second argument is G = mean (gamma - 1) / gamma; a single point gamma gives
+    # (gamma - 1) / gamma
     def test_benchmark_envelope_frozen(self):
-        assert benchmark_envelope(2.0, 1.0 / 1.5, 1.0, 2.0) == pytest.approx(4.0 / 3.0,
+        assert benchmark_envelope(2.0, 0.5 / 1.5, 1.0, 2.0) == pytest.approx(4.0 / 3.0,
                                                                             rel=1e-15)
-        assert benchmark_envelope(2.0, 1.0, 3.0, 1.0) == 0.0
+        assert benchmark_envelope(2.0, 0.0, 3.0, 1.0) == 0.0
         widths = [benchmark_envelope(1.0, 1.0 / 2.0, 1.0, kappa)
                   for kappa in (1.0, 1.5, 2.0, 3.0)]
         assert widths == sorted(widths) and widths[0] < widths[-1]
@@ -159,9 +162,10 @@ class TestEnvelopes:
         for eta in (-0.1, math.nan, math.inf):
             with pytest.raises(BridgeboundError, match="eta_hat must be finite and >= 0"):
                 benchmark_envelope(eta, 0.5, 1.0, 1.0)
-        for inv_mean in (0.0, 1.0 + 1e-15, math.nan, -0.5):
-            with pytest.raises(BridgeboundError, match=r"mean inverse gamma in \(0, 1\]"):
-                benchmark_envelope(1.0, inv_mean, 1.0, 1.0)
+        for gap_mean in (1.0, 1.0 + 1e-15, math.nan, -0.5):
+            with pytest.raises(BridgeboundError,
+                               match=r"mean of \(gamma - 1\) / gamma in \[0, 1\)"):
+                benchmark_envelope(1.0, gap_mean, 1.0, 1.0)
 
     @pytest.mark.parametrize("kappa", [1.0, 1.3, 2.0, 7.5, math.inf])
     @pytest.mark.parametrize("cap", [1.5, DEFAULT_GAMMA_CAP, 1e6])
@@ -172,13 +176,24 @@ class TestEnvelopes:
             gamma[r.random(size) < 0.2] = 1.0   # clamped points, as the engine has
             eta, lam = r.uniform(0.0, 4.0), r.uniform(1.0, 3.0)
             ref = math.fsum(xi_pointwise(lam * eta, kappa * g) for g in gamma) / size
-            closed = benchmark_envelope(eta, math.fsum(1.0 / gamma) / size, lam, kappa)
+            closed = benchmark_envelope(eta, math.fsum((gamma - 1.0) / gamma) / size, lam, kappa)
             assert closed == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_unit_gamma_at_unit_kappa_is_exactly_zero(self):
-        inv_mean = math.fsum(1.0 / np.ones(500)) / 500
+        gamma = np.ones(500)
+        gap_mean = math.fsum((gamma - 1.0) / gamma) / 500
         for eta, lam in ((0.0, 1.0), (2.5, 1.0), (1e6, 4.0)):
-            assert benchmark_envelope(eta, inv_mean, lam, 1.0) == 0.0
+            assert benchmark_envelope(eta, gap_mean, lam, 1.0) == 0.0
+
+    @pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_unit_gamma_at_unit_kappa_is_accurate(self, spread):
+        # gammas just above 1, where 1 - mean(1 / gamma) would cancel
+        gamma = 1.0 + rng(29).uniform(0.0, spread, size=2000)
+        eta, lam = 1.7, 1.3
+        exact = (Fraction(lam) * Fraction(eta)
+                 * sum((Fraction(g) - 1) / Fraction(g) for g in gamma) / len(gamma))
+        closed = benchmark_envelope(eta, _kernels.comp_mean((gamma - 1.0) / gamma), lam, 1.0)
+        assert abs(Fraction(closed) - exact) <= 1e-14 * exact
 
     def test_sigma_eta(self):
         y = rng(7).normal(size=2000) * 2.0

@@ -214,13 +214,13 @@ class TestRun:
         assert np.any(prod_free < 0.0)
 
     def test_pooled_replaces_with_max(self, bench_data):
-        # pooling replaces every point's gamma with the arm's max, so the mean
-        # of 1/gamma the closed form takes is 1/gamma_max, on every draw
+        # pooling replaces every point's gamma with the arm's max, so the mean of
+        # (gamma - 1) / gamma the closed form takes is (gamma_max - 1) / gamma_max
         setting = SensitivitySetting(route="benchmark_raw", lambda0=1.3, kappa0=1.5,
                                      kappa1=2.0, pooled_gamma=True)
         rec = run_small(bench_data, setting).records
         for arm, lam, kappa in ((0, 1.3, 1.5), (1, 1.0, 2.0)):
-            expected = [benchmark_envelope(eta, 1.0 / gmax, lam, kappa) for eta, gmax
+            expected = [benchmark_envelope(eta, (gmax - 1.0) / gmax, lam, kappa) for eta, gmax
                         in zip(rec[f"eta_hat_{arm}"], rec[f"gamma_max_{arm}"])]
             assert np.array_equal(rec[f"xi_bar_{arm}"], expected)
 
