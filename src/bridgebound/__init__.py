@@ -13,8 +13,7 @@ from .calibration import (DEFAULT_GAMMA_CAP, benchmark_envelope,
                           prepare_benchmark, residual_envelope)
 from .data import (BenchmarkSpec, Dataset, SyntheticSpec, fractional_ranks,
                    generate_synthetic, infer_schema, load_dataset, save_dataset)
-from .envelope import (MediationEffects, ScalarDecomposition,
-                       mediation_effects, xi_pointwise)
+from .envelope import xi_pointwise
 from .errors import (BridgeboundError, ConfigError, NumericalFailure,
                      VerificationFailure)
 from .gcomp import (DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS,
@@ -28,15 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkSpec", "BridgeboundError", "ConfigError", "Dataset", "DeltaPrior",
-    "DiscreteModel", "MediationEffects", "NIGParams", "NumericalFailure",
-    "ROUTES", "RunResult", "ScalarDecomposition", "SensitivitySetting",
-    "SweepResult", "SyntheticSpec", "VerificationFailure",
+    "DiscreteModel", "NIGParams", "NumericalFailure", "ROUTES", "RunResult",
+    "SensitivitySetting", "SweepResult", "SyntheticSpec", "VerificationFailure",
     "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_GAMMA_CAP", "DEFAULT_MEDIATOR_DRAWS",
     "benchmark_envelope",
     "check_bound_and_sharpness", "check_sweep_rows", "default_prior",
     "estimate_benchmark_eta", "estimate_benchmark_gamma", "exact_bridge_partition",
     "exact_sensitivity", "fractional_ranks", "generate_synthetic", "infer_schema",
-    "load_dataset", "mediation_effects", "nig_update", "prepare_benchmark",
+    "load_dataset", "nig_update", "prepare_benchmark",
     "random_model", "residual_envelope", "run", "run_fuzz", "sample_draw",
     "save_dataset", "sweep", "xi_pointwise",
 ]

@@ -170,28 +170,19 @@ def infer_schema(path: str) -> dict:
     return schema
 
 
-def fractional_rank_within_arm(data: Dataset, arm: int) -> np.ndarray:
-    """Fractional ranks of the benchmark within one arm, in that arm's row order.
+def fractional_ranks(data: Dataset) -> np.ndarray:
+    """Full-length rank column of the benchmark, every row ranked within its own arm.
 
-    rank(i) = #{j in arm : W_j <= W_i} / n_arm, so ties share a rank and the
-    output lies in (0, 1]. Invariant under strictly increasing transforms of W.
+    rank(i) = #{j in arm(i) : W_j <= W_i} / n_arm(i), so ties share a rank and
+    the output lies in (0, 1]. Invariant under strictly increasing transforms of W.
     """
     if data.benchmark is None:
         raise BridgeboundError("dataset has no benchmark column")
-    idx = data.arm_indices(arm)
-    if idx.size == 0:
-        raise BridgeboundError(f"arm {arm} is empty")
-    w = data.benchmark[idx]
-    ordered = np.sort(w)
-    return np.searchsorted(ordered, w, side="right") / idx.size
-
-
-def fractional_ranks(data: Dataset) -> np.ndarray:
-    """Full-length rank column: every row ranked within its own arm."""
     out = np.empty(data.n)
     for arm in (0, 1):
-        idx = data.arm_indices(arm)
-        out[idx] = fractional_rank_within_arm(data, arm)
+        idx = data.arm_indices(arm)  # never empty: Dataset requires p + 2 rows per arm
+        w = data.benchmark[idx]
+        out[idx] = np.searchsorted(np.sort(w), w, side="right") / idx.size
     return out
 
 

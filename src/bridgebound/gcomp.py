@@ -33,7 +33,6 @@ from .calibration import (
     residual_envelope,
 )
 from .data import Dataset
-from .envelope import ScalarDecomposition, mediation_effects
 from .errors import ConfigError, Key, VerificationFailure, check
 from .linear_bayes import default_prior, nig_update, sample_draw
 
@@ -96,10 +95,11 @@ class SensitivitySetting:
         check("setting", dataclasses.asdict(self), SETTING_KEYS)
 
 
-# the arguments of run() and sweep() that shape the draw loop
+# the arguments of run() and sweep() that shape the draw loop; the pool may
+# start one OS thread per worker, so threads is capped
 _POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
 RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws_per_unit": _POSITIVE,
-            "seed": _NONNEGATIVE, "threads": _POSITIVE}
+            "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
 
 
 def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
@@ -262,13 +262,14 @@ class _Engine:
             base1 = base0 if setting.comonotone else _delta_base(setting.delta_prior, rng)
 
             # 6) assemble the setting's row, in _CORE_FIELDS + _ROUTE_FIELDS order
-            dec = ScalarDecomposition.assemble(theta_si, xi0 * base0, xi1 * base1, xi0, xi1)
-            eff = mediation_effects(dec.theta, delta0, delta1)
+            db0, db1 = xi0 * base0, xi1 * base1
+            theta = (theta_si + db0) - db1
+            nde, nie = theta - delta0, delta1 - theta
             theta_lower = (theta_si - xi0) - xi1
             theta_upper = (theta_si + xi0) + xi1
             storage[j][t] = (
-                theta_si, delta0, delta1, xi0, xi1, dec.delta_bar_0, dec.delta_bar_1,
-                dec.theta, eff.nde, eff.nie, eff.te, theta_lower, theta_upper,
+                theta_si, delta0, delta1, xi0, xi1, db0, db1,
+                theta, nde, nie, nde + nie, theta_lower, theta_upper,
                 theta_lower - delta0, theta_upper - delta0,
                 delta1 - theta_upper, delta1 - theta_lower, *diag)
 
@@ -325,11 +326,8 @@ _AXIS_FIELDS = {
 @dataclass(frozen=True)
 class SweepResult:
     axis: str
-    grid: tuple
-    base_setting: SensitivitySetting
     results: tuple
     rows: tuple
-    seed: int
 
 
 def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
@@ -359,7 +357,7 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
                         mediator_draws_per_unit=mediator_draws_per_unit,
                         seed=seed, threads=threads)
     out = []
-    for i, base in enumerate(base_settings):
+    for i in range(len(base_settings)):
         mine = results[i * len(grid):(i + 1) * len(grid)]
         rows = []
         for value, res in zip(grid, mine):
@@ -378,8 +376,7 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
                 "theta_si_mean": _kernels.comp_mean(rec["theta_si"]),
             })
         check_sweep_rows(rows)
-        out.append(SweepResult(axis, tuple(float(v) for v in grid), base,
-                               tuple(mine), tuple(rows), seed))
+        out.append(SweepResult(axis, tuple(mine), tuple(rows)))
     return tuple(out)
 
 

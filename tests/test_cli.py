@@ -627,6 +627,10 @@ def test_take_floats_requires_numbers():
                            "benchmark": {"low": -math.inf}}}, [], "'low'"),
     ("simulate", {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0],
                            "benchmark": {"low": -1e308, "high": 1e308}}}, [], "high="),
+    ("fit", {}, ["--threads", "257"], "'threads'"),
+    # too large for memory; each fails at its first allocation, before any draw runs
+    ("fit", {"draws": 10**15}, [], "too large for memory"),
+    ("fit", {"mediator_draws": 10**12}, [], "too large for memory"),
 ])
 def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
                                               command, edit, flags, key):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bridgebound.data import (BenchmarkSpec, Dataset, SyntheticSpec,
-                              fractional_rank_within_arm, fractional_ranks,
-                              generate_synthetic, infer_schema, load_dataset,
-                              save_dataset)
+                              fractional_ranks, generate_synthetic, infer_schema,
+                              load_dataset, save_dataset)
 from bridgebound.errors import BridgeboundError
 
 from conftest import rng
@@ -121,11 +120,10 @@ class TestCsvRoundtrip:
 class TestRanks:
     def test_frozen_rank_values(self):
         data = small_dataset(benchmark=np.array([3.0, 1.0, 2.0, 5.0, 5.0]))
-        assert np.array_equal(fractional_rank_within_arm(data, 0),
-                              [1.0, 1.0 / 3.0, 2.0 / 3.0])
-        # ties share the highest rank in the tied block
-        assert np.array_equal(fractional_rank_within_arm(data, 1), [1.0, 1.0])
         full = fractional_ranks(data)
+        assert np.array_equal(full[data.arm_indices(0)], [1.0, 1.0 / 3.0, 2.0 / 3.0])
+        # ties share the highest rank in the tied block
+        assert np.array_equal(full[data.arm_indices(1)], [1.0, 1.0])
         assert np.array_equal(full, [1.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 1.0])
 
     def test_ranks_invariant_under_monotone_transform(self):
@@ -138,7 +136,7 @@ class TestRanks:
 
     def test_ranks_need_benchmark(self):
         with pytest.raises(BridgeboundError, match="no benchmark column"):
-            fractional_rank_within_arm(small_dataset(), 0)
+            fractional_ranks(small_dataset())
 
 
 class TestSyntheticGenerator:

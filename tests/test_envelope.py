@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgebound.envelope import (MediationEffects, ScalarDecomposition,
-                                  mediation_effects, xi_pointwise)
+from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError
 
 
@@ -49,22 +48,3 @@ def test_xi_bounded_and_monotone_in_gamma(eta, g_a, g_b):
 def test_xi_monotone_in_eta(e_a, e_b, gamma):
     lo, hi = sorted((e_a, e_b))
     assert xi_pointwise(lo, gamma) <= xi_pointwise(hi, gamma)
-
-
-def test_mediation_effects_frozen():
-    eff = mediation_effects(2.0, 1.0, 4.0)
-    assert eff == MediationEffects(nde=1.0, nie=2.0, te=3.0)
-    flat = mediation_effects(1.5, 1.5, 1.5)
-    assert flat.nde == 0.0 and flat.nie == 0.0 and flat.te == 0.0
-
-
-@given(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
-def test_mediation_effects_additive_exactly(theta, d0, d1):
-    eff = mediation_effects(theta, d0, d1)
-    assert eff.te == eff.nde + eff.nie
-
-
-def test_scalar_decomposition_identity():
-    rec = ScalarDecomposition.assemble(0.31, 0.07, -0.12, 0.2, 0.25)
-    assert rec.theta == (rec.theta_si + rec.delta_bar_0) - rec.delta_bar_1
-    assert rec.xi_bar_0 == 0.2 and rec.xi_bar_1 == 0.25

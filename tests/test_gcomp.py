@@ -173,6 +173,7 @@ class TestRun:
         assert np.array_equal(
             rec["theta_lower"], (rec["theta_si"] - rec["xi_bar_0"]) - rec["xi_bar_1"])
         assert np.array_equal(rec["nde"], rec["theta"] - rec["delta0"])
+        assert np.array_equal(rec["nie"], rec["delta1"] - rec["theta"])
         assert np.array_equal(rec["te"], rec["nde"] + rec["nie"])
         assert np.all(np.abs(rec["delta_bar_0"]) <= rec["xi_bar_0"])
         assert np.all(np.abs(rec["delta_bar_1"]) <= rec["xi_bar_1"])
@@ -358,9 +359,9 @@ class TestSharedModelPass:
         assert len(together) == len(bases)
         for base, swept in zip(bases, together):
             alone = sweep(bench_data, [base], axis, grid, **SHARED)[0]
-            assert swept.base_setting == base and swept.rows == alone.rows
+            assert swept.rows == alone.rows
             for res, ref in zip(swept.results, alone.results):
-                assert res.field_order == ref.field_order
+                assert res.setting == ref.setting and res.field_order == ref.field_order
                 for name in ref.field_order:
                     assert np.array_equal(res.records[name], ref.records[name]), name
 

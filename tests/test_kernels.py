@@ -80,7 +80,7 @@ class TestGammaSupLogratio:
         fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
         assert np.array_equal(fast, brute)
 
-    def test_small_grids_fall_back_to_full_scan(self):
+    def test_small_grids_match_brute(self):
         r = rng(6)
         for n in (1, 2, 3, 7):
             w = np.sort(r.standard_normal(n))
@@ -105,11 +105,17 @@ class TestGammaSupLogratio:
     @given(st.integers(0, 2**32 - 1))
     def test_random_geometry_matches_brute(self, seed):
         r = np.random.default_rng(seed)
-        n = int(r.integers(9, 120))
-        w = np.sort(r.normal(0.0, r.uniform(0.5, 2.0), n))
+        n = int(r.integers(1, 120))
+        if r.random() < 0.5:
+            w = np.sort(r.normal(0.0, r.uniform(0.5, 2.0), n))
+        else:  # rank-like grid on (0, 1], with ties
+            w = np.sort(np.ceil(r.uniform(size=n) * n) / n)
         mu_c = r.normal(0.0, 1.0, 25)
         mu_r = r.normal(0.0, 1.0, 25)
         sc = float(r.uniform(0.1, 3.0))
-        sr = float(r.uniform(0.1, 3.0))
+        if r.random() < 0.5:
+            sr = float(r.uniform(0.1, 3.0))
+        else:  # near-equal variances: a shallow concave quadratic
+            sr = sc * (1.0 + 10.0 ** r.uniform(-3.0, 0.5))
         fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
         assert np.array_equal(fast, brute)
