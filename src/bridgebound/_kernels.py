@@ -16,24 +16,34 @@ _LANES = 4096
 
 
 def comp_sum(x):
-    """Compensated sum: Neumaier lanes folded with an exactly rounded fsum."""
+    """Compensated sum: Neumaier lanes folded with an exactly rounded fsum.
+
+    When the sum is not finite (it overflows or meets inf - inf), the plain
+    IEEE sum (inf or nan) is returned, for the output writers to refuse.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
-    if n == 0:
-        return 0.0
-    if n <= 2 * _LANES:
-        return math.fsum(x)
-    k = n // _LANES
-    body = x[: k * _LANES].reshape(k, _LANES)
-    s = body[0].copy()
-    c = np.zeros(_LANES)
-    for i in range(1, k):
-        v = body[i]
-        t = s + v
-        big = np.abs(s) >= np.abs(v)
-        c += np.where(big, (s - t) + v, (v - t) + s)
-        s = t
-    return math.fsum(np.concatenate([s, c, x[k * _LANES:]]))
+    parts = x
+    if n > 2 * _LANES:
+        k = n // _LANES
+        body = x[: k * _LANES].reshape(k, _LANES)
+        s = body[0].copy()
+        c = np.zeros(_LANES)
+        for i in range(1, k):
+            v = body[i]
+            t = s + v
+            big = np.abs(s) >= np.abs(v)
+            c += np.where(big, (s - t) + v, (v - t) + s)
+            s = t
+        parts = np.concatenate([s, c, x[k * _LANES:]])
+    try:
+        total = math.fsum(parts)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if math.isfinite(total):
+        return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(x))
 
 
 def normal_logpdf(x, mean, var):

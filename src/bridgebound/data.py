@@ -128,7 +128,7 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     return Dataset(treat, med, out, cov, tuple(cov_names), bench, bench_name)
 
 
-def save_dataset(data: Dataset, path: str, float_format: str = ".17g") -> None:
+def save_dataset(data: Dataset, path: str) -> None:
     """Write the dataset with canonical column names (treat, m, y, x1.., w)."""
     names = ["treat", "m", "y"] + [f"x{j + 1}" for j in range(data.p)]
     if data.benchmark is not None:
@@ -139,11 +139,11 @@ def save_dataset(data: Dataset, path: str, float_format: str = ".17g") -> None:
             writer.writerow(names)
             for i in range(data.n):
                 row = [str(int(data.treatment[i])),
-                       format(data.mediator[i], float_format),
-                       format(data.outcome[i], float_format)]
-                row += [format(v, float_format) for v in data.covariates[i]]
+                       format(data.mediator[i], ".17g"),
+                       format(data.outcome[i], ".17g")]
+                row += [format(v, ".17g") for v in data.covariates[i]]
                 if data.benchmark is not None:
-                    row.append(format(data.benchmark[i], float_format))
+                    row.append(format(data.benchmark[i], ".17g"))
                 writer.writerow(row)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

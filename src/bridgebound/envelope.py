@@ -16,7 +16,8 @@ from .errors import BridgeboundError
 def xi_pointwise(eta: float, gamma: float) -> float:
     """Bound eta * (gamma - 1) / gamma for scalars; gamma = +inf degrades to eta.
 
-    eta finite and >= 0 and gamma >= 1 are required.
+    eta finite and >= 0 and gamma >= 1 are required. The result never exceeds
+    eta: for large finite gamma the product can overflow or round one ulp up.
     """
     eta, gamma = float(eta), float(gamma)
     if not (math.isfinite(eta) and eta >= 0.0):
@@ -25,4 +26,4 @@ def xi_pointwise(eta: float, gamma: float) -> float:
         raise BridgeboundError(f"gamma must be >= 1 (inf allowed), got {gamma}")
     if math.isinf(gamma):
         return eta
-    return eta * (gamma - 1.0) / gamma
+    return min(eta * (gamma - 1.0) / gamma, eta)

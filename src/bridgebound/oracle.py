@@ -18,6 +18,11 @@ error rather than Monte Carlo error:
 * the quantile re-representation on [0, 1] preserving (eta, gamma),
 * the variance bound var(psi(U)) <= eta^2 / 4.
 
+check_model runs all of them on one model in a single walk: each mediator
+value is partitioned once and each (m, stratum, arm) cell enumerated once,
+and the scalar reduction reads the same cells. run_fuzz folds the per-model
+worst values over a seeded corpus.
+
 The fuzz generator builds seeded random models whose multi-x strata are exact
 by construction: members of a group share bridge laws either by sharing the
 latent law and perturbing mediator tables inside the mixture-preserving null
@@ -38,6 +43,7 @@ from .errors import BridgeboundError
 _SUM_TOL = 1e-12
 _INTRA_TOL = 1e-12      # members of one stratum agree on the bridge to this
 _SEPARATION = 1e-7      # distinct strata differ by at least this
+_MODEL_TRIES = 100      # random_model redraws before giving up
 
 
 @dataclass(frozen=True)
@@ -86,22 +92,24 @@ class DiscreteModel:
             for x in members[1:]:
                 if np.max(np.abs(psi[:, x, :] - ref)) > 1e-9:
                     raise BridgeboundError(f"psi not constant within group {g}")
+        bridge = np.einsum("axu,axum->axm", p_u, p_m)
+        bridge.flags.writeable = False
+        object.__setattr__(self, "_bridge", bridge)
 
     @property
     def nx(self) -> int:
         return self.p_x.shape[0]
 
     @property
-    def nu(self) -> int:
-        return self.p_u.shape[2]
-
-    @property
     def nm(self) -> int:
         return self.p_m.shape[3]
 
     def bridge_values(self) -> np.ndarray:
-        """f[a, x, m] = P(M = m | A = a, X = x), marginal over U."""
-        return np.einsum("axu,axum->axm", self.p_u, self.p_m)
+        """f[a, x, m] = P(M = m | A = a, X = x), marginal over U (read-only).
+
+        Enumerated once, when the model is built.
+        """
+        return self._bridge
 
 
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
@@ -118,22 +126,6 @@ def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
                 continue
         strata.append([int(x)])
     return [sorted(s) for s in strata]
-
-
-def check_balancing(model: DiscreteModel, m: int, arm: int) -> float:
-    """Max TV distance between P(x | a, M=m, stratum) and P(x | a, stratum)."""
-    f = model.bridge_values()[arm, :, m]
-    worst = 0.0
-    for stratum in exact_bridge_partition(model, m):
-        idx = np.asarray(stratum)
-        px = model.p_x[idx]
-        joint = px * f[idx]
-        if joint.sum() <= 0.0:
-            raise BridgeboundError(f"stratum {stratum} carries no mass at m={m}, arm={arm}")
-        with_m = joint / joint.sum()
-        without = px / px.sum()
-        worst = max(worst, 0.5 * float(np.abs(with_m - without).sum()))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -214,14 +206,15 @@ def check_projection(sens: StratumSensitivity) -> float:
 
 
 def check_tightening(sens: StratumSensitivity):
-    """(gamma_gap, eta_gap, decoupled): sup-of-covariate-level minus stratum-level.
+    """(gamma_gap, eta_gap): sup-of-covariate-level minus stratum-level.
 
     gamma_gap >= 0 must hold unconditionally; eta_gap >= 0 is guaranteed only
-    when the covariate and latent laws decouple inside the stratum.
+    when the covariate and latent laws decouple inside the stratum
+    (sens.decoupled).
     """
     gamma_gap = float(sens.gamma_star.max() - sens.gamma)
     eta_gap = float(sens.eta_star.max() - sens.eta)
-    return gamma_gap, eta_gap, sens.decoupled
+    return gamma_gap, eta_gap
 
 
 def check_popoviciu(sens: StratumSensitivity) -> float:
@@ -308,70 +301,6 @@ def self_test_failure():
     return model, bound_gap(corrupted)
 
 
-def check_scalar_reduction(model: DiscreteModel) -> dict:
-    """Enumerate theta directly and through the anchor-plus-shifts identity.
-
-    Requires the latent law and psi to be arm-free (randomization); raises
-    otherwise. Also verifies the aggregated envelope never exceeds the largest
-    pointwise envelope and dominates the aggregated shift.
-    """
-    if np.max(np.abs(model.p_u[0] - model.p_u[1])) > 0.0 or \
-            np.max(np.abs(model.psi[0] - model.psi[1])) > 0.0:
-        raise BridgeboundError("scalar reduction needs arm-free latent law and psi")
-
-    f = model.bridge_values()
-    theta_direct = 0.0
-    for x in range(model.nx):
-        inner = float(np.sum(model.p_u[0, x, :][:, None] * model.p_m[0, x, :, :]
-                             * model.psi[0, x, :][:, None]))
-        theta_direct += model.p_x[x] * inner
-
-    theta_si = 0.0
-    delta_bar = [0.0, 0.0]
-    xi_bar = [0.0, 0.0]
-    xi_max = [0.0, 0.0]
-    cells = {}
-    for m in range(model.nm):
-        strata = exact_bridge_partition(model, m)
-        lookup = {}
-        for stratum in strata:
-            for x in stratum:
-                lookup[x] = tuple(stratum)
-        for stratum in strata:
-            key = (m, tuple(stratum))
-            idx = list(stratum)
-            # mu1: outcome mean among treated at (m, stratum)
-            w1 = model.p_x[idx][:, None] * model.p_u[1, idx, :] * model.p_m[1, idx, :, m]
-            mass = w1.sum()
-            if mass <= 0.0:
-                raise BridgeboundError(f"no treated mass at m={m}, stratum {stratum}")
-            mu1 = float((w1 * model.psi[1, idx, :]).sum() / mass)
-            sens = {arm: exact_sensitivity(model, arm, m, stratum) for arm in (0, 1)}
-            cells[key] = (mu1, sens)
-        for x in range(model.nx):
-            stratum = lookup[x]
-            mu1, sens = cells[(m, stratum)]
-            w = model.p_x[x] * f[0, x, m]
-            theta_si += w * mu1
-            for arm in (0, 1):
-                delta_bar[arm] += w * sens[arm].delta
-                xi = xi_pointwise(sens[arm].eta, sens[arm].gamma)
-                xi_bar[arm] += w * xi
-                xi_max[arm] = max(xi_max[arm], xi)
-
-    recombined = theta_si + delta_bar[0] - delta_bar[1]
-    return {
-        "theta_direct": theta_direct,
-        "theta_recombined": recombined,
-        "identity_residual": abs(theta_direct - recombined),
-        "delta_bar": tuple(delta_bar),
-        "xi_bar": tuple(xi_bar),
-        "xi_bar_sup_gap": max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1]),
-        "delta_bar_envelope_gap": max(abs(delta_bar[0]) - xi_bar[0],
-                                      abs(delta_bar[1]) - xi_bar[1]),
-    }
-
-
 # ---------------------------------------------------------------------------
 # seeded fuzz generator
 # ---------------------------------------------------------------------------
@@ -415,10 +344,9 @@ def _scaled(base: np.ndarray, direction: np.ndarray, rng) -> np.ndarray:
 
 def random_model(rng: np.random.Generator, *, decoupled: bool = True,
                  shared_arms: bool = False,
-                 mediator_ignorable: bool = False,
-                 max_tries: int = 100) -> DiscreteModel:
+                 mediator_ignorable: bool = False) -> DiscreteModel:
     """One seeded random model; multi-x strata are exact by construction."""
-    for _ in range(max_tries):
+    for _ in range(_MODEL_TRIES):
         if decoupled:
             nx = int(rng.integers(1, 5))
             nu = int(rng.integers(2, 6))
@@ -493,7 +421,7 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
         model = DiscreteModel(p_x, p_u, p_m, psi, tuple(int(g) for g in groups))
         if _well_separated(model):
             return model
-    raise BridgeboundError("could not draw a well-separated model; widen max_tries")
+    raise BridgeboundError(f"no well-separated model in {_MODEL_TRIES} tries")
 
 
 def _well_separated(model: DiscreteModel) -> bool:
@@ -532,7 +460,8 @@ CHECK_THRESHOLDS = {
     "delta_bar_envelope_gap": 1e-10,
 }
 
-_MIN_STATS = ("gamma_gap_min", "eta_gap_min_decoupled")
+# folded by min; every other statistic is folded by max
+_MIN_STATS = ("gamma_gap_min", "eta_gap_min_decoupled", "eta_gap_min_any")
 
 
 @dataclass
@@ -544,82 +473,128 @@ class FuzzReport:
     stats: dict
     eta_gap_min_any: float     # reported, never asserted
 
-    def failures(self, thresholds: Optional[dict] = None) -> dict:
-        thresholds = thresholds or CHECK_THRESHOLDS
-        bad = {}
-        for name, limit in thresholds.items():
-            value = self.stats[name]
-            if name in _MIN_STATS:
-                if value < limit:
-                    bad[name] = value
-            elif value > limit:
-                bad[name] = value
-        return bad
-
-    def passed(self, thresholds: Optional[dict] = None) -> bool:
-        return not self.failures(thresholds)
+    def failures(self) -> dict:
+        return {name: value for name, value in self.stats.items()
+                if (value < CHECK_THRESHOLDS[name] if name in _MIN_STATS
+                    else value > CHECK_THRESHOLDS[name])}
 
 
-def _check_one(model: DiscreteModel, stats: dict, extremes: dict) -> None:
+def _fold(stats: dict, name: str, value) -> None:
+    pick = min if name in _MIN_STATS else max
+    stats[name] = pick(stats.get(name, value), value)
+
+
+def check_model(model: DiscreteModel) -> dict:
+    """Worst value of every exact check on one model, in a single walk.
+
+    Each mediator value is partitioned once and each (m, stratum, arm) cell
+    enumerated once. A cell gives its stratum's balancing TV distance between
+    P(x | a, M=m, stratum) and P(x | a, stratum) and its bound, projection,
+    tightening, quantile and Popoviciu statistics; eta_gap_min_any covers
+    the cells that do not decouple.
+
+    When the latent law and psi are arm-free, the same cells give the scalar
+    reduction: theta enumerated directly and as theta_si + Delta_bar_0 -
+    Delta_bar_1 (scalar_identity is their gap), and the aggregated envelopes
+    xi_bar against their pointwise sup and the aggregated shifts. When the
+    mediator tables are also free of u, the anchor theta_si alone must be
+    exact, and scalar_identity covers that gap too. Models whose arms differ
+    get no reduction entries.
+    """
+    f = model.bridge_values()
+    arm_free = (np.array_equal(model.p_u[0], model.p_u[1])
+                and np.array_equal(model.psi[0], model.psi[1]))
+    out = {}
+    theta_si = 0.0
+    delta_bar = [0.0, 0.0]
+    xi_bar = [0.0, 0.0]
+    xi_max = [0.0, 0.0]
     for m in range(model.nm):
-        strata = exact_bridge_partition(model, m)
-        for arm in (0, 1):
-            stats["balancing_tv"] = max(stats["balancing_tv"],
-                                        check_balancing(model, m, arm))
-            for stratum in strata:
-                sens = exact_sensitivity(model, arm, m, stratum)
-                stats["bound_gap"] = max(stats["bound_gap"], bound_gap(sens))
-                stats["projection_residual"] = max(stats["projection_residual"],
-                                                   check_projection(sens))
-                ggap, egap, dec = check_tightening(sens)
-                stats["gamma_gap_min"] = min(stats["gamma_gap_min"], ggap)
-                if dec:
-                    stats["eta_gap_min_decoupled"] = min(
-                        stats["eta_gap_min_decoupled"], egap)
-                else:
-                    extremes["eta_gap_min_any"] = min(extremes["eta_gap_min_any"], egap)
-                q = check_quantile_representation(sens)
-                stats["quantile_mean0"] = max(stats["quantile_mean0"], q["mean0_residual"])
-                stats["quantile_mean1"] = max(stats["quantile_mean1"], q["mean1_residual"])
-                stats["quantile_eta"] = max(stats["quantile_eta"], q["eta_residual"])
-                stats["quantile_gamma"] = max(stats["quantile_gamma"], q["gamma_residual"])
-                stats["popoviciu_gap"] = max(stats["popoviciu_gap"],
-                                             check_popoviciu(sens))
+        cell_of = {}
+        for stratum in exact_bridge_partition(model, m):
+            idx = np.asarray(stratum)
+            px = model.p_x[idx]
+            for arm in (0, 1):
+                joint = px * f[arm, idx, m]
+                if joint.sum() <= 0.0:
+                    raise BridgeboundError(
+                        f"stratum {stratum} carries no mass at m={m}, arm={arm}")
+                tv = 0.5 * float(np.abs(joint / joint.sum() - px / px.sum()).sum())
+                _fold(out, "balancing_tv", tv)
+            sens = [exact_sensitivity(model, arm, m, stratum) for arm in (0, 1)]
+            for cell in sens:
+                _fold(out, "bound_gap", bound_gap(cell))
+                _fold(out, "projection_residual", check_projection(cell))
+                ggap, egap = check_tightening(cell)
+                _fold(out, "gamma_gap_min", ggap)
+                _fold(out, "eta_gap_min_decoupled" if cell.decoupled
+                      else "eta_gap_min_any", egap)
+                q = check_quantile_representation(cell)
+                for key in ("mean0", "mean1", "eta", "gamma"):
+                    _fold(out, f"quantile_{key}", q[f"{key}_residual"])
+                _fold(out, "popoviciu_gap", check_popoviciu(cell))
+            if arm_free:
+                # mu1: outcome mean among treated at (m, stratum)
+                w1 = px[:, None] * model.p_u[1, idx, :] * model.p_m[1, idx, :, m]
+                mu1 = float((w1 * model.psi[1, idx, :]).sum() / w1.sum())
+                for x in stratum:
+                    cell_of[x] = (mu1, sens)
+        if not arm_free:
+            continue
+        for x in range(model.nx):
+            mu1, sens = cell_of[x]
+            w = model.p_x[x] * f[0, x, m]
+            theta_si += w * mu1
+            for arm in (0, 1):
+                delta_bar[arm] += w * sens[arm].delta
+                xi = xi_pointwise(sens[arm].eta, sens[arm].gamma)
+                xi_bar[arm] += w * xi
+                xi_max[arm] = max(xi_max[arm], xi)
+    if not arm_free:
+        return out
+
+    theta_direct = 0.0
+    for x in range(model.nx):
+        inner = float(np.sum(model.p_u[0, x, :][:, None] * model.p_m[0, x, :, :]
+                             * model.psi[0, x, :][:, None]))
+        theta_direct += model.p_x[x] * inner
+    recombined = theta_si + delta_bar[0] - delta_bar[1]
+    identity = abs(theta_direct - recombined)
+    out.update(
+        theta_direct=theta_direct,
+        theta_recombined=recombined,
+        delta_bar=tuple(delta_bar),
+        xi_bar=tuple(xi_bar),
+        scalar_identity=identity,
+        xi_bar_sup_gap=max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1]),
+        delta_bar_envelope_gap=max(abs(delta_bar[0]) - xi_bar[0],
+                                   abs(delta_bar[1]) - xi_bar[1]),
+    )
+    if identity <= 1e-12 and not np.ptp(model.p_m, axis=2).any():
+        anchor_gap = abs(theta_direct - (recombined - delta_bar[0] + delta_bar[1]))
+        _fold(out, "scalar_identity", anchor_gap)
+    return out
 
 
 def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
     """Run every exact check over a seeded corpus of random models.
 
     The corpus cycles through four kinds: decoupled, non-decoupled, arm-free
-    decoupled, and arm-free non-decoupled. Arm-free models additionally
-    exercise the scalar-reduction identity; every tenth arm-free decoupled
-    model is mediator-ignorable, where the anchor is exact.
+    decoupled, and arm-free non-decoupled. check_model walks each model once;
+    on arm-free models that walk also checks the scalar-reduction identity.
+    Every tenth arm-free decoupled model is mediator-ignorable, where the
+    anchor is exact.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stats = {name: (np.inf if name in _MIN_STATS else 0.0)
-             for name in CHECK_THRESHOLDS}
-    extremes = {"eta_gap_min_any": np.inf}
+             for name in (*CHECK_THRESHOLDS, "eta_gap_min_any")}
     for i in range(n_models):
         kind = i % 4
-        decoupled = kind in (0, 2)
-        shared = kind in (2, 3)
-        ignorable = kind == 2 and (i % 40 == 2)
-        model = random_model(rng, decoupled=decoupled, shared_arms=shared,
-                             mediator_ignorable=ignorable)
-        _check_one(model, stats, extremes)
-        if shared:
-            res = check_scalar_reduction(model)
-            stats["scalar_identity"] = max(stats["scalar_identity"],
-                                           res["identity_residual"])
-            stats["xi_bar_sup_gap"] = max(stats["xi_bar_sup_gap"],
-                                          res["xi_bar_sup_gap"])
-            stats["delta_bar_envelope_gap"] = max(stats["delta_bar_envelope_gap"],
-                                                  res["delta_bar_envelope_gap"])
-            if ignorable and res["identity_residual"] <= 1e-12:
-                # anchor must be exact when the mediator carries no latent link
-                anchor_gap = abs(res["theta_direct"]
-                                 - (res["theta_recombined"]
-                                    - res["delta_bar"][0] + res["delta_bar"][1]))
-                stats["scalar_identity"] = max(stats["scalar_identity"], anchor_gap)
-    eta_any = extremes["eta_gap_min_any"]
+        model = random_model(rng, decoupled=kind in (0, 2), shared_arms=kind in (2, 3),
+                             mediator_ignorable=kind == 2 and (i % 40 == 2))
+        res = check_model(model)
+        for name in stats:
+            if name in res:
+                _fold(stats, name, res[name])
+    eta_any = stats.pop("eta_gap_min_any")
     return FuzzReport(n_models, seed, stats, float(eta_any if np.isfinite(eta_any) else 0.0))

@@ -20,7 +20,7 @@ from bridgebound.gcomp import PRIOR_KEYS, SETTING_KEYS
 from bridgebound.data import BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, save_dataset
 from bridgebound.errors import ConfigError, Key, NumericalFailure, check
 from conftest import BENCH_SPEC, NULL_SPEC
-from bridgebound.data import generate_synthetic
+from bridgebound.data import BenchmarkSpec, SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +648,53 @@ def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def overflow_csv(tmp_path_factory):
+    """Benchmark study whose records stay finite under lambda0 = 1e307 but whose
+    sums overflow."""
+    spec = SyntheticSpec(n=60, p=1, beta_m=(0.5, 1.2, 0.8), c0=1.0, c_a=0.7, c_m=0.9,
+                         x_scale=0.6, benchmark=BenchmarkSpec(low=0.0, high=2.0,
+                                                              coef_m=0.5, coef_y=0.4))
+    path = tmp_path_factory.mktemp("overflow") / "study.csv"
+    save_dataset(generate_synthetic(spec, seed=3)[0], str(path))
+    return str(path)
+
+
+OVERFLOW_RUN = {"draws": 200, "mediator_draws": 2, "seed": 3}
+
+
+@pytest.mark.parametrize("command,edit,where", [
+    ("fit", {"setting": {"route": "benchmark_raw", "lambda0": 1e307}},
+     "-inf at summary.nde_lower.mean"),
+    ("fit", {"setting": {"route": "benchmark_raw", "lambda0": 1.7e308}},
+     "nan at summary.delta_bar_0.mean"),
+    ("sweep", {"axis": "lambda", "grid": [1.0, 1e307],
+               "overlays": [{"setting": {"route": "benchmark_raw"}}]},
+     "inf at overlay 'benchmark_raw', lambda = 9.9999999999999999e+306, column half_width"),
+])
+def test_overflowing_sums_are_numerical_failures(overflow_csv, tmp_path, capsys,
+                                                 command, edit, where):
+    cfg = {"data": overflow_csv, **OVERFLOW_RUN, **edit}
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: non-finite value {where}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_huge_finite_g_matches_infinite_g(overflow_csv, tmp_path):
+    outs = []
+    for g0 in (1e308, math.inf):
+        cfg = {"data": overflow_csv, **OVERFLOW_RUN,
+               "setting": {"route": "residual_budget", "k0": 1.0, "g0": g0}}
+        outs.append(tmp_path / f"fit-{g0}.json")
+        assert cli.main(["fit", "--config", write_config(tmp_path, "cfg.json", cfg),
+                         "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _reject_constant(name):

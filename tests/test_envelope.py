@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bridgebound.envelope import xi_pointwise
@@ -15,6 +15,8 @@ def test_xi_frozen_values():
     assert xi_pointwise(6.0, 3.0) == 4.0
     assert xi_pointwise(0.0, 50.0) == 0.0
     assert xi_pointwise(2.5, math.inf) == 2.5
+    # eta * (gamma - 1) overflows here; the bound is still eta
+    assert xi_pointwise(2.0, 1e308) == 2.0
 
 
 def test_xi_scalar_and_array_forms():
@@ -35,6 +37,9 @@ def test_xi_rejects_out_of_range():
 
 
 @given(st.floats(0.0, 1e6), st.floats(1.0, 1e12), st.floats(1.0, 1e12))
+# gamma - 1 above ~1e15, where eta * (gamma - 1) / gamma can round above eta
+@example(692743.3679651524, 2.791920139905233e16, 4.798295622470661e16)
+@example(941621.3625858931, 1e15, 1e17)
 def test_xi_bounded_and_monotone_in_gamma(eta, g_a, g_b):
     lo, hi = sorted((g_a, g_b))
     xi_lo = xi_pointwise(eta, lo)

@@ -32,6 +32,14 @@ def test_comp_sum_empty_and_large():
     assert abs(comp_sum(x) - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
+def test_comp_sum_overflow_gives_ieee_sum():
+    # fsum raises on these; the plain sum's inf or nan reaches the output check
+    for n in (2, 3 * _LANES):
+        big = np.full(n, 1e308)
+        assert comp_sum(big) == math.inf and comp_sum(-big) == -math.inf
+        assert math.isnan(comp_sum(np.resize([math.inf, -math.inf], n)))
+
+
 @given(st.lists(st.floats(min_value=-1e8, max_value=1e8,
                           allow_nan=False), min_size=1, max_size=300))
 def test_comp_sum_tracks_fsum(values):

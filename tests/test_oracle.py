@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from bridgebound import oracle
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError
 from bridgebound.oracle import (CHECK_THRESHOLDS, DiscreteModel,
-                                bound_gap, check_balancing,
-                                check_bound_and_sharpness, check_popoviciu,
+                                bound_gap, check_bound_and_sharpness,
+                                check_model, check_popoviciu,
                                 check_projection,
                                 check_quantile_representation,
-                                check_scalar_reduction, check_tightening,
+                                check_tightening,
                                 exact_bridge_partition, exact_sensitivity,
                                 make_sharpness_model, random_model, run_fuzz,
                                 self_test_failure)
@@ -84,27 +85,21 @@ class TestPartition:
 
 class TestBalancing:
     def test_single_covariate_is_exactly_balanced(self):
-        assert check_balancing(TWO_POINT, 0, 0) == 0.0
-        assert check_balancing(TWO_POINT, 1, 1) == 0.0
+        assert check_model(TWO_POINT)["balancing_tv"] == 0.0
 
     def test_constructed_strata_balance(self):
-        model = mirrored_pair_model()
-        for m in (0, 1):
-            for arm in (0, 1):
-                assert check_balancing(model, m, arm) <= 1e-12
+        assert check_model(mirrored_pair_model())["balancing_tv"] <= 1e-12
 
     def test_random_models_balance(self):
         r = rng(33)
         for i in range(12):
             model = random_model(r, decoupled=bool(i % 2))
-            for m in range(model.nm):
-                for arm in (0, 1):
-                    assert check_balancing(model, m, arm) <= 1e-10
+            assert check_model(model)["balancing_tv"] <= 1e-10
 
     def test_zero_mass_detected(self):
         dead = single_x_model([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
         with pytest.raises(BridgeboundError, match="carries no mass"):
-            check_balancing(dead, 1, 0)
+            check_model(dead)
 
 
 class TestSensitivity:
@@ -175,8 +170,8 @@ class TestProjectionAndTightening:
         sens = exact_sensitivity(TWO_POINT, 0, 0, [0])
         assert check_projection(sens) == 0.0
         assert sens.delta_star[0] == sens.delta
-        ggap, egap, dec = check_tightening(sens)
-        assert ggap == 0.0 and egap == 0.0 and dec
+        ggap, egap = check_tightening(sens)
+        assert ggap == 0.0 and egap == 0.0 and sens.decoupled
 
     def test_mirrored_pair_projects_to_zero(self):
         sens = exact_sensitivity(mirrored_pair_model(), 0, 0, [0, 1])
@@ -189,8 +184,8 @@ class TestProjectionAndTightening:
 
     def test_mirrored_pair_tightening(self):
         sens = exact_sensitivity(mirrored_pair_model(), 0, 0, [0, 1])
-        ggap, egap, dec = check_tightening(sens)
-        assert dec
+        ggap, egap = check_tightening(sens)
+        assert sens.decoupled
         assert ggap == 0.5       # covariate-level sup is 1.5, stratum is 1.0
         assert egap == 0.0
         assert np.array_equal(sens.gamma_star, [1.5, 1.5])
@@ -203,9 +198,9 @@ class TestProjectionAndTightening:
                 for arm in (0, 1):
                     for stratum in exact_bridge_partition(model, m):
                         sens = exact_sensitivity(model, arm, m, stratum)
-                        ggap, egap, dec = check_tightening(sens)
+                        ggap, egap = check_tightening(sens)
                         assert ggap >= -1e-10
-                        if dec:
+                        if sens.decoupled:
                             assert egap >= -1e-10
                         assert check_projection(sens) <= 1e-10
                         assert bound_gap(sens) <= 1e-10
@@ -241,6 +236,10 @@ class TestPopoviciu:
         assert check_popoviciu(exact_sensitivity(lop, 0, 0, [0])) < 0.0
 
 
+REDUCTION_KEYS = {"theta_direct", "theta_recombined", "delta_bar", "xi_bar",
+                  "scalar_identity", "xi_bar_sup_gap", "delta_bar_envelope_gap"}
+
+
 class TestScalarReduction:
     def test_requires_arm_free_tables(self):
         model = mirrored_pair_model()
@@ -248,35 +247,51 @@ class TestScalarReduction:
         p_u[1, 0] = [0.25, 0.75]
         p_u[1, 1] = [0.25, 0.75]
         biased = DiscreteModel(model.p_x, p_u, model.p_m, model.psi, model.groups)
-        with pytest.raises(BridgeboundError, match="arm-free"):
-            check_scalar_reduction(biased)
+        res = check_model(biased)
+        assert not REDUCTION_KEYS & set(res)
+        assert REDUCTION_KEYS <= set(check_model(model))
 
     def test_ignorable_model_has_exact_anchor(self):
         flat = single_x_model([0.5, 0.5], [[0.75, 0.25], [0.75, 0.25]],
                               [1.0, 0.0])
-        res = check_scalar_reduction(flat)
+        res = check_model(flat)
         assert res["delta_bar"] == (0.0, 0.0)
         assert res["theta_direct"] == res["theta_recombined"]
-        assert res["identity_residual"] == 0.0
+        assert res["scalar_identity"] == 0.0
 
     def test_constant_envelope_model(self):
         # gamma = 1.5 and eta = 1 at both mediator values, so the aggregated
         # envelope equals the common pointwise value exactly
-        res = check_scalar_reduction(TWO_POINT)
+        res = check_model(TWO_POINT)
         xi = xi_pointwise(1.0, 1.5)
         assert res["xi_bar"] == (xi, xi)
         assert res["xi_bar_sup_gap"] == 0.0
-        assert res["identity_residual"] <= 1e-15
+        assert res["scalar_identity"] <= 1e-15
         assert res["delta_bar_envelope_gap"] <= 0.0
 
     def test_random_shared_arm_models(self):
         r = rng(35)
         for i in range(8):
             model = random_model(r, decoupled=bool(i % 2), shared_arms=True)
-            res = check_scalar_reduction(model)
-            assert res["identity_residual"] <= 1e-10
+            res = check_model(model)
+            assert res["scalar_identity"] <= 1e-10
             assert res["xi_bar_sup_gap"] <= 1e-12
             assert res["delta_bar_envelope_gap"] <= 1e-10
+
+
+def test_check_model_enumerates_each_cell_once(monkeypatch):
+    model = random_model(rng(39), decoupled=False, shared_arms=True)
+    strata = sum(len(exact_bridge_partition(model, m)) for m in range(model.nm))
+    calls = {"exact_bridge_partition": 0, "exact_sensitivity": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    res = check_model(model)
+    assert "scalar_identity" in res
+    assert calls == {"exact_bridge_partition": model.nm,
+                     "exact_sensitivity": 2 * strata}
 
 
 class TestModelValidation:
@@ -362,20 +377,13 @@ class TestFuzzMachinery:
         report = run_fuzz(n_models=40, seed=90210)
         assert report.n_models == 40 and report.seed == 90210
         assert set(report.stats) == set(CHECK_THRESHOLDS)
-        assert report.passed(), report.failures()
+        assert not report.failures()
         assert math.isfinite(report.eta_gap_min_any)
 
     def test_fuzz_is_deterministic(self):
         a = run_fuzz(n_models=12, seed=4)
         b = run_fuzz(n_models=12, seed=4)
         assert a.stats == b.stats
-
-    def test_failure_report_thresholds(self):
-        report = run_fuzz(n_models=8, seed=4)
-        tight = dict(CHECK_THRESHOLDS)
-        tight["bound_gap"] = -1.0
-        assert not report.passed(tight)
-        assert "bound_gap" in report.failures(tight)
 
 
 def test_self_test_failure_is_detected():
