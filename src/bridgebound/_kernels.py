@@ -29,12 +29,14 @@ def comp_sum(x):
         body = x[: k * _LANES].reshape(k, _LANES)
         s = body[0].copy()
         c = np.zeros(_LANES)
-        for i in range(1, k):
-            v = body[i]
-            t = s + v
-            big = np.abs(s) >= np.abs(v)
-            c += np.where(big, (s - t) + v, (v - t) + s)
-            s = t
+        # lanes that overflow carry inf/nan on to the IEEE fallback below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, k):
+                v = body[i]
+                t = s + v
+                big = np.abs(s) >= np.abs(v)
+                c += np.where(big, (s - t) + v, (v - t) + s)
+                s = t
         parts = np.concatenate([s, c, x[k * _LANES:]])
     try:
         total = math.fsum(parts)

@@ -32,11 +32,10 @@ def mediator_means(x: np.ndarray, beta: np.ndarray):
 
 
 def bridge_log_pair(m: np.ndarray, mean0: np.ndarray, treat_shift: float, sigma2: float):
-    """Log bridge densities (l0, l1) at mediator values m, vectorized."""
+    """Log bridge densities (l0, l1) at mediator values m; mean0 broadcasts against m."""
     if not sigma2 > 0.0:
         raise BridgeboundError(f"mediator variance must be positive, got {sigma2}")
     m = np.ascontiguousarray(m, dtype=np.float64)
-    mean0 = np.ascontiguousarray(np.broadcast_to(mean0, m.shape), dtype=np.float64)
     l0 = _kernels.normal_logpdf(m, mean0, sigma2)
     l1 = _kernels.normal_logpdf(m, mean0 + treat_shift, sigma2)
     return l0, l1

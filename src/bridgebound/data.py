@@ -26,9 +26,7 @@ class Dataset:
     mediator: np.ndarray
     outcome: np.ndarray
     covariates: np.ndarray
-    covariate_names: tuple = ()
     benchmark: Optional[np.ndarray] = None
-    benchmark_name: Optional[str] = None
 
     def __post_init__(self):
         treat = np.asarray(self.treatment)
@@ -63,7 +61,6 @@ class Dataset:
         object.__setattr__(self, "mediator", med)
         object.__setattr__(self, "outcome", out)
         object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         object.__setattr__(self, "benchmark", bench)
 
     @property
@@ -84,67 +81,81 @@ SCHEMA_KEYS = {"treatment": _COLUMN, "mediator": _COLUMN, "outcome": _COLUMN,
 
 
 def load_dataset(path: str, schema: dict) -> Dataset:
-    """Read a UTF-8 CSV with a header row, mapping columns via schema (SCHEMA_KEYS)."""
+    """Read a UTF-8 CSV with a header row, mapping columns via schema (SCHEMA_KEYS).
+
+    One csv.reader pass, then one float64 parse and one finiteness check per
+    schema column. Rows keep csv.DictReader's semantics: blank lines are
+    skipped, a duplicated header name reads its last column, a short row's
+    missing cell is None and extra trailing cells are ignored. Only when a
+    column fails are the cells parsed one at a time, in row-major schema
+    order, so the error names the first bad cell.
+    """
     check("schema", schema, SCHEMA_KEYS)
     cov_names = list(schema.get("covariates", ()))
     bench_name = schema.get("benchmark")
+    wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
+    wanted += cov_names + ([bench_name] if bench_name else [])
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
-            wanted += cov_names + ([bench_name] if bench_name else [])
+            reader = csv.reader(fh)
+            header = next(reader, [])
             for col in wanted:
                 if col not in header:
                     raise BridgeboundError(f"column '{col}' not in CSV header {header}")
-            rows = list(reader)
+            rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc
 
-    def parse(col: str, raw: str) -> float:
+    index = {name: j for j, name in enumerate(header)}  # a repeated name keeps its last column
+    cells = {name: [row[index[name]] for row in rows] for name in wanted}
+    columns = {}
+    for name, col in cells.items():
         try:
-            val = float(raw)
+            values = np.array(col, dtype=np.float64)
         except (TypeError, ValueError):
-            raise BridgeboundError(f"column '{col}': cannot parse {raw!r}") from None
-        if not np.isfinite(val):
-            raise BridgeboundError(f"column '{col}': non-finite value {raw!r}")
-        return val
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            _raise_first_bad_cell(wanted, cells)
+        columns[name] = values
 
-    n = len(rows)
-    treat = np.empty(n)
-    med = np.empty(n)
-    out = np.empty(n)
-    cov = np.empty((n, len(cov_names)))
-    bench = np.empty(n) if bench_name else None
-    for i, row in enumerate(rows):
-        treat[i] = parse(schema["treatment"], row[schema["treatment"]])
-        med[i] = parse(schema["mediator"], row[schema["mediator"]])
-        out[i] = parse(schema["outcome"], row[schema["outcome"]])
-        for j, name in enumerate(cov_names):
-            cov[i, j] = parse(name, row[name])
-        if bench_name:
-            bench[i] = parse(bench_name, row[bench_name])
-    return Dataset(treat, med, out, cov, tuple(cov_names), bench, bench_name)
+    cov = (np.column_stack([columns[name] for name in cov_names]) if cov_names
+           else np.empty((len(rows), 0)))
+    bench = columns[bench_name] if bench_name else None
+    return Dataset(columns[schema["treatment"]], columns[schema["mediator"]],
+                   columns[schema["outcome"]], cov, bench)
+
+
+def _raise_first_bad_cell(wanted: list, cells: dict) -> None:
+    """Parse cell by cell in row-major order and raise on the first bad one."""
+    for i in range(len(cells[wanted[0]])):
+        for name in wanted:
+            raw = cells[name][i]
+            try:
+                val = float(raw)
+            except (TypeError, ValueError):
+                raise BridgeboundError(f"column '{name}': cannot parse {raw!r}") from None
+            if not math.isfinite(val):
+                raise BridgeboundError(f"column '{name}': non-finite value {raw!r}")
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    """Write the dataset with canonical column names (treat, m, y, x1.., w)."""
+    """Write the dataset with canonical column names (treat, m, y, x1.., w).
+
+    Cells are written as csv.writer would write them: treatment as an
+    integer, every other value as %.17g, LF line endings.
+    """
     names = ["treat", "m", "y"] + [f"x{j + 1}" for j in range(data.p)]
+    columns = [data.treatment, data.mediator, data.outcome, data.covariates]
     if data.benchmark is not None:
         names.append("w")
+        columns.append(data.benchmark)
+    row_format = "%d" + ",%.17g" * (len(names) - 1) + "\n"
+    table = np.column_stack(columns).tolist()
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            for i in range(data.n):
-                row = [str(int(data.treatment[i])),
-                       format(data.mediator[i], ".17g"),
-                       format(data.outcome[i], ".17g")]
-                row += [format(v, ".17g") for v in data.covariates[i]]
-                if data.benchmark is not None:
-                    row.append(format(data.benchmark[i], ".17g"))
-                writer.writerow(row)
+            fh.write(",".join(names) + "\n")
+            fh.writelines(row_format % tuple(row) for row in table)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -268,21 +279,22 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
     w = None
     w_term_m = 0.0
     w_term_y = 0.0
-    if spec.benchmark is not None:
-        w = rng.uniform(spec.benchmark.low, spec.benchmark.high, spec.n)
-        w_term_m = spec.benchmark.coef_m * w
-        w_term_y = spec.benchmark.coef_y * w
+    # huge coefficients can overflow here; Dataset then rejects the column
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.benchmark is not None:
+            w = rng.uniform(spec.benchmark.low, spec.benchmark.high, spec.n)
+            w_term_m = spec.benchmark.coef_m * w
+            w_term_y = spec.benchmark.coef_y * w
 
-    x_index = x @ beta_m[2:]
-    med = (beta_m[0] + beta_m[1] * treat + x_index + w_term_m
-           + spec.confounder_strength * u
-           + spec.sigma_m * rng.standard_normal(spec.n))
-    out = (spec.c0 + spec.c_a * treat + spec.c_m * med + spec.x_scale * x_index
-           + w_term_y + spec.confounder_strength * u
-           + spec.sigma_y * rng.standard_normal(spec.n))
+        x_index = x @ beta_m[2:]
+        med = (beta_m[0] + beta_m[1] * treat + x_index + w_term_m
+               + spec.confounder_strength * u
+               + spec.sigma_m * rng.standard_normal(spec.n))
+        out = (spec.c0 + spec.c_a * treat + spec.c_m * med + spec.x_scale * x_index
+               + w_term_y + spec.confounder_strength * u
+               + spec.sigma_y * rng.standard_normal(spec.n))
 
-    names = tuple(f"x{j + 1}" for j in range(spec.p))
-    data = Dataset(treat, med, out, x, names, w, "w" if w is not None else None)
+    data = Dataset(treat, med, out, x, w)
     ignorable = spec.confounder_strength == 0.0 and (
         spec.benchmark is None or spec.benchmark.coef_m == 0.0 or spec.benchmark.coef_y == 0.0
     )

@@ -116,14 +116,14 @@ def counterfactual_mediator_draws(mean0: np.ndarray, treat_shift: float, sigma2:
                                   arm: int, n_per_unit: int, rng: np.random.Generator):
     """Sample n_per_unit mediator values per unit from arm's fitted law.
 
-    Returns (m, l0, l1) flattened unit-major; the bridge pair is evaluated at
-    the drawn values with the control-arm mean, whichever arm generated them.
+    Returns (m, l0, l1) as unit-major flat views of one (n, n_per_unit) grid;
+    the bridge pair is evaluated at the drawn values with the control-arm
+    mean, whichever arm generated them.
     """
-    mean_rep = np.repeat(mean0, n_per_unit)
-    z = rng.standard_normal(mean_rep.shape[0])
-    m = (mean_rep + treat_shift * arm) + np.sqrt(sigma2) * z
-    l0, l1 = bridge_log_pair(m, mean_rep, treat_shift, sigma2)
-    return m, l0, l1
+    z = rng.standard_normal((mean0.shape[0], n_per_unit))
+    m = (mean0[:, None] + treat_shift * arm) + np.sqrt(sigma2) * z
+    l0, l1 = bridge_log_pair(m, mean0[:, None], treat_shift, sigma2)
+    return m.ravel(), l0.ravel(), l1.ravel()
 
 
 _CORE_FIELDS = (
@@ -140,6 +140,13 @@ _ROUTE_FIELDS = {
 }
 
 _QUANTILES = ((2.5, 0.025), (25.0, 0.25), (50.0, 0.50), (75.0, 0.75), (97.5, 0.975))
+
+
+def _quantile(arr: np.ndarray, q: float) -> float:
+    """Quantile of one record; a non-finite record gives inf or nan, quietly,
+    for the output writers to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.quantile(arr, q))
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,7 @@ class RunResult:
             arr = self.records[name]
             entry = {"mean": _kernels.comp_mean(arr)}
             for label, q in _QUANTILES:
-                entry[f"q{label:g}"] = float(np.quantile(arr, q))
+                entry[f"q{label:g}"] = _quantile(arr, q)
             out[name] = entry
         return out
 
@@ -368,8 +375,8 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
                 "si_center": _kernels.comp_mean(rec["delta1"] - rec["theta_si"]),
                 "nie_lower": _kernels.comp_mean(rec["nie_lower"]),
                 "nie_upper": _kernels.comp_mean(rec["nie_upper"]),
-                "nie_lower_q2.5": float(np.quantile(rec["nie_lower"], 0.025)),
-                "nie_upper_q97.5": float(np.quantile(rec["nie_upper"], 0.975)),
+                "nie_lower_q2.5": _quantile(rec["nie_lower"], 0.025),
+                "nie_upper_q97.5": _quantile(rec["nie_upper"], 0.975),
                 "nde_lower": _kernels.comp_mean(rec["nde_lower"]),
                 "nde_upper": _kernels.comp_mean(rec["nde_upper"]),
                 "half_width": _kernels.comp_mean(rec["xi_bar_0"] + rec["xi_bar_1"]),

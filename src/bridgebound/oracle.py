@@ -33,7 +33,7 @@ inside the mediator matrix's kernel (non-decoupled).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -320,17 +320,17 @@ def _pm_perturbation(rng, p_u: np.ndarray, nm: int) -> np.ndarray:
     return np.outer(v, w)
 
 
-def _pu_perturbation(rng, pm_stack: np.ndarray) -> Optional[np.ndarray]:
-    """Direction in the kernel of the stacked mediator matrices, or None."""
+def _pu_perturbation(rng, pm_stack: np.ndarray) -> np.ndarray:
+    """Direction in the kernel of the stacked mediator matrices.
+
+    random_model only stacks 2 or 4 rows over 3 to 5 latent values, so the
+    kernel is never trivial.
+    """
     _, s, vt = np.linalg.svd(pm_stack)
-    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
-    if rank >= vt.shape[0]:
-        return None
+    rank = int(np.sum(s > 1e-12 * s[0]))
     basis = vt[rank:]
-    coef = rng.standard_normal(basis.shape[0])
-    v = coef @ basis
-    norm = np.abs(v).max()
-    return v / norm if norm > 0 else None
+    v = rng.standard_normal(basis.shape[0]) @ basis
+    return v / np.abs(v).max()
 
 
 def _scaled(base: np.ndarray, direction: np.ndarray, rng) -> np.ndarray:
@@ -369,7 +369,6 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
         p_m = np.empty((2, nx, nu, nm))
         psi = np.empty((2, nx, nu))
 
-        ok = True
         for g in set(groups.tolist()):
             members = [x for x in range(nx) if groups[x] == g]
             psi_g = rng.uniform(0.0, 1.0, size=(2, nu))
@@ -401,22 +400,12 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
                     if shared_arms:
                         stack = np.concatenate([base_pm[0].T, base_pm[1].T])
                         v = _pu_perturbation(rng, stack)
-                        if v is None:
-                            ok = False
-                            break
                         p_u[0, x] = _scaled(base_pu[0], v, rng)
                         p_u[1, x] = p_u[0, x]
                     else:
                         for a in range(2):
                             v = _pu_perturbation(rng, base_pm[a].T)
-                            if v is None:
-                                ok = False
-                                break
                             p_u[a, x] = _scaled(base_pu[a], v, rng)
-            if not ok:
-                break
-        if not ok:
-            continue
 
         model = DiscreteModel(p_x, p_u, p_m, psi, tuple(int(g) for g in groups))
         if _well_separated(model):

@@ -24,8 +24,7 @@ def dataset_with_benchmark(w, treat=None):
     if treat is None:
         treat = np.arange(n) % 2
     r = rng(41)
-    return Dataset(treat, r.normal(size=n), r.normal(size=n),
-                   np.empty((n, 0)), (), w, "w")
+    return Dataset(treat, r.normal(size=n), r.normal(size=n), np.empty((n, 0)), w)
 
 
 class TestPrepare:

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ def small_dataset(benchmark=None):
     treat = np.array([0, 0, 0, 1, 1])
     med = np.array([0.1, -0.4, 1.2, 0.9, 0.0])
     out = np.array([1.0, 0.5, -0.2, 2.0, 1.1])
-    return Dataset(treat, med, out, np.empty((5, 0)), (), benchmark)
+    return Dataset(treat, med, out, np.empty((5, 0)), benchmark)
 
 
 class TestDatasetValidation:
@@ -52,6 +53,58 @@ class TestDatasetValidation:
 BARE_SCHEMA = {"treatment": "treat", "mediator": "m", "outcome": "y", "covariates": []}
 
 
+# (mediator cell, its loaded value or the exact error message); the cells that
+# load are exactly those float() accepts
+LOAD_CELLS = [
+    ("1_000", 1000.0), ("\u0661\u0662", 12.0), (" 2 ", 2.0), ("\t3\n", 3.0),
+    ("\xa02", 2.0), ("+1.5", 1.5), ("1.", 1.0), (".5", 0.5), ("1E-5", 1e-5),
+    ("4.9e-324", 5e-324), ("1e-400", 0.0), ("\u0663.\u0665", 3.5),
+    ("1e400", "column 'm': non-finite value '1e400'"),
+    ("-1e400", "column 'm': non-finite value '-1e400'"),
+    ("nan", "column 'm': non-finite value 'nan'"),
+    ("-Infinity", "column 'm': non-finite value '-Infinity'"),
+    ("iNF", "column 'm': non-finite value 'iNF'"),
+    ("0x10", "column 'm': cannot parse '0x10'"),
+    ("", "column 'm': cannot parse ''"),
+    ("  ", "column 'm': cannot parse '  '"),
+    ("1,0", "column 'm': cannot parse '1,0'"),
+    ("1 000", "column 'm': cannot parse '1 000'"),
+    ("0b1", "column 'm': cannot parse '0b1'"),
+    ("\u22121", "column 'm': cannot parse '\u22121'"),
+    ("1e", "column 'm': cannot parse '1e'"),
+    ("1__0", "column 'm': cannot parse '1__0'"),
+    ("_1", "column 'm': cannot parse '_1'"),
+    ("1d5", "column 'm': cannot parse '1d5'"),
+    ("True", "column 'm': cannot parse 'True'"),
+    ("oops", "column 'm': cannot parse 'oops'"),
+]
+
+_ROWS = "0,1.0,2.0\n0,0.3,0.0\n1,0.5,1.0\n1,0.2,0.9\n"
+
+# (id, file text, loaded mediator column or the exact error message)
+LOAD_FILES = [
+    ("short_row", "treat,m,y\n0,1.0,2.0\n0,0.3\n1,0.5,1.0\n1,0.2,0.9\n",
+     "column 'y': cannot parse None"),
+    ("space_only_row", "treat,m,y\n0,1.0,2.0\n \n1,0.5,1.0\n1,0.2,0.9\n",
+     "column 'treat': cannot parse ' '"),
+    ("long_row", "treat,m,y\n0,1.0,2.0,x,\n0,0.3,0.0\n1,0.5,1.0,7\n1,0.2,0.9\n",
+     [1.0, 0.3, 0.5, 0.2]),
+    ("repeated_name", "treat,m,y,m\n0,oops,2.0,4\n0,,0.0,3\n1,0.5,1.0,2\n1,0.2,0.9,1\n",
+     [4.0, 3.0, 2.0, 1.0]),
+    ("blank_lines", "treat,m,y\n\n0,1.0,2.0\n\n\n0,0.3,0.0\n1,0.5,1.0\n1,0.2,0.9\n\n",
+     [1.0, 0.3, 0.5, 0.2]),
+    ("crlf", "treat,m,y\r\n" + _ROWS.replace("\n", "\r\n"), [1.0, 0.3, 0.5, 0.2]),
+    ("header_only", "treat,m,y\n", "arm 0 has 0 rows, needs at least 2"),
+    ("empty_file", "", "column 'treat' not in CSV header []"),
+    ("blank_header", "\ntreat,m,y\n" + _ROWS, "column 'treat' not in CSV header []"),
+    # row-major: row 1's y is named before row 2's treatment or row 3's m
+    ("two_bad_cells", "treat,m,y\n0,1.0,2.0\n0,0.3,nope\ninf,0.5,1.0\n1,bad,0.9\n",
+     "column 'y': cannot parse 'nope'"),
+    ("non_finite_before_bad", "treat,m,y\n0,1.0,2.0\n0,nan,0.0\n1,0.5,x\n1,0.2,0.9\n",
+     "column 'm': non-finite value 'nan'"),
+]
+
+
 class TestCsvRoundtrip:
     def test_save_load_identity(self, tmp_path):
         data, _ = generate_synthetic(
@@ -66,6 +119,27 @@ class TestCsvRoundtrip:
         assert np.array_equal(back.covariates, data.covariates)
         assert np.array_equal(back.benchmark, data.benchmark)
 
+    @pytest.mark.parametrize("p,bench_spec", [(0, None), (2, BenchmarkSpec(-1.0, 3.0))],
+                             ids=["p0", "p2_benchmark"])
+    def test_save_matches_csv_writer(self, tmp_path, p, bench_spec):
+        data, _ = generate_synthetic(
+            SyntheticSpec(n=40, p=p, beta_m=(0.5, 1.2) + (0.3,) * p,
+                          benchmark=bench_spec), seed=5)
+        path = tmp_path / "saved.csv"
+        save_dataset(data, str(path))
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["treat", "m", "y"] + [f"x{j + 1}" for j in range(p)]
+                        + (["w"] if bench_spec else []))
+        for i in range(data.n):
+            row = [str(int(data.treatment[i])), format(data.mediator[i], ".17g"),
+                   format(data.outcome[i], ".17g")]
+            row += [format(v, ".17g") for v in data.covariates[i]]
+            if bench_spec:
+                row.append(format(data.benchmark[i], ".17g"))
+            writer.writerow(row)
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
     def test_survey_style_header(self, tmp_path):
         # externally named columns mapped through an explicit schema
         r = rng(19)
@@ -75,15 +149,17 @@ class TestCsvRoundtrip:
             writer = csv.writer(fh)
             writer.writerow(["treat", "emo", "p_harm", "age", "educ",
                              "gender", "income"])
-            for i in range(n):
-                writer.writerow([i % 2, f"{r.normal():.6f}", f"{r.normal():.6f}",
-                                 r.integers(18, 80), r.integers(1, 5),
-                                 r.integers(0, 2), r.integers(1, 10)])
+            rows = [[i % 2, f"{r.normal():.6f}", f"{r.normal():.6f}",
+                     r.integers(18, 80), r.integers(1, 5),
+                     r.integers(0, 2), r.integers(1, 10)] for i in range(n)]
+            writer.writerows(rows)
         schema = {"treatment": "treat", "mediator": "emo", "outcome": "p_harm",
-                  "covariates": ["age", "educ", "gender", "income"]}
+                  "covariates": ["income", "age", "gender", "educ"]}
         data = load_dataset(str(path), schema)
         assert data.n == 265 and data.p == 4
-        assert data.covariate_names == ("age", "educ", "gender", "income")
+        # covariate columns come in schema order, not header order
+        written = np.array([row[3:] for row in rows], dtype=np.float64)
+        assert np.array_equal(data.covariates, written[:, [3, 0, 2, 1]])
         assert data.benchmark is None
 
     def test_missing_column_names_offender(self, tmp_path):
@@ -92,11 +168,34 @@ class TestCsvRoundtrip:
         with pytest.raises(BridgeboundError, match="'y'"):
             load_dataset(str(path), BARE_SCHEMA)
 
-    def test_unparseable_cell(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("treat,m,y\n0,1.0,2.0\n0,oops,0.0\n1,0.5,1.0\n1,0.2,0.9\n")
-        with pytest.raises(BridgeboundError, match="oops"):
-            load_dataset(str(path), BARE_SCHEMA)
+    @pytest.mark.parametrize("raw,expected", LOAD_CELLS,
+                             ids=[raw.encode("unicode_escape").decode() or "empty"
+                                  for raw, _ in LOAD_CELLS])
+    def test_edge_cell(self, tmp_path, raw, expected):
+        # the mediator cell of the second row; accepted exactly when float() accepts it
+        path = tmp_path / "cell.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["treat", "m", "y"], [0, 1.0, 2.0], [0, raw, 0.0],
+                                      [1, 0.5, 1.0], [1, 0.2, 0.9]])
+        if isinstance(expected, float):
+            assert load_dataset(str(path), BARE_SCHEMA).mediator[1] == expected
+        else:
+            with pytest.raises(BridgeboundError) as info:
+                load_dataset(str(path), BARE_SCHEMA)
+            assert type(info.value) is BridgeboundError and str(info.value) == expected
+
+    @pytest.mark.parametrize("text,expected", [c[1:] for c in LOAD_FILES],
+                             ids=[c[0] for c in LOAD_FILES])
+    def test_file_shape(self, tmp_path, text, expected):
+        path = tmp_path / "shape.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(BridgeboundError) as info:
+                load_dataset(str(path), BARE_SCHEMA)
+            assert type(info.value) is BridgeboundError and str(info.value) == expected
+        else:
+            data = load_dataset(str(path), BARE_SCHEMA)
+            assert np.array_equal(data.mediator, expected)
 
     def test_schema_keys_required(self, tmp_path):
         with pytest.raises(BridgeboundError, match="schema key 'mediator' is required"):
@@ -129,8 +228,8 @@ class TestRanks:
     def test_ranks_invariant_under_monotone_transform(self):
         w = rng(21).permutation(np.arange(40.0))
         treat = np.repeat([0, 1], 20)
-        base = Dataset(treat, np.zeros(40), np.zeros(40), np.empty((40, 0)), (), w)
-        warped = Dataset(treat, np.zeros(40), np.zeros(40), np.empty((40, 0)), (),
+        base = Dataset(treat, np.zeros(40), np.zeros(40), np.empty((40, 0)), w)
+        warped = Dataset(treat, np.zeros(40), np.zeros(40), np.empty((40, 0)),
                          np.exp(w / 10.0))
         assert np.array_equal(fractional_ranks(base), fractional_ranks(warped))
 
