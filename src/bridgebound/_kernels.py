@@ -55,8 +55,9 @@ def normal_logpdf(x, mean, var):
     return const - d * d * inv
 
 
-def outcome_mean_sum(m, l0, l1, a, beta):
-    pred = (beta[0] + beta[1] * m + beta[2] * a + beta[3] * l0 + beta[4] * l1
+def outcome_mean_sum(m, l0, l1, beta):
+    """Sum over points of the outcome mean at a = 1 (see bridge.outcome_design)."""
+    pred = (beta[0] + beta[1] * m + beta[2] + beta[3] * l0 + beta[4] * l1
             + beta[5] * (m * l0) + beta[6] * (m * l1) + beta[7] * (l0 * l1))
     return comp_sum(pred)
 

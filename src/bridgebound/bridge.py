@@ -46,7 +46,8 @@ def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray) -> np.ndarr
 
     Columns: 1, m, a, l0, l1, m*l0, m*l1, l0*l1. The log-score interactions are
     what lets a linear fit absorb covariate effects that enter only through the
-    bridge.
+    bridge. The arm a enters only as the beta_a * a column, with no interaction,
+    so gcomp derives E[Y(0, M(0))] as E[Y(1, M(0))] - beta_a.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
     l0 = np.atleast_1d(np.asarray(l0, dtype=np.float64))

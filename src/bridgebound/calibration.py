@@ -39,7 +39,6 @@ DEFAULT_GAMMA_CAP = 20.0
 class BenchmarkContext:
     """Draw-independent benchmark preprocessing for one dataset."""
 
-    scale: str
     wprime: np.ndarray
     arm_rows: tuple
     arm_values: tuple     # row order, aligned with arm_rows
@@ -68,7 +67,7 @@ def prepare_benchmark(data: Dataset, scale: str) -> BenchmarkContext:
     for arm, width in enumerate(ranges):
         if width == 0.0:
             warnings.warn(f"benchmark constant within arm {arm}", DegenerateBenchmark)
-    return BenchmarkContext(scale, wprime, rows, values, sorted_vals, ranges)
+    return BenchmarkContext(wprime, rows, values, sorted_vals, ranges)
 
 
 def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,

@@ -129,11 +129,8 @@ def load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-_RUN = {"draws": RUN_KEYS["draws"], "burn_in": RUN_KEYS["burn_in"],
-        "mediator_draws": RUN_KEYS["mediator_draws_per_unit"],
-        "seed": RUN_KEYS["seed"], "threads": RUN_KEYS["threads"]}
 FIT_KEYS = {"data": Key("str", required=True), "schema": Key(SCHEMA_KEYS),
-            "setting": Key(SETTING_KEYS, required=True), **_RUN}
+            "setting": Key(SETTING_KEYS, required=True), **RUN_KEYS}
 OVERLAY_KEYS = {"label": Key("str"), "setting": Key(SETTING_KEYS, required=True)}
 SWEEP_KEYS = {**FIT_KEYS, "setting": Key(SETTING_KEYS), "axis": Key("str", required=True),
               "grid": Key(["number"], inf=True, required=True), "overlays": Key([OVERLAY_KEYS])}
@@ -148,7 +145,7 @@ def _config(args, table: dict) -> dict:
     """The command's config with --seed/--threads folded in, checked against table."""
     cfg = load_config(args.config)
     for name in ("seed", "threads"):
-        if getattr(args, name) is not None and name in table:
+        if getattr(args, name, None) is not None:
             cfg[name] = getattr(args, name)
     return check("config", cfg, table)
 
@@ -165,13 +162,9 @@ def schema_from_config(cfg: dict, data_path: str) -> dict:
 
 
 def _run_kwargs(cfg: dict) -> dict:
-    return {
-        "draws": cfg.get("draws", DEFAULT_DRAWS),
-        "burn_in": cfg.get("burn_in", DEFAULT_BURN_IN),
-        "mediator_draws_per_unit": cfg.get("mediator_draws", DEFAULT_MEDIATOR_DRAWS),
-        "seed": cfg.get("seed", DEFAULT_SEED),
-        "threads": cfg.get("threads", 1),
-    }
+    defaults = {"draws": DEFAULT_DRAWS, "burn_in": DEFAULT_BURN_IN,
+                "mediator_draws": DEFAULT_MEDIATOR_DRAWS, "seed": DEFAULT_SEED, "threads": 1}
+    return {name: cfg.get(name, default) for name, default in defaults.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +176,13 @@ def cmd_fit(args) -> int:
     cfg = _config(args, FIT_KEYS)
     data = load_dataset(cfg["data"], schema_from_config(cfg, cfg["data"]))
     setting = setting_from_dict(cfg["setting"])
-    result = run(data, setting, **_run_kwargs(cfg))
+    kwargs = _run_kwargs(cfg)
+    result = run(data, setting, **kwargs)
+    del kwargs["threads"]   # the output does not depend on it
     payload = {
         "summary": result.summary(),
-        "run": {
-            "version": __version__,
-            "backend": "numpy",
-            "n_units": result.n_units,
-            "draws": result.n_draws,
-            "burn_in": result.burn_in,
-            "mediator_draws": result.mediator_draws_per_unit,
-            "seed": result.seed,
-            "route": setting.route,
-        },
+        "run": {"version": __version__, "backend": "numpy", "n_units": data.n,
+                "route": setting.route, **kwargs},
     }
     _emit(render_json(payload), args.out)
     return 0
@@ -203,11 +190,12 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config(args, SWEEP_KEYS)
+    if ("overlays" in cfg) == ("setting" in cfg):
+        raise ConfigError("give exactly one of config keys 'setting' and 'overlays'")
     data = load_dataset(cfg["data"], schema_from_config(cfg, cfg["data"]))
-    if "overlays" not in cfg and "setting" not in cfg:
-        raise ConfigError("config key 'setting' is required when 'overlays' is not given")
+    overlays = cfg["overlays"] if "overlays" in cfg else [{"setting": cfg["setting"]}]
     labels, settings = [], []
-    for overlay in cfg.get("overlays", [{"setting": cfg.get("setting")}]):
+    for overlay in overlays:
         setting = setting_from_dict(overlay["setting"])
         label = overlay.get("label", setting.route)
         if label in labels:
@@ -306,16 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker threads for the draw loop")
         p.add_argument("--out", help="output path (default: stdout)")
 
     p_fit = sub.add_parser("fit", help="posterior summary under one setting")
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
     p_sweep = sub.add_parser("sweep", help="grid sweep over one sensitivity axis")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for p, func in ((p_fit, cmd_fit), (p_sweep, cmd_sweep)):
+        common(p)
+        p.add_argument("--threads", type=int, help="worker threads for the draw loop")
+        p.set_defaults(func=func)
 
     p_ver = sub.add_parser("verify", help="exact checks of the bound machinery")
     common(p_ver)

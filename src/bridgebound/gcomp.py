@@ -98,7 +98,7 @@ class SensitivitySetting:
 # the arguments of run() and sweep() that shape the draw loop; the pool may
 # start one OS thread per worker, so threads is capped
 _POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
-RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws_per_unit": _POSITIVE,
+RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws": _POSITIVE,
             "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
 
 
@@ -151,15 +151,10 @@ def _quantile(arr: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Per-draw records plus metadata for one sensitivity setting."""
+    """Per-draw records for one sensitivity setting."""
 
     setting: SensitivitySetting
     records: dict
-    n_units: int
-    n_draws: int
-    burn_in: int
-    mediator_draws_per_unit: int
-    seed: int
 
     @property
     def field_order(self):
@@ -183,12 +178,12 @@ class _Engine:
     """Dataset-level state shared by every draw of one run or sweep."""
 
     def __init__(self, data: Dataset, settings: Sequence[SensitivitySetting],
-                 mediator_draws_per_unit: int):
+                 mediator_draws: int):
         if not settings:
             raise ConfigError("need at least one sensitivity setting")
         self.data = data
         self.settings = list(settings)
-        self.n_per_unit = mediator_draws_per_unit
+        self.mediator_draws = mediator_draws
 
         n = data.n
         self.design_med = np.column_stack([np.ones(n), data.treatment.astype(np.float64),
@@ -216,15 +211,17 @@ class _Engine:
 
         # 2) counterfactual mediator draws, control then treated law
         m0, l0_cf, l1_cf = counterfactual_mediator_draws(
-            mean0, shift, med.sigma2, 0, self.n_per_unit, rng)
+            mean0, shift, med.sigma2, 0, self.mediator_draws, rng)
         m1, l0_cf1, l1_cf1 = counterfactual_mediator_draws(
-            mean0, shift, med.sigma2, 1, self.n_per_unit, rng)
+            mean0, shift, med.sigma2, 1, self.mediator_draws, rng)
         n_pts = m0.shape[0]
 
-        # 3) anchor and the two reference arms, averaged over (unit, draw)
-        theta_si = _kernels.outcome_mean_sum(m0, l0_cf, l1_cf, 1.0, beta_y) / n_pts
-        delta0 = _kernels.outcome_mean_sum(m0, l0_cf, l1_cf, 0.0, beta_y) / n_pts
-        delta1 = _kernels.outcome_mean_sum(m1, l0_cf1, l1_cf1, 1.0, beta_y) / n_pts
+        # 3) anchor and the treated reference arm, averaged over (unit, draw) with
+        # a = 1; a enters the outcome regressors only as beta_a * a, so the control
+        # reference arm E[Y(0, M(0))] is the anchor less beta_a
+        theta_si = _kernels.outcome_mean_sum(m0, l0_cf, l1_cf, beta_y) / n_pts
+        delta1 = _kernels.outcome_mean_sum(m1, l0_cf1, l1_cf1, beta_y) / n_pts
+        delta0 = theta_si - float(beta_y[2])
 
         # calibration consumes no variates, so every setting draws its prior
         # base variates from the state a run of its own would reach here
@@ -282,11 +279,10 @@ class _Engine:
 
 
 def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
-              draws: int, burn_in: int, mediator_draws_per_unit: int,
-              seed: int, threads: int = 1):
+              draws: int, burn_in: int, mediator_draws: int, seed: int, threads: int):
     check("run", dict(draws=draws, burn_in=burn_in, seed=seed, threads=threads,
-                      mediator_draws_per_unit=mediator_draws_per_unit), RUN_KEYS)
-    engine = _Engine(data, settings, mediator_draws_per_unit)
+                      mediator_draws=mediator_draws), RUN_KEYS)
+    engine = _Engine(data, settings, mediator_draws)
     fields = [_CORE_FIELDS + _ROUTE_FIELDS[s.route] for s in settings]
     # column-major, so each field's column is a contiguous view
     storage = [np.empty((draws, len(f)), order="F") for f in fields]
@@ -305,21 +301,17 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(task, range(draws)))
 
-    return [
-        RunResult(setting, dict(zip(fields[j], storage[j].T)), data.n, draws,
-                  burn_in, mediator_draws_per_unit, seed)
-        for j, setting in enumerate(settings)
-    ]
+    return [RunResult(setting, dict(zip(fields[j], storage[j].T)))
+            for j, setting in enumerate(settings)]
 
 
 def run(data: Dataset, setting: SensitivitySetting, *,
         draws: int = DEFAULT_DRAWS, burn_in: int = DEFAULT_BURN_IN,
-        mediator_draws_per_unit: int = DEFAULT_MEDIATOR_DRAWS,
+        mediator_draws: int = DEFAULT_MEDIATOR_DRAWS,
         seed: int, threads: int = 1) -> RunResult:
     """One posterior run at a single sensitivity setting."""
     return _run_grid(data, [setting], draws=draws, burn_in=burn_in,
-                     mediator_draws_per_unit=mediator_draws_per_unit,
-                     seed=seed, threads=threads)[0]
+                     mediator_draws=mediator_draws, seed=seed, threads=threads)[0]
 
 
 _AXIS_FIELDS = {
@@ -340,7 +332,7 @@ class SweepResult:
 def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
           grid: Sequence[float], *, draws: int = DEFAULT_DRAWS,
           burn_in: int = DEFAULT_BURN_IN,
-          mediator_draws_per_unit: int = DEFAULT_MEDIATOR_DRAWS,
+          mediator_draws: int = DEFAULT_MEDIATOR_DRAWS,
           seed: int, threads: int = 1) -> tuple:
     """Evaluate a grid of one sensitivity axis around each base setting.
 
@@ -361,8 +353,7 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
     settings = [dataclasses.replace(base, **{f0: v, f1: v})
                 for base in base_settings for v in grid]
     results = _run_grid(data, settings, draws=draws, burn_in=burn_in,
-                        mediator_draws_per_unit=mediator_draws_per_unit,
-                        seed=seed, threads=threads)
+                        mediator_draws=mediator_draws, seed=seed, threads=threads)
     out = []
     for i in range(len(base_settings)):
         mine = results[i * len(grid):(i + 1) * len(grid)]

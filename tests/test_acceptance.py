@@ -78,13 +78,13 @@ def test_criterion_06_scalar_reduction(corpus, bench_data, null_data):
     # the identity must hold bitwise on every draw the pipeline produces
     runs = [
         run(null_data, SensitivitySetting(), draws=25, burn_in=2,
-            mediator_draws_per_unit=8, seed=5),
+            mediator_draws=8, seed=5),
         run(bench_data, SensitivitySetting(route="benchmark_raw", kappa0=1.5,
                                            kappa1=1.5),
-            draws=25, burn_in=2, mediator_draws_per_unit=8, seed=5),
+            draws=25, burn_in=2, mediator_draws=8, seed=5),
         run(null_data, SensitivitySetting(route="residual_budget", k0=0.5,
                                           k1=0.5, g0=2.0, g1=2.0),
-            draws=25, burn_in=2, mediator_draws_per_unit=8, seed=5),
+            draws=25, burn_in=2, mediator_draws=8, seed=5),
     ]
     for res in runs:
         rec = res.records
@@ -140,7 +140,7 @@ def test_criterion_09_anchor_recovery():
     assert truth["mediator_ignorable"]
     start = time.perf_counter()
     res = run(data, SensitivitySetting(), draws=2000, burn_in=100,
-              mediator_draws_per_unit=50, seed=7)
+              mediator_draws=50, seed=7)
     elapsed = time.perf_counter() - start
     nie = res.records["nie"]
     assert abs(nie.mean() - truth["nie"]) <= 2.0 * nie.std(), \
@@ -151,14 +151,14 @@ def test_criterion_09_anchor_recovery():
                               c0=0.5, c_a=0.4, c_m=0.0)
     null_data, null_truth = generate_synthetic(null_spec, seed=103)
     null_res = run(null_data, SensitivitySetting(), draws=600, burn_in=50,
-                   mediator_draws_per_unit=25, seed=9)
+                   mediator_draws=25, seed=9)
     null_nie = null_res.records["nie"]
     assert abs(null_nie.mean()) <= 2.0 * null_nie.std(), \
         f"null nie {null_nie.mean():.4f} (sd {null_nie.std():.4f})"
 
 
 def test_criterion_10_sweep_contracts(bench_data, null_data):
-    kw = dict(draws=25, burn_in=2, mediator_draws_per_unit=8, seed=5)
+    kw = dict(draws=25, burn_in=2, mediator_draws=8, seed=5)
     bench_base = SensitivitySetting(route="benchmark_raw")
     resid_base = SensitivitySetting(route="residual_budget", k0=0.5, k1=0.5,
                                     g0=2.0, g1=2.0)
@@ -192,7 +192,7 @@ def test_criterion_10_sweep_contracts(bench_data, null_data):
 
 
 def test_criterion_11_benchmark_scale_invariance(bench_data):
-    kw = dict(draws=25, burn_in=2, mediator_draws_per_unit=8, seed=5)
+    kw = dict(draws=25, burn_in=2, mediator_draws=8, seed=5)
     exp_data = dataclasses.replace(bench_data,
                                    benchmark=np.exp(bench_data.benchmark))
     doubled = dataclasses.replace(bench_data,

@@ -67,6 +67,14 @@ def test_log_pair_shape_contract():
     assert f0.shape == f1.shape == (7,)
 
 
+def test_arm_enters_only_as_its_own_column():
+    # gcomp derives E[Y(0, M(0))] as E[Y(1, M(0))] - beta_a from this
+    r = rng(8)
+    m, l0, l1 = (r.standard_normal(200) for _ in range(3))
+    diff = outcome_design(m, 1.0, l0, l1) - outcome_design(m, 0.0, l0, l1)
+    assert np.array_equal(diff, np.tile(np.eye(8)[2], (200, 1)))
+
+
 def test_outcome_design_frozen_rows():
     row = outcome_design(np.array([0.0]), 1.0, np.array([-0.5]), np.array([-0.7]))[0]
     assert np.array_equal(row, [1.0, 0.0, 1.0, -0.5, -0.7, 0.0, -0.0, 0.35])

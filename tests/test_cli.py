@@ -460,25 +460,30 @@ class TestSweep:
             expected += alone.read_text().splitlines()[1:]
         assert together.read_text().splitlines() == expected
 
-    @pytest.mark.parametrize("overlays,message", [
-        ([{"lable": "raw", "setting": {"route": "benchmark_raw"}}],
+    @pytest.mark.parametrize("overlays,extra,message", [
+        ([{"lable": "raw", "setting": {"route": "benchmark_raw"}}], {},
          "unknown overlays[0] keys: ['lable']"),
         ([{"setting": {"route": "benchmark_raw"}},
-          {"setting": {"route": "benchmark_raw", "lambda0": 1.5}}],
+          {"setting": {"route": "benchmark_raw", "lambda0": 1.5}}], {},
          "duplicate overlay label 'benchmark_raw'"),
         ([{"label": "a", "setting": {"route": "benchmark_raw"}},
-          {"label": "a", "setting": {"route": "benchmark_rank"}}],
+          {"label": "a", "setting": {"route": "benchmark_rank"}}], {},
          "duplicate overlay label 'a'"),
-        ([{"label": 3, "setting": {"route": "benchmark_raw"}}],
+        ([{"label": 3, "setting": {"route": "benchmark_raw"}}], {},
          "overlays[0] key 'label' must be a string, got 3"),
+        # a top-level setting beside overlays would otherwise be dropped silently
+        ([{"setting": {"route": "benchmark_raw"}}],
+         {"setting": {"route": "residual_budget"}},
+         "give exactly one of config keys 'setting' and 'overlays'"),
     ], ids=["overlays0-unknown overlay keys: ['lable']",
             "overlays1-duplicate overlay label 'benchmark_raw'",
             "overlays2-duplicate overlay label 'a'",
-            "overlays3-overlay 'label' must be a string"])
+            "overlays3-overlay 'label' must be a string",
+            "overlays4-both setting and overlays"])
     def test_ambiguous_or_unknown_overlay(self, data_dir, tmp_path, capsys,
-                                          overlays, message):
+                                          overlays, extra, message):
         cfg = write_config(tmp_path, "sweep.json",
-                           self.sweep_cfg(data_dir, overlays=overlays))
+                           self.sweep_cfg(data_dir, overlays=overlays, **extra))
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
 
@@ -581,6 +586,14 @@ class TestVerify:
         assert self_test["detected"] is True
         assert self_test["bound_gap"] == 0.25
         assert set(self_test["model"]) == {"p_x", "p_u", "p_m", "psi", "groups"}
+
+
+@pytest.mark.parametrize("command,value", [("verify", "2"), ("simulate", "-3")])
+def test_threads_flag_only_on_fit_and_sweep(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--threads", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -728,7 +741,6 @@ def _fuzz_base(data_dir):
     return {
         "fit": {"data": bench, "schema": schema, "setting": setting, **run},
         "sweep": {"data": bench, "schema": schema, "axis": "kappa", "grid": [1.0, 2.0],
-                  "setting": setting,
                   "overlays": [{"label": "a", "setting": setting},
                                {"label": "b", "setting": {"route": "benchmark_rank"}}],
                   **run},

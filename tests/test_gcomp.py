@@ -5,10 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from bridgebound.bridge import outcome_design
 from bridgebound.calibration import benchmark_envelope
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError,
                                 VerificationFailure)
+import bridgebound._kernels as _kernels
 import bridgebound.gcomp as gcomp
 from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
                                _run_grid, counterfactual_mediator_draws, run,
@@ -132,7 +134,7 @@ class TestSettingValidation:
 
 def run_small(data, setting, seed=5, draws=20, **kw):
     kw.setdefault("burn_in", 3)
-    kw.setdefault("mediator_draws_per_unit", 8)
+    kw.setdefault("mediator_draws", 8)
     return run(data, setting, draws=draws, seed=seed, **kw)
 
 
@@ -199,7 +201,7 @@ class TestRun:
 
     def test_null_effect_recovered(self, null_data):
         res = run(null_data, SensitivitySetting(), draws=150, burn_in=10,
-                  mediator_draws_per_unit=25, seed=42)
+                  mediator_draws=25, seed=42)
         nie = res.records["nie"]
         assert abs(nie.mean()) <= 2.0 * nie.std()
 
@@ -273,7 +275,7 @@ class TestRun:
         with pytest.raises(ConfigError):
             run_small(null_data, SensitivitySetting(), burn_in=-1)
         with pytest.raises(ConfigError):
-            run_small(null_data, SensitivitySetting(), mediator_draws_per_unit=0)
+            run_small(null_data, SensitivitySetting(), mediator_draws=0)
         for name, value in (("threads", 0), ("seed", -1), ("draws", True), ("threads", 1.0)):
             with pytest.raises(ConfigError, match=f"run key '{name}' must be an integer"):
                 run_small(null_data, SensitivitySetting(), **{name: value})
@@ -284,7 +286,7 @@ class TestSweep:
         base = SensitivitySetting(route="benchmark_raw", kappa0=1.5, kappa1=1.5)
         single = run_small(bench_data, base)
         swept = sweep(bench_data, [base], "kappa", [1.5], draws=20, burn_in=3,
-                      mediator_draws_per_unit=8, seed=5)[0]
+                      mediator_draws=8, seed=5)[0]
         for name in single.field_order:
             assert np.array_equal(single.records[name],
                                   swept.results[0].records[name])
@@ -292,7 +294,7 @@ class TestSweep:
     def test_kappa_sweep_contracts(self, bench_data):
         base = SensitivitySetting(route="benchmark_raw")
         swept = sweep(bench_data, [base], "kappa", [1.0, 1.5, 2.0, 3.0], draws=20,
-                      burn_in=3, mediator_draws_per_unit=8, seed=5)[0]
+                      burn_in=3, mediator_draws=8, seed=5)[0]
         widths = [row["half_width"] for row in swept.rows]
         centers = {row["si_center"] for row in swept.rows}
         assert widths == sorted(widths)
@@ -301,7 +303,7 @@ class TestSweep:
     def test_g_sweep_zero_at_unit_ratio(self, null_data):
         base = SensitivitySetting(route="residual_budget", k0=0.5, k1=0.5)
         swept = sweep(null_data, [base], "g", [1.0, 1.5, 2.0], draws=15, burn_in=2,
-                      mediator_draws_per_unit=6, seed=5)[0]
+                      mediator_draws=6, seed=5)[0]
         assert swept.rows[0]["half_width"] == 0.0
         assert swept.rows[-1]["half_width"] > 0.0
 
@@ -332,7 +334,7 @@ class TestSweep:
             check_sweep_rows([])
 
 
-SHARED = dict(draws=12, burn_in=2, mediator_draws_per_unit=6, seed=5)
+SHARED = dict(draws=12, burn_in=2, mediator_draws=6, seed=5)
 BETA = DeltaPrior(kind="beta", shape1=2.0, shape2=5.0)
 
 
@@ -394,6 +396,45 @@ class TestSharedModelPass:
         sweep(bench_data, bases, "kappa", [1.0, 1.5, 2.0], **SHARED)
         # one control-law and one treated-law call per draw, for all six settings
         assert len(calls) == 2 * SHARED["draws"]
+
+    def test_two_outcome_passes_per_draw(self, bench_data, monkeypatch):
+        calls = []
+        kernel = _kernels.outcome_mean_sum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "outcome_mean_sum", counting)
+        bases = [SensitivitySetting(route="residual_budget", g0=2.0),
+                 SensitivitySetting(route="si_anchor")]
+        sweep(bench_data, bases, "k", [0.0, 0.5], **SHARED)
+        # the anchor and the treated arm; the control arm is derived from the anchor
+        assert len(calls) == 2 * SHARED["draws"]
+
+    def test_derived_delta0_matches_explicit_control_pass(self, bench_data, monkeypatch):
+        points, betas = [], []
+        fit_draw = gcomp.sample_draw
+
+        def capture_points(mean0, shift, sigma2, arm, *rest):
+            out = counterfactual_mediator_draws(mean0, shift, sigma2, arm, *rest)
+            if arm == 0:
+                points.append(out)
+            return out
+
+        def capture_beta(post, rng):
+            draw = fit_draw(post, rng)
+            if draw.beta.shape[0] == 8:
+                betas.append(draw.beta)
+            return draw
+
+        monkeypatch.setattr(gcomp, "counterfactual_mediator_draws", capture_points)
+        monkeypatch.setattr(gcomp, "sample_draw", capture_beta)
+        res = run(bench_data, SensitivitySetting(), **SHARED)
+        assert len(points) == len(betas) == SHARED["draws"]
+        for got, (m, l0, l1), beta in zip(res.records["delta0"], points, betas):
+            explicit = math.fsum(outcome_design(m, 0.0, l0, l1) @ beta) / m.size
+            assert abs(got - explicit) <= 1e-14 * max(1.0, abs(explicit))
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
         calls = []

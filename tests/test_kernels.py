@@ -65,12 +65,17 @@ def test_outcome_mean_sum_equals_design_dot():
     r = rng(4)
     m, l0, l1 = (r.standard_normal(4000) for _ in range(3))
     beta = r.standard_normal(8)
+    got = outcome_mean_sum(m, l0, l1, beta)
     for a in (0.0, 1.0):
         design = np.column_stack([np.ones_like(m), m, np.full_like(m, a), l0, l1,
                                   m * l0, m * l1, l0 * l1])
         exact = math.fsum(design @ beta)
-        got = outcome_mean_sum(m, l0, l1, np.float64(a), beta)
-        assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+        if a == 1.0:
+            assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+        else:
+            # the kernel evaluates a = 1; a enters only as beta[2] * a
+            mean0 = exact / m.size
+            assert abs(got / m.size - beta[2] - mean0) <= 1e-9 * max(1.0, abs(mean0))
 
 
 class TestGammaSupLogratio:
