@@ -1,6 +1,7 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The g-computation engine calls these per posterior draw over n*L points. All
+The g-computation engine calls these per posterior draw, over n rows, the n*L
+envelope points of the benchmark routes or the six anchor nodes. All
 summation is compensated (Neumaier) so aggregates agree with an
 exact-summation oracle to well below 1e-12 and do not depend on how draws are
 scheduled across threads.
@@ -39,7 +40,8 @@ def comp_sum(x):
                 s = t
         parts = np.concatenate([s, c, x[k * _LANES:]])
     try:
-        total = math.fsum(parts)
+        # fsum walks a list far faster than an ndarray, with the same floats in the same order
+        total = math.fsum(parts.tolist())
     except (OverflowError, ValueError):
         total = math.nan
     if math.isfinite(total):

@@ -322,8 +322,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the draw records take draws x fields and each draw n x mediator_draws
-        # points, so no bound on a single key rules this out
+        # the draw records take draws x fields and each benchmark-route draw
+        # n x mediator_draws envelope points, so no bound on a single key rules
+        # this out
         print(f"config error: draws, mediator_draws or the sweep grid size is too large "
               f"for memory: {exc}", file=sys.stderr)
         return 2

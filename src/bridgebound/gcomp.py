@@ -1,10 +1,13 @@
 """Posterior g-computation with sensitivity envelopes.
 
-Each posterior draw runs the same six steps: sample the mediator model, rebuild
-the bridge regressors and sample the outcome model conditionally, push
-counterfactual mediator draws through both models, turn the chosen calibration
-route into an aggregated envelope Xi_bar per arm, draw the shift Delta_bar from
-its prior on [-Xi_bar, +Xi_bar], and assemble theta and the effect contrasts.
+Each posterior draw runs the same six steps: sample the mediator model and,
+on the rebuilt bridge regressors, the outcome model; integrate the outcome
+model over both arms' counterfactual mediator laws, exactly, by a Gauss-Hermite
+rule; draw the benchmark routes' envelope points, mediator_draws Monte Carlo
+points per unit from the control law (the other routes draw none and ignore
+mediator_draws); turn the chosen calibration route into an aggregated envelope
+Xi_bar per arm; draw the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar];
+and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models), each driven by its own seed substream, so
 results are byte-identical regardless of thread count. Steps 1-3 run once per
 draw for any list of settings, whatever their routes and priors; each setting
@@ -113,14 +116,14 @@ def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
 
 
 def counterfactual_mediator_draws(mean0: np.ndarray, treat_shift: float, sigma2: float,
-                                  arm: int, n_per_unit: int, rng: np.random.Generator):
-    """Sample n_per_unit mediator values per unit from arm's fitted law.
+                                  arm: int, z: np.ndarray):
+    """Mediator values m = mean0 + treat_shift * arm + sqrt(sigma2) * z from arm's fitted law.
 
-    Returns (m, l0, l1) as unit-major flat views of one (n, n_per_unit) grid;
-    the bridge pair is evaluated at the drawn values with the control-arm
-    mean, whichever arm generated them.
+    z is an (n, k) standard-normal grid, row i for unit i: random variates or
+    quadrature nodes. Returns (m, l0, l1) as unit-major flat views of one (n, k)
+    grid; the bridge pair is evaluated at m with the control-arm mean, whichever
+    arm generated it, so it depends on z alone.
     """
-    z = rng.standard_normal((mean0.shape[0], n_per_unit))
     m = (mean0[:, None] + treat_shift * arm) + np.sqrt(sigma2) * z
     l0, l1 = bridge_log_pair(m, mean0[:, None], treat_shift, sigma2)
     return m.ravel(), l0.ravel(), l1.ravel()
@@ -173,6 +176,10 @@ class RunResult:
 
 _BENCH_SCALE = {"benchmark_raw": "raw", "benchmark_rank": "rank"}
 
+# the probabilists' 3-node Gauss-Hermite rule (nodes 0, +-sqrt(3); weights 2/3,
+# 1/6, 1/6) as six equal-weight nodes, so an integral is a plain sum over them / 6
+_ANCHOR_Z = np.array([[-math.sqrt(3.0), 0.0, 0.0, 0.0, 0.0, math.sqrt(3.0)]])
+
 
 class _Engine:
     """Dataset-level state shared by every draw of one run or sweep."""
@@ -198,7 +205,8 @@ class _Engine:
             if scale is not None and scale not in self.bench:
                 self.bench[scale] = prepare_benchmark(data, scale)
 
-    def run_draw(self, rng: np.random.Generator, t: int, storage):
+    def run_draw(self, rng: np.random.Generator, points_rng: Optional[np.random.Generator],
+                 t: int, storage):
         data = self.data
         # 1) mediator model draw, then the outcome model conditional on it
         med = sample_draw(self.med_post, rng)
@@ -209,22 +217,28 @@ class _Engine:
         out = sample_draw(out_post, rng)
         beta_y = np.ascontiguousarray(out.beta)
 
-        # 2) counterfactual mediator draws, control then treated law
-        m0, l0_cf, l1_cf = counterfactual_mediator_draws(
-            mean0, shift, med.sigma2, 0, self.mediator_draws, rng)
-        m1, l0_cf1, l1_cf1 = counterfactual_mediator_draws(
-            mean0, shift, med.sigma2, 1, self.mediator_draws, rng)
-        n_pts = m0.shape[0]
-
-        # 3) anchor and the treated reference arm, averaged over (unit, draw) with
-        # a = 1; a enters the outcome regressors only as beta_a * a, so the control
-        # reference arm E[Y(0, M(0))] is the anchor less beta_a
-        theta_si = _kernels.outcome_mean_sum(m0, l0_cf, l1_cf, beta_y) / n_pts
-        delta1 = _kernels.outcome_mean_sum(m1, l0_cf1, l1_cf1, beta_y) / n_pts
+        # 2) the anchor and the treated reference arm: the outcome mean at a = 1,
+        # averaged over the units and the control, then the treated, mediator law.
+        # At m = mean0_i + shift * arm + sqrt(sigma2) * z the bridge pair depends on z
+        # alone and the regressors are affine in m, so the unit average is the
+        # integrand at the mean of mean0, a polynomial of degree <= 4 in z that the
+        # 3-node rule integrates exactly. a enters the regressors only as beta_a * a,
+        # so the control reference arm E[Y(0, M(0))] is the anchor less beta_a
+        mbar = np.array([_kernels.comp_mean(mean0)])
+        anchor = []
+        for arm in (0, 1):
+            m, l0, l1 = counterfactual_mediator_draws(mbar, shift, med.sigma2, arm, _ANCHOR_Z)
+            anchor.append(_kernels.outcome_mean_sum(m, l0, l1, beta_y) / _ANCHOR_Z.size)
+        theta_si, delta1 = anchor
         delta0 = theta_si - float(beta_y[2])
 
-        # calibration consumes no variates, so every setting draws its prior
-        # base variates from the state a run of its own would reach here
+        # 3) the benchmark routes' envelope points: Monte Carlo over the control law
+        if points_rng is not None:
+            z = points_rng.standard_normal((data.n, self.mediator_draws))
+            pts = counterfactual_mediator_draws(mean0, shift, med.sigma2, 0, z)
+
+        # calibration consumes no main-stream variates, so every setting draws its
+        # prior base variates from the state a run of its own would reach here
         state = rng.bit_generator.state
         eta_memo, gamma_memo, sigma_eta = {}, {}, None
         for j, setting in enumerate(self.settings):
@@ -238,7 +252,7 @@ class _Engine:
                 key = (scale, setting.gamma_cap)
                 if key not in gamma_memo:
                     gammas = (estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs, bench, arm,
-                                                       m0, l0_cf, l1_cf, cap=setting.gamma_cap)
+                                                       *pts, cap=setting.gamma_cap)
                               for arm in (0, 1))
                     # per arm: the mean of (gamma - 1) / gamma over the points, and the max gamma
                     gamma_memo[key] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
@@ -291,8 +305,13 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
         # draws are i.i.d.; burn-in is honored as a substream offset so configs
         # that specify it stay reproducible. This is child burn_in + t of
         # SeedSequence(seed).spawn(), built without the burn_in children before it.
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(burn_in + t,)))
-        engine.run_draw(rng, t, storage)
+        key = (burn_in + t,)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        # the benchmark routes draw their envelope points from that child's own
+        # child 1, so the main stream does not depend on which routes share the grid
+        points_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (1,)))
+                      if engine.bench else None)
+        engine.run_draw(rng, points_rng, t, storage)
 
     if threads <= 1:
         for t in range(draws):

@@ -641,9 +641,11 @@ def test_take_floats_requires_numbers():
     ("simulate", {"spec": {"n": 60, "p": 0, "beta_m": [0.0, 1.0],
                            "benchmark": {"low": -1e308, "high": 1e308}}}, [], "high="),
     ("fit", {}, ["--threads", "257"], "'threads'"),
-    # too large for memory; each fails at its first allocation, before any draw runs
+    # too large for memory; each fails at its first allocation: the draw records
+    # before any draw runs, the benchmark envelope points in the first draw
     ("fit", {"draws": 10**15}, [], "too large for memory"),
-    ("fit", {"mediator_draws": 10**12}, [], "too large for memory"),
+    ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw"},
+             "mediator_draws": 10**12}, [], "too large for memory"),
 ])
 def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
                                               command, edit, flags, key):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from bridgebound.bridge import outcome_design
+from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
 from bridgebound.calibration import benchmark_envelope
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError,
@@ -22,28 +22,70 @@ from conftest import rng
 class TestCounterfactualDraws:
     def test_arm_means(self):
         mean0 = np.array([1.5])
-        m0, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 0, 10_000, rng(1))
-        m1, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 1, 10_000, rng(2))
+        m0, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 0,
+                                                 rng(1).standard_normal((1, 10_000)))
+        m1, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 1,
+                                                 rng(2).standard_normal((1, 10_000)))
         assert abs(m0.mean() - 1.5) <= 0.03
         assert abs(m1.mean() - 2.2) <= 0.03
 
     def test_concentrates_at_tiny_variance(self):
         mean0 = np.array([0.4, -0.6, 2.0])
-        m, _, _ = counterfactual_mediator_draws(mean0, 1.0, 1e-12, 1, 4, rng(3))
+        m, _, _ = counterfactual_mediator_draws(mean0, 1.0, 1e-12, 1,
+                                                rng(3).standard_normal((3, 4)))
         assert np.allclose(m, np.repeat(mean0 + 1.0, 4), atol=1e-5)
 
     def test_bridge_pair_orders_by_proximity(self):
         mean0 = np.full(50, 0.2)
         shift, sig2 = 0.9, 0.5
-        m, l0, l1 = counterfactual_mediator_draws(mean0, shift, sig2, 0, 3, rng(4))
+        m, l0, l1 = counterfactual_mediator_draws(mean0, shift, sig2, 0,
+                                                  rng(4).standard_normal((50, 3)))
         d0 = np.abs(m - np.repeat(mean0, 3))
         d1 = np.abs(m - np.repeat(mean0 + shift, 3))
         assert np.array_equal(d0 < d1, l0 > l1)
 
     def test_unit_major_layout(self):
         mean0 = np.array([0.0, 100.0])
-        m, _, _ = counterfactual_mediator_draws(mean0, 0.0, 1e-4, 0, 3, rng(5))
+        m, _, _ = counterfactual_mediator_draws(mean0, 0.0, 1e-4, 0,
+                                                rng(5).standard_normal((2, 3)))
         assert np.all(np.abs(m[:3]) < 1.0) and np.all(np.abs(m[3:] - 100.0) < 1.0)
+
+
+def per_unit_quadrature(mean0, shift, sigma2, arm, a, beta):
+    """Mean over units of E[outcome mean at a | arm's mediator law], unit by unit, by
+    the 11-node Gauss-Hermite rule (exact to degree 21) and an exactly rounded sum."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(11)
+    m = (mean0[:, None] + shift * arm) + math.sqrt(sigma2) * nodes
+    l0, l1 = bridge_log_pair(m, mean0[:, None], shift, sigma2)
+    pred = outcome_design(m.ravel(), a, l0.ravel(), l1.ravel()) @ beta
+    return math.fsum(pred * np.tile(weights / weights.sum(), mean0.size)) / mean0.size
+
+
+class TestExactAnchor:
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("shift", [0.0, 1e-8, 0.7, -2.5])
+    @pytest.mark.parametrize("sigma2", [1e-4, 0.3, 10.0])
+    def test_collapsed_rule_matches_per_unit_quadrature(self, arm, shift, sigma2):
+        r = rng(int(1000 * sigma2) + 7 * arm)
+        mean0 = 1.5 + 2.0 * r.standard_normal(300)
+        beta = r.standard_normal(8)
+        mbar = np.array([_kernels.comp_mean(mean0)])
+        m, l0, l1 = counterfactual_mediator_draws(mbar, shift, sigma2, arm, gcomp._ANCHOR_Z)
+        got = _kernels.outcome_mean_sum(m, l0, l1, beta) / gcomp._ANCHOR_Z.size
+        ref = per_unit_quadrature(mean0, shift, sigma2, arm, 1.0, beta)
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_anchor_ignores_mediator_draws(self, null_data):
+        few = run_small(null_data, SensitivitySetting(), mediator_draws=2)
+        many = run_small(null_data, SensitivitySetting(), mediator_draws=50)
+        for name in few.field_order:
+            assert np.array_equal(few.records[name], many.records[name]), name
+
+    def test_envelope_points_leave_the_anchor_alone(self, bench_data):
+        anchor = run_small(bench_data, SensitivitySetting())
+        raw = run_small(bench_data, SensitivitySetting(route="benchmark_raw"))
+        for name in ("theta_si", "delta0", "delta1"):
+            assert np.array_equal(anchor.records[name], raw.records[name]), name
 
 
 class TestDeltaPrior:
@@ -394,7 +436,15 @@ class TestSharedModelPass:
         bases = [SensitivitySetting(route="benchmark_raw"),
                  SensitivitySetting(route="benchmark_rank", comonotone=True)]
         sweep(bench_data, bases, "kappa", [1.0, 1.5, 2.0], **SHARED)
-        # one control-law and one treated-law call per draw, for all six settings
+        # per draw, for all six settings: the control-law and treated-law anchor
+        # nodes, and one call for the control-law envelope points
+        assert len(calls) == 3 * SHARED["draws"]
+
+        calls.clear()
+        bases = [SensitivitySetting(route="residual_budget", g0=2.0),
+                 SensitivitySetting(route="si_anchor")]
+        sweep(bench_data, bases, "k", [0.0, 0.5], **SHARED)
+        # no benchmark route, so no envelope points
         assert len(calls) == 2 * SHARED["draws"]
 
     def test_two_outcome_passes_per_draw(self, bench_data, monkeypatch):
@@ -413,27 +463,20 @@ class TestSharedModelPass:
         assert len(calls) == 2 * SHARED["draws"]
 
     def test_derived_delta0_matches_explicit_control_pass(self, bench_data, monkeypatch):
-        points, betas = [], []
+        meds, outs = [], []
         fit_draw = gcomp.sample_draw
 
-        def capture_points(mean0, shift, sigma2, arm, *rest):
-            out = counterfactual_mediator_draws(mean0, shift, sigma2, arm, *rest)
-            if arm == 0:
-                points.append(out)
-            return out
-
-        def capture_beta(post, rng):
+        def capture(post, rng):
             draw = fit_draw(post, rng)
-            if draw.beta.shape[0] == 8:
-                betas.append(draw.beta)
+            (outs if draw.beta.shape[0] == 8 else meds).append(draw)
             return draw
 
-        monkeypatch.setattr(gcomp, "counterfactual_mediator_draws", capture_points)
-        monkeypatch.setattr(gcomp, "sample_draw", capture_beta)
+        monkeypatch.setattr(gcomp, "sample_draw", capture)
         res = run(bench_data, SensitivitySetting(), **SHARED)
-        assert len(points) == len(betas) == SHARED["draws"]
-        for got, (m, l0, l1), beta in zip(res.records["delta0"], points, betas):
-            explicit = math.fsum(outcome_design(m, 0.0, l0, l1) @ beta) / m.size
+        assert len(meds) == len(outs) == SHARED["draws"]
+        for got, med, out in zip(res.records["delta0"], meds, outs):
+            mean0, shift = mediator_means(bench_data.covariates, med.beta)
+            explicit = per_unit_quadrature(mean0, shift, med.sigma2, 0, 0.0, out.beta)
             assert abs(got - explicit) <= 1e-14 * max(1.0, abs(explicit))
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
