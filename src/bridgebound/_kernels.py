@@ -5,6 +5,11 @@ envelope points of the benchmark routes or the six anchor nodes. All
 summation is compensated (Neumaier) so aggregates agree with an
 exact-summation oracle to well below 1e-12 and do not depend on how draws are
 scheduled across threads.
+
+gamma_sup_logratio is elementwise in its points: calibration calls it on one
+block of envelope points at a time, and it evaluates each candidate grid value
+as a contiguous column over the block, so its temporaries are block-sized
+vectors and its result does not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -80,10 +85,6 @@ def gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, w):
     return out
 
 
-# offsets from c = searchsorted(w, vertex): guard, w[c - 1], w[c], guard
-_NEAR_VERTEX = np.arange(-2, 2)
-
-
 def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     """Sup over the sorted grid w of the log density ratio at each point.
 
@@ -91,27 +92,35 @@ def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     leading coefficient ir - ic. When it is concave (ir < ic, the usual case
     since conditioning shrinks the variance) its sup over an ascending grid
     is at w[c - 1] or w[c], c = searchsorted(w, vertex); the guard slots
-    w[c - 2] and w[c + 1] catch a vertex that rounding moved across a grid
-    point. Otherwise the sup is at w[0] or w[-1]. Each candidate is evaluated
-    by the same expression as gamma_sup_logratio_brute, and the tests require
-    the two to agree bit for bit on random geometries: grids from one value
-    up, tied rank-like grids, and variances with sig2_r / sig2_c - 1 down to
-    1e-3. Flatter quadratics can round a farther grid value up to the max, so
-    there the two may differ in the last bits.
+    w[c - 2] and w[c + 1] (indices clipped to the grid) catch a vertex that
+    rounding moved across a grid point. Otherwise the sup is at w[0] or w[-1].
+
+    Each candidate slot is evaluated as one contiguous column over all points,
+    by the same expression as gamma_sup_logratio_brute, and the columns are
+    folded with np.maximum; a gathered (points, candidates) matrix reduced
+    along its short axis costs several times more per element. Max is exact,
+    so the result does not depend on how the points are split into calls. The
+    tests require the two kernels to agree bit for bit on random geometries:
+    grids from one value up, tied rank-like grids, and variances with
+    sig2_r / sig2_c - 1 down to 1e-3. Flatter quadratics can round a farther
+    grid value up to the max, so there the two may differ in the last bits.
     """
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
     ir = 1.0 / (2.0 * sig2_r)
     curv = ir - ic
     if curv < 0.0:
-        vertex = (ir * mu_r - ic * mu_c) / curv
-        near = np.searchsorted(w, vertex)[:, None] + _NEAR_VERTEX
-        wj = w[np.clip(near, 0, w.shape[0] - 1)]
+        c = np.searchsorted(w, (ir * mu_r - ic * mu_c) / curv)
+        candidates = (np.take(w, c + k, mode="clip") for k in (-2, -1, 0, 1))
     else:
-        wj = w[[0, -1]]
-    dr = wj - mu_r[:, None]
-    dc = wj - mu_c[:, None]
-    return np.max(const + dr * dr * ir - dc * dc * ic, axis=1)
+        candidates = (w[0], w[-1])
+    best = None
+    for wj in candidates:
+        dr = wj - mu_r
+        dc = wj - mu_c
+        col = const + dr * dr * ir - dc * dc * ic
+        best = col if best is None else np.maximum(best, col, out=best)
+    return best
 
 
 def comp_mean(x) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bridgebound import _kernels
+from bridgebound import _kernels, calibration
 from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      benchmark_envelope,
                                      estimate_benchmark_eta,
@@ -15,6 +15,7 @@ from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
 from bridgebound.data import Dataset
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError, DegenerateBenchmark
+from bridgebound.linear_bayes import default_prior, nig_update
 
 from conftest import rng
 
@@ -136,6 +137,66 @@ class TestGamma:
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=1.0, n=60)
         with pytest.raises(BridgeboundError, match="gamma cap must be finite"):
             estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1, cap=0.5)
+
+    @staticmethod
+    def unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap):
+        """One pass over all points: affine means, brute sup, exp, clamp."""
+        idx = ctx.arm_rows[arm]
+        ones = np.ones(idx.size)
+        w_arm = ctx.arm_values[arm]
+        post_c = nig_update(default_prior(4), np.column_stack([ones, m[idx], l0[idx], l1[idx]]),
+                            w_arm)
+        post_r = nig_update(default_prior(3), np.column_stack([ones, l0[idx], l1[idx]]), w_arm)
+        sig2_c = calibration.posterior_sigma2_mean(post_c)
+        sig2_r = calibration.posterior_sigma2_mean(post_r)
+        bc, br = post_c.mean, post_r.mean
+        mu_c = bc[0] + bc[1] * pm + bc[2] * pl0 + bc[3] * pl1
+        mu_r = br[0] + br[1] * pl0 + br[2] * pl1
+        log_sup = _kernels.gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, ctx.arm_sorted[arm])
+        return np.clip(np.exp(log_sup), 1.0, cap), sig2_c < sig2_r
+
+    @pytest.mark.parametrize("points", [10, 64, 3 * 64 + 17])
+    @pytest.mark.parametrize("concave", [True, False])
+    @pytest.mark.parametrize("scale", ["raw", "rank"])
+    @pytest.mark.parametrize("binding_cap", [False, True])
+    def test_blocked_walk_matches_one_pass(self, monkeypatch, points, concave, scale,
+                                           binding_cap):
+        # blocks of 64: one partial block, exactly one block, and a ragged fourth block
+        monkeypatch.setattr(calibration, "_GAMMA_BLOCK", 64)
+        if not concave:
+            # an added regressor never raises the NIG scale, so data alone cannot make
+            # the numerator variance exceed the reference one; patch the variances
+            monkeypatch.setattr(calibration, "posterior_sigma2_mean",
+                                lambda post: 0.4 + 0.1 * post.mean.size)
+        r = rng(8)
+        n = 300
+        m = r.normal(size=n)
+        l0 = -0.9 + 0.1 * r.normal(size=n)
+        l1 = -1.1 + 0.1 * r.normal(size=n)
+        ctx = prepare_benchmark(dataset_with_benchmark(2.0 * m + r.normal(size=n)), scale)
+        pm = 1.5 * r.normal(size=points)
+        pl0 = -0.9 + 0.1 * r.normal(size=points)
+        pl1 = -1.1 + 0.1 * r.normal(size=points)
+        for arm in (0, 1):
+            cap = DEFAULT_GAMMA_CAP
+            if binding_cap:
+                free, _ = self.unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, math.inf)
+                cap = float(np.median(free))
+            got = estimate_benchmark_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap=cap)
+            want, is_concave = self.unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap)
+            assert is_concave == concave
+            assert np.array_equal(got, want)
+            if binding_cap:
+                assert 1.0 < cap and 0 < np.count_nonzero(got == cap) < points
+
+    @pytest.mark.parametrize("shapes", [((5,), (1,), (5,)), ((5,), (5,), (4,)),
+                                        ((2, 5), (2, 5), (2, 5)), ((), (), ())])
+    def test_points_must_be_one_length_vectors(self, shapes):
+        m, l0, l1, ctx, _, _, _ = self.toy_problem(coupling=1.0, n=60)
+        pts = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(BridgeboundError, match=r"pts_m, pts_l0 and pts_l1 must be 1-d arrays "
+                                                   r"of one length, got shapes \["):
+            estimate_benchmark_gamma(m, l0, l1, ctx, 0, *pts)
 
 
 class TestEnvelopes:
