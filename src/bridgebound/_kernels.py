@@ -2,14 +2,16 @@
 
 The g-computation engine calls these per posterior draw, over n rows, the n*L
 envelope points of the benchmark routes or the six anchor nodes. All
-summation is compensated (Neumaier) so aggregates agree with an
-exact-summation oracle to well below 1e-12 and do not depend on how draws are
-scheduled across threads.
+summation is compensated (TwoSum lanes folded by fsum) so aggregates agree
+with an exact-summation oracle to well below 1e-12 and do not depend on how
+draws are scheduled across threads.
 
 gamma_sup_logratio is elementwise in its points: calibration calls it on one
-block of envelope points at a time, and it evaluates each candidate grid value
-as a contiguous column over the block, so its temporaries are block-sized
-vectors and its result does not depend on the blocking.
+block of envelope points at a time. Points whose sup-candidate vertex lies
+past an end of the grid (nearly all of them on the benchmark routes) are
+evaluated on two contiguous columns; only the interior ones are searched and
+evaluated on their four neighbouring grid slots. Its temporaries are
+block-sized vectors and its result does not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ _LANES = 4096
 
 
 def comp_sum(x):
-    """Compensated sum: Neumaier lanes folded with an exactly rounded fsum.
+    """Compensated sum: TwoSum lanes folded with an exactly rounded fsum.
+
+    Each lane keeps a running sum s and adds the exact rounding error of
+    s + v to its carry, by Knuth's branch-free TwoSum. That error is the one
+    Neumaier's branch computes, so the lanes hold the same floats; the one
+    exception is an element equal to -DBL_MAX or DBL_MAX, where TwoSum's t - s can
+    overflow, the carry turns nan and the IEEE fallback below answers.
 
     When the sum is not finite (it overflows or meets inf - inf), the plain
     IEEE sum (inf or nan) is returned, for the output writers to refuse.
@@ -40,8 +48,8 @@ def comp_sum(x):
             for i in range(1, k):
                 v = body[i]
                 t = s + v
-                big = np.abs(s) >= np.abs(v)
-                c += np.where(big, (s - t) + v, (v - t) + s)
+                bp = t - s
+                c += (s - (t - bp)) + (v - bp)
                 s = t
         parts = np.concatenate([s, c, x[k * _LANES:]])
     try:
@@ -85,6 +93,22 @@ def gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, w):
     return out
 
 
+def _logratio_at(wj, mu_c, mu_r, const, ic, ir):
+    """const + dr*dr*ir - dc*dc*ic at grid value(s) wj, as in the brute scan.
+
+    Evaluated in place, in the same order, so the bits are the brute scan's.
+    """
+    dr = wj - mu_r
+    np.multiply(dr, dr, out=dr)
+    dr *= ir
+    dr += const
+    dc = wj - mu_c
+    np.multiply(dc, dc, out=dc)
+    dc *= ic
+    dr -= dc
+    return dr
+
+
 def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     """Sup over the sorted grid w of the log density ratio at each point.
 
@@ -95,31 +119,48 @@ def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     w[c - 2] and w[c + 1] (indices clipped to the grid) catch a vertex that
     rounding moved across a grid point. Otherwise the sup is at w[0] or w[-1].
 
-    Each candidate slot is evaluated as one contiguous column over all points,
-    by the same expression as gamma_sup_logratio_brute, and the columns are
-    folded with np.maximum; a gathered (points, candidates) matrix reduced
-    along its short axis costs several times more per element. Max is exact,
-    so the result does not depend on how the points are split into calls. The
-    tests require the two kernels to agree bit for bit on random geometries:
-    grids from one value up, tied rank-like grids, and variances with
-    sig2_r / sig2_c - 1 down to 1e-3. Flatter quadratics can round a farther
-    grid value up to the max, so there the two may differ in the last bits.
+    In the concave case most vertices lie off the grid, and there the four
+    slots hold two values: w[0] and w[1] when vertex <= w[0] (c = 0), and
+    w[-2] and w[-1] when not vertex <= w[-1] (c = n, NaN included). So every
+    point is first evaluated on those two columns, picked per point by which
+    end its vertex is past, and only the interior points, w[0] < vertex <=
+    w[-1], are searched and evaluated on their four slots, then scattered
+    back. Each point sees the same candidate set as under the plain four-slot
+    rule, and max is exact, so the result is that rule's to the bit.
+
+    Candidates are evaluated as contiguous columns, by the same expression as
+    gamma_sup_logratio_brute, and folded with np.maximum; a gathered (points,
+    candidates) matrix reduced along its short axis costs several times more
+    per element. The result does not depend on how the points are split into
+    calls. The tests require the two kernels to agree bit for bit on random
+    geometries: grids from one value up, tied rank-like grids, and variances
+    with sig2_r / sig2_c - 1 down to 1e-3. Flatter quadratics can round a
+    farther grid value up to the max, so there the two may differ in the last
+    bits.
     """
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
     ir = 1.0 / (2.0 * sig2_r)
     curv = ir - ic
-    if curv < 0.0:
-        c = np.searchsorted(w, (ir * mu_r - ic * mu_c) / curv)
-        candidates = (np.take(w, c + k, mode="clip") for k in (-2, -1, 0, 1))
-    else:
-        candidates = (w[0], w[-1])
-    best = None
-    for wj in candidates:
-        dr = wj - mu_r
-        dc = wj - mu_c
-        col = const + dr * dr * ir - dc * dc * ic
-        best = col if best is None else np.maximum(best, col, out=best)
+    if not curv < 0.0:
+        return np.maximum(_logratio_at(w[0], mu_c, mu_r, const, ic, ir),
+                          _logratio_at(w[-1], mu_c, mu_r, const, ic, ir))
+    vertex = (ir * mu_r - ic * mu_c) / curv
+    last = w.size - 1
+    below_last = vertex <= w[-1]
+    past_last = ~below_last
+    best = _logratio_at(np.where(past_last, w[max(last - 1, 0)], w[0]), mu_c, mu_r, const, ic, ir)
+    np.maximum(best, _logratio_at(np.where(past_last, w[last], w[min(1, last)]),
+                                  mu_c, mu_r, const, ic, ir), out=best)
+    inner = np.flatnonzero(below_last & (vertex > w[0]))
+    if inner.size:
+        c = np.searchsorted(w, vertex[inner])
+        mc, mr = mu_c[inner], mu_r[inner]
+        sub = _logratio_at(np.take(w, c - 2, mode="clip"), mc, mr, const, ic, ir)
+        for k in (-1, 0, 1):
+            np.maximum(sub, _logratio_at(np.take(w, c + k, mode="clip"), mc, mr, const, ic, ir),
+                       out=sub)
+        best[inner] = sub
     return best
 
 

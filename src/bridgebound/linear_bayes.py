@@ -46,7 +46,8 @@ class NIGParams:
             raise BridgeboundError(f"scale must be positive, got {self.scale}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(prec)):
             raise BridgeboundError("non-finite entries in prior parameters")
-        if not np.allclose(prec, prec.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(prec).max())):
+        # entries are finite (checked above), so a plain difference needs no inf/nan care
+        if (np.abs(prec - prec.T) > 1e-8 * max(1.0, np.abs(prec).max())).any():
             raise BridgeboundError("precision matrix is not symmetric")
 
     @property

@@ -16,6 +16,60 @@ from bridgebound._kernels import (_LANES, comp_mean, comp_sum,
 from conftest import rng
 
 
+def bits(x):
+    """Bit patterns, so equality also tells -0.0 from 0.0 and NaN from NaN."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def neumaier_comp_sum(x):
+    """comp_sum with Neumaier's branch in the lane loop, kept as a reference."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.size
+    parts = x
+    if n > 2 * _LANES:
+        k = n // _LANES
+        body = x[: k * _LANES].reshape(k, _LANES)
+        s = body[0].copy()
+        c = np.zeros(_LANES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, k):
+                v = body[i]
+                t = s + v
+                big = np.abs(s) >= np.abs(v)
+                c += np.where(big, (s - t) + v, (v - t) + s)
+                s = t
+        parts = np.concatenate([s, c, x[k * _LANES:]])
+    try:
+        total = math.fsum(parts.tolist())
+    except (OverflowError, ValueError):
+        total = math.nan
+    if math.isfinite(total):
+        return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(x))
+
+
+def four_slot_gamma_sup(mu_c, sig2_c, mu_r, sig2_r, w):
+    """gamma_sup_logratio by the plain four-slot rule, kept as a reference:
+    every point, in or off the grid, reads w[clip(c - 2 .. c + 1)]."""
+    const = 0.5 * math.log(sig2_r / sig2_c)
+    ic = 1.0 / (2.0 * sig2_c)
+    ir = 1.0 / (2.0 * sig2_r)
+    curv = ir - ic
+    if curv < 0.0:
+        c = np.searchsorted(w, (ir * mu_r - ic * mu_c) / curv)
+        candidates = (np.take(w, c + k, mode="clip") for k in (-2, -1, 0, 1))
+    else:
+        candidates = (w[0], w[-1])
+    best = None
+    for wj in candidates:
+        dr = wj - mu_r
+        dc = wj - mu_c
+        col = const + dr * dr * ir - dc * dc * ic
+        best = col if best is None else np.maximum(best, col, out=best)
+    return best
+
+
 def test_comp_sum_matches_fsum_on_cancellation():
     x = np.array([1e16, 1.0, -1e16, 1.0])
     assert comp_sum(x) == math.fsum(x) == 2.0
@@ -46,6 +100,40 @@ def test_comp_sum_tracks_fsum(values):
     x = np.asarray(values)
     exact = math.fsum(x)
     assert abs(comp_sum(x) - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def comp_sum_cases():
+    r = rng(20)
+    lengths = (2 * _LANES, 2 * _LANES + 1, 3 * _LANES - 1, 3 * _LANES, 3 * _LANES + 1,
+               7 * _LANES - 1, 7 * _LANES + 1)
+    for n in lengths:
+        # rows of x and -x(1 + 1e-15) in turn: every lane cancels to ~1e-15 x
+        base = r.standard_normal(_LANES) * 10.0 ** r.uniform(-3, 3, _LANES)
+        yield np.resize(np.concatenate([base, -base * (1.0 + 1e-15)]), n)
+        # magnitudes 1e-300 .. 1e300 with random signs
+        yield r.choice([-1.0, 1.0], n) * 10.0 ** r.uniform(-300, 300, n)
+        # runs of -0.0, alone and among small values
+        yield np.full(n, -0.0)
+        x = r.standard_normal(n) * 1e-3
+        x[: _LANES + 7] = -0.0
+        x[-(2 * _LANES + 3):] = -0.0
+        yield x
+        # non-finite sums take the IEEE fallback
+        for bad in ([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf]):
+            x = r.standard_normal(n)
+            x[r.choice(n, len(bad), replace=False)] = bad
+            yield x
+        x = r.standard_normal(n)
+        x[_LANES + 5] = 1e308
+        x[n - 5] = 1e308
+        yield x
+
+
+def test_comp_sum_is_neumaier_bit_for_bit():
+    # Knuth's TwoSum and Neumaier's branch add the same exact rounding error
+    # to each lane's carry, so the folded sums are the same floats
+    for x in comp_sum_cases():
+        assert bits(comp_sum(x)) == bits(neumaier_comp_sum(x)), x.size
 
 
 def test_comp_mean_simple():
@@ -79,10 +167,23 @@ def test_outcome_mean_sum_equals_design_dot():
 
 
 class TestGammaSupLogratio:
-    def brute_and_fast(self, mu_c, sc, mu_r, sr, w):
-        fast = gamma_sup_logratio(mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-        brute = gamma_sup_logratio_brute(mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-        return fast, brute
+    """The kernel evaluates off-grid vertices on two columns and searches only
+    the interior ones; each point must see the four-slot rule's candidates."""
+
+    @staticmethod
+    def brute_and_fast(mu_c, sc, mu_r, sr, w):
+        args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
+        # huge and infinite means overflow to inf and inf - inf on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = gamma_sup_logratio(*args)
+            assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
+            return fast, gamma_sup_logratio_brute(*args)
+
+    @staticmethod
+    def vertex(mu_c, sc, mu_r, sr):
+        ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (ir * mu_r - ic * mu_c) / (ir - ic)
 
     @pytest.mark.parametrize("sc,sr", [(0.8, 1.0), (1.0, 0.8), (1.0, 1.0), (0.3, 2.5)])
     def test_matches_brute_scan(self, sc, sr):
@@ -132,3 +233,95 @@ class TestGammaSupLogratio:
             sr = sc * (1.0 + 10.0 ** r.uniform(-3.0, 0.5))
         fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
         assert np.array_equal(fast, brute)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_engine_like_geometry(self, seed):
+        # as in a benchmark fit: 1000 observed values, raw on [0, 2] or tied
+        # fractional ranks, two nearly equal variances, so nearly every
+        # vertex lies far past one end of the grid; a tenth are put inside
+        r = np.random.default_rng(seed)
+        n_obs, n_pts = 1000, 6000
+        if seed % 2:
+            w = np.sort(r.uniform(0.0, 2.0, n_obs))
+        else:
+            w = np.sort(np.ceil(r.uniform(size=n_obs) * 80) / 80)
+        sc = 0.33 * r.uniform(0.5, 2.0)
+        sr = sc * (1.0 + 10.0 ** r.uniform(-6.0, -3.0))
+        mu_c = 1.0 + 0.4 * r.standard_normal(n_pts)
+        mu_r = mu_c + 0.05 * r.standard_normal(n_pts)
+        inside = r.random(n_pts) < 0.1
+        ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
+        target = r.uniform(w[0], w[-1], inside.sum())
+        mu_c[inside] = (ir * mu_r[inside] - (ir - ic) * target) / ic
+        v = self.vertex(mu_c, sc, mu_r, sr)
+        assert (v < w[0] - 10).any() and (v > w[-1] + 10).any()
+        assert ((v > w[0]) & (v <= w[-1])).sum() > 0.05 * n_pts
+        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
+        # a subset of brute's candidates by brute's expression: never above it,
+        # and below it only by a rounding step on these flat quadratics
+        assert np.all(fast <= brute)
+        assert np.all(brute - fast <= 1e-14 * np.maximum(1.0, np.abs(brute)))
+
+    def test_vertex_at_and_past_the_ends(self):
+        # sig2_c = 1/4, sig2_r = 1/2 and mu_r = 0 make the vertex 2 mu_c exactly
+        w = np.array([-1.5, -0.5, 0.25, 0.25, 1.0, 2.0])
+        targets = np.array([
+            w[0], w[-1], np.nextafter(w[0], -np.inf), np.nextafter(w[0], np.inf),
+            np.nextafter(w[-1], -np.inf), np.nextafter(w[-1], np.inf),
+            w[1], w[2], -1e3, 1e3, -1e300, 1e300,
+        ])
+        mu_c = targets / 2.0
+        mu_r = np.zeros_like(mu_c)
+        assert np.array_equal(self.vertex(mu_c, 0.25, mu_r, 0.5), targets)
+        fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
+        assert np.array_equal(bits(fast), bits(brute))
+
+    @pytest.mark.parametrize("mirror", [1.0, -1.0])
+    def test_guard_slot_wins_past_an_end(self, mirror):
+        # the vertex lies just past w[-1], where the quadratic is increasing,
+        # yet w[-2], one ulp below w[-1], rounds to the larger value; mirrored,
+        # w[1] beats w[0] for a vertex just below w[0]
+        w = mirror * np.array([-0.4385397140957079, 0.5614602859042918, 0.5614602859042921])
+        w = np.sort(w)
+        mu_c = mirror * np.array([-0.2653871037279886])
+        mu_r = mirror * np.array([-0.2654214710460525])
+        sc, sr = 0.6732655185893088, 0.6732935023871764
+        v = self.vertex(mu_c, sc, mu_r, sr)[0]
+        guard, end = (w[1], w[2]) if mirror > 0 else (w[1], w[0])
+        assert (v > end) if mirror > 0 else (v <= end)
+        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
+        at = [gamma_sup_logratio_brute(mu_c, np.float64(sc), mu_r, np.float64(sr), np.array([x]))[0]
+              for x in (guard, end)]
+        assert at[0] > at[1] and fast[0] == brute[0] == at[0]
+
+    def test_infinite_and_nan_vertices(self):
+        w = np.array([-1.5, -0.5, 0.25, 1.0, 2.0])
+        mu_c = np.array([np.inf, -np.inf, 1e308, -1e308, np.nan, 0.3, 0.3])
+        mu_r = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.nan, np.inf])
+        v = self.vertex(mu_c, 0.25, mu_r, 0.5)
+        assert np.array_equal(v, [np.inf, -np.inf, np.inf, -np.inf, np.nan, np.nan, -np.inf],
+                              equal_nan=True)
+        fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
+        expected = [-np.inf, -np.inf, -np.inf, -np.inf, np.nan, np.nan, np.inf]
+        assert np.array_equal(fast, expected, equal_nan=True)
+        assert np.array_equal(brute, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("n_obs", [1, 2])
+    @pytest.mark.parametrize("sc,sr", [(0.8, 1.0), (1.0, 0.8), (1.0, 1.0 + 1e-4)])
+    def test_one_and_two_value_grids(self, n_obs, sc, sr):
+        # with at most two values every slot reads the whole grid, so even a
+        # flat quadratic matches the brute scan exactly
+        r = rng(30 + n_obs)
+        w = np.sort(r.standard_normal(n_obs))
+        mu_c = r.standard_normal(400) * 2.0
+        mu_r = r.standard_normal(400) * 2.0
+        if sc < sr:
+            # a quarter of the vertices put between the two values
+            ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
+            mu_c[:100] = (ir * mu_r[:100] - (ir - ic) * r.uniform(w[0], w[-1], 100)) / ic
+            v = self.vertex(mu_c, sc, mu_r, sr)
+            assert (v <= w[0]).any() and (v > w[-1]).any()
+            if n_obs == 2:
+                assert ((v > w[0]) & (v <= w[-1])).any()
+        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
+        assert np.array_equal(bits(fast), bits(brute))

@@ -120,6 +120,21 @@ def test_prior_validation():
         nig_update(unit_prior(2), np.ones((5, 3)), np.ones(5))
 
 
+@pytest.mark.parametrize("diag", [1.0, 0.5, 4.0, 3e5])
+def test_precision_symmetry_tolerance_boundary(diag):
+    # the tolerance is 1e-8 * max(1, max |entry|); an asymmetry of exactly
+    # that passes and the next float above it fails
+    tol = 1e-8 * max(1.0, diag)
+
+    def params(gap):
+        prec = np.array([[diag, 0.0], [gap, diag]])
+        return NIGParams(mean=np.zeros(2), precision_matrix=prec, shape=1.0, scale=1.0)
+
+    assert params(tol).dim == 2
+    with pytest.raises(BridgeboundError, match=r"^precision matrix is not symmetric$"):
+        params(np.nextafter(tol, np.inf))
+
+
 def test_default_prior_shape():
     prior = default_prior(8)
     assert prior.dim == 8
