@@ -10,7 +10,8 @@ gamma_sup_logratio is elementwise in its points: calibration calls it on one
 block of envelope points at a time. Points whose sup-candidate vertex lies
 past an end of the grid (nearly all of them on the benchmark routes) are
 evaluated on two contiguous columns; only the interior ones are searched and
-evaluated on their four neighbouring grid slots. Its temporaries are
+evaluated on their four neighbouring grid slots, and when most vertices are
+interior every point takes that four-slot pass. Its temporaries are
 block-sized vectors and its result does not depend on the blocking.
 """
 
@@ -21,6 +22,10 @@ import math
 import numpy as np
 
 _LANES = 4096
+# gamma_sup_logratio skips its two off-grid columns when more than this share
+# of the vertices lies inside the grid: there the columns cost more than they
+# save (the two passes break even near 0.6-0.75 of the points inside)
+_FOUR_SLOT_SHARE = 0.6
 
 
 def comp_sum(x):
@@ -125,8 +130,11 @@ def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     point is first evaluated on those two columns, picked per point by which
     end its vertex is past, and only the interior points, w[0] < vertex <=
     w[-1], are searched and evaluated on their four slots, then scattered
-    back. Each point sees the same candidate set as under the plain four-slot
-    rule, and max is exact, so the result is that rule's to the bit.
+    back. When more than _FOUR_SLOT_SHARE of the points are interior, the
+    two columns cost more than they save, and every point is searched and
+    evaluated on its four slots instead. Either way each point sees the
+    same candidate set as under the plain four-slot rule, and max is exact,
+    so the result is that rule's to the bit.
 
     Candidates are evaluated as contiguous columns, by the same expression as
     gamma_sup_logratio_brute, and folded with np.maximum; a gathered (points,
@@ -148,19 +156,27 @@ def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
     vertex = (ir * mu_r - ic * mu_c) / curv
     last = w.size - 1
     below_last = vertex <= w[-1]
+    inside = below_last & (vertex > w[0])
+    n_inside = np.count_nonzero(inside)
+    if n_inside > _FOUR_SLOT_SHARE * vertex.size:
+        return _sup_near_vertex(w, vertex, mu_c, mu_r, const, ic, ir)
     past_last = ~below_last
     best = _logratio_at(np.where(past_last, w[max(last - 1, 0)], w[0]), mu_c, mu_r, const, ic, ir)
     np.maximum(best, _logratio_at(np.where(past_last, w[last], w[min(1, last)]),
                                   mu_c, mu_r, const, ic, ir), out=best)
-    inner = np.flatnonzero(below_last & (vertex > w[0]))
-    if inner.size:
-        c = np.searchsorted(w, vertex[inner])
-        mc, mr = mu_c[inner], mu_r[inner]
-        sub = _logratio_at(np.take(w, c - 2, mode="clip"), mc, mr, const, ic, ir)
-        for k in (-1, 0, 1):
-            np.maximum(sub, _logratio_at(np.take(w, c + k, mode="clip"), mc, mr, const, ic, ir),
-                       out=sub)
-        best[inner] = sub
+    if n_inside:
+        inner = np.flatnonzero(inside)
+        best[inner] = _sup_near_vertex(w, vertex[inner], mu_c[inner], mu_r[inner], const, ic, ir)
+    return best
+
+
+def _sup_near_vertex(w, vertex, mu_c, mu_r, const, ic, ir):
+    """Max of the log ratio over w[clip(c - 2 .. c + 1)], c = searchsorted(w, vertex)."""
+    c = np.searchsorted(w, vertex)
+    best = _logratio_at(np.take(w, c - 2, mode="clip"), mu_c, mu_r, const, ic, ir)
+    for k in (-1, 0, 1):
+        np.maximum(best, _logratio_at(np.take(w, c + k, mode="clip"), mu_c, mu_r, const, ic, ir),
+                   out=best)
     return best
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgebound._kernels import (_LANES, comp_mean, comp_sum,
+from bridgebound._kernels import (_FOUR_SLOT_SHARE, _LANES, comp_mean, comp_sum,
                                   gamma_sup_logratio, gamma_sup_logratio_brute,
                                   normal_logpdf, outcome_mean_sum)
 
@@ -173,11 +173,9 @@ class TestGammaSupLogratio:
     @staticmethod
     def brute_and_fast(mu_c, sc, mu_r, sr, w):
         args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-        # huge and infinite means overflow to inf and inf - inf on purpose
-        with np.errstate(over="ignore", invalid="ignore"):
-            fast = gamma_sup_logratio(*args)
-            assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
-            return fast, gamma_sup_logratio_brute(*args)
+        fast = gamma_sup_logratio(*args)
+        assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
+        return fast, gamma_sup_logratio_brute(*args)
 
     @staticmethod
     def vertex(mu_c, sc, mu_r, sr):
@@ -235,10 +233,12 @@ class TestGammaSupLogratio:
         assert np.array_equal(fast, brute)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_engine_like_geometry(self, seed):
+    @pytest.mark.parametrize("share_inside", [0.1, 0.9])
+    def test_engine_like_geometry(self, seed, share_inside):
         # as in a benchmark fit: 1000 observed values, raw on [0, 2] or tied
         # fractional ranks, two nearly equal variances, so nearly every
-        # vertex lies far past one end of the grid; a tenth are put inside
+        # vertex lies far past one end of the grid; a tenth are put inside, or
+        # nine tenths, for the pass that searches every point
         r = np.random.default_rng(seed)
         n_obs, n_pts = 1000, 6000
         if seed % 2:
@@ -249,13 +249,15 @@ class TestGammaSupLogratio:
         sr = sc * (1.0 + 10.0 ** r.uniform(-6.0, -3.0))
         mu_c = 1.0 + 0.4 * r.standard_normal(n_pts)
         mu_r = mu_c + 0.05 * r.standard_normal(n_pts)
-        inside = r.random(n_pts) < 0.1
+        inside = r.random(n_pts) < share_inside
         ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
         target = r.uniform(w[0], w[-1], inside.sum())
         mu_c[inside] = (ir * mu_r[inside] - (ir - ic) * target) / ic
         v = self.vertex(mu_c, sc, mu_r, sr)
         assert (v < w[0] - 10).any() and (v > w[-1] + 10).any()
-        assert ((v > w[0]) & (v <= w[-1])).sum() > 0.05 * n_pts
+        n_inside = ((v > w[0]) & (v <= w[-1])).sum()
+        assert n_inside > 0.05 * n_pts
+        assert (n_inside > _FOUR_SLOT_SHARE * n_pts) == (share_inside > _FOUR_SLOT_SHARE)
         fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
         # a subset of brute's candidates by brute's expression: never above it,
         # and below it only by a rounding step on these flat quadratics
@@ -273,7 +275,9 @@ class TestGammaSupLogratio:
         mu_c = targets / 2.0
         mu_r = np.zeros_like(mu_c)
         assert np.array_equal(self.vertex(mu_c, 0.25, mu_r, 0.5), targets)
-        fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
+        # vertices of 1e300 square to inf on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
         assert np.array_equal(bits(fast), bits(brute))
 
     @pytest.mark.parametrize("mirror", [1.0, -1.0])
@@ -301,7 +305,9 @@ class TestGammaSupLogratio:
         v = self.vertex(mu_c, 0.25, mu_r, 0.5)
         assert np.array_equal(v, [np.inf, -np.inf, np.inf, -np.inf, np.nan, np.nan, -np.inf],
                               equal_nan=True)
-        fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
+        # infinite means meet inf - inf on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
         expected = [-np.inf, -np.inf, -np.inf, -np.inf, np.nan, np.nan, np.inf]
         assert np.array_equal(fast, expected, equal_nan=True)
         assert np.array_equal(brute, expected, equal_nan=True)
