@@ -83,6 +83,8 @@ SCHEMA_KEYS = {"treatment": _COLUMN, "mediator": _COLUMN, "outcome": _COLUMN,
 def load_dataset(path: str, schema: dict) -> Dataset:
     """Read a UTF-8 CSV with a header row, mapping columns via schema (SCHEMA_KEYS).
 
+    A leading byte-order mark, as spreadsheet programs write, is skipped.
+
     One csv.reader pass, then one float64 parse and one finiteness check per
     schema column. Rows keep csv.DictReader's semantics: blank lines are
     skipped, a duplicated header name reads its last column, a short row's
@@ -97,7 +99,7 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     wanted += cov_names + ([bench_name] if bench_name else [])
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             for col in wanted:
@@ -163,7 +165,7 @@ def save_dataset(data: Dataset, path: str) -> None:
 def infer_schema(path: str) -> dict:
     """Schema from a canonically named header (treat, m, y, x1.., optional w)."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             header = next(csv.reader(fh), [])
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -146,10 +145,29 @@ _QUANTILES = ((2.5, 0.025), (25.0, 0.25), (50.0, 0.50), (75.0, 0.75), (97.5, 0.9
 
 
 def _quantile(arr: np.ndarray, q: float) -> float:
-    """Quantile of one record; a non-finite record gives inf or nan, quietly,
-    for the output writers to refuse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.quantile(arr, q))
+    """np.quantile(arr, q) of one record, bit for bit, without np.unique's
+    first-call import of numpy.ma; a non-finite record gives inf or nan,
+    quietly, for the output writers to refuse.
+
+    This is numpy's 'linear' method: partition a copy on the same sorted kth
+    set (a virtual index at or past the last slot reads the last value from
+    both sides), return the last value if it is nan (nan sorts last), else
+    interpolate by numpy's _lerp. A partition, not a sort: the two place
+    equal values such as 0.0 and -0.0 differently.
+    """
+    n = arr.size
+    v = (n - 1) * q
+    lo = hi = -1
+    if v < n - 1:
+        lo = math.floor(v)
+        hi = lo + 1
+    part = arr.copy()
+    part.partition(sorted({0, -1, lo, hi}))
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = float(part[lo]), float(part[hi]), v - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 @dataclass(frozen=True)
@@ -317,6 +335,10 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
         for t in range(draws):
             task(t)
     else:
+        # imported here: concurrent.futures pulls in logging, which a
+        # one-thread run does not need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(task, range(draws)))
 

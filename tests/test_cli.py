@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -586,6 +588,46 @@ class TestVerify:
         assert self_test["detected"] is True
         assert self_test["bound_gap"] == 0.25
         assert set(self_test["model"]) == {"p_x", "p_u", "p_m", "psi", "groups"}
+
+
+LAZY = ["numpy.ma", "bridgebound.oracle", "concurrent.futures"]
+# runs one command (argv[2:]) and writes its exit code and the LAZY modules it
+# loaded to argv[1]
+_FOOTPRINT = """
+import json, sys
+from bridgebound.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump([code, [m for m in %r if m in sys.modules]], fh)
+""" % (LAZY,)
+
+
+@pytest.mark.parametrize("command,cfg,loads", [
+    ("fit", {"setting": {"route": "si_anchor"}}, []),
+    ("fit", {"setting": {"route": "benchmark_raw"}}, []),
+    ("sweep", {"axis": "kappa", "grid": [1.0, 2.0],
+               "overlays": [{"label": "raw", "setting": {"route": "benchmark_raw"}},
+                            {"label": "rank", "setting": {"route": "benchmark_rank"}}]}, []),
+    ("simulate", {"spec": {"n": 40, "p": 1, "beta_m": [0.5, 1.0, 0.4]}}, []),
+    ("verify", {"n_models": 4, "seed": 4}, ["bridgebound.oracle"]),
+])
+def test_command_imports_only_what_it_runs(data_dir, tmp_path, command, cfg, loads):
+    # numpy.ma (np.quantile's first call), the exact oracle and the thread pool
+    # stay unimported unless the command runs them
+    if command in ("fit", "sweep"):
+        cfg = {"data": str(data_dir / "bench.csv"), **FAST, **cfg}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+    if command in ("fit", "sweep"):
+        argv += ["--threads", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(report), *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text()) == [0, loads]
 
 
 @pytest.mark.parametrize("command,value", [("verify", "2"), ("simulate", "-3")])

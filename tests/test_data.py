@@ -119,6 +119,22 @@ class TestCsvRoundtrip:
         assert np.array_equal(back.covariates, data.covariates)
         assert np.array_equal(back.benchmark, data.benchmark)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with a BOM; the header's first
+        # name must still read 'treat', for an inferred and an explicit schema
+        data, _ = generate_synthetic(
+            SyntheticSpec(n=50, p=2, beta_m=(0.5, 1.0, 0.3, -0.2),
+                          benchmark=BenchmarkSpec(0.0, 2.0)), seed=3)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_dataset(data, str(plain))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        schema = infer_schema(str(bom))
+        assert schema == infer_schema(str(plain))
+        for sch in (schema, BARE_SCHEMA):
+            back, ref = load_dataset(str(bom), sch), load_dataset(str(plain), sch)
+            for name in ("treatment", "mediator", "outcome", "covariates", "benchmark"):
+                assert np.array_equal(getattr(back, name), getattr(ref, name))
+
     @pytest.mark.parametrize("p,bench_spec", [(0, None), (2, BenchmarkSpec(-1.0, 3.0))],
                              ids=["p0", "p2_benchmark"])
     def test_save_matches_csv_writer(self, tmp_path, p, bench_spec):

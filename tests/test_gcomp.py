@@ -311,6 +311,28 @@ class TestRun:
         assert set(entry) == {"mean", "q2.5", "q25", "q50", "q75", "q97.5"}
         assert entry["q2.5"] <= entry["q50"] <= entry["q97.5"]
 
+    def test_quantile_is_numpys_bit_for_bit(self):
+        # the summaries' quantile must be np.quantile's, down to the sign of a
+        # zero and the bits of a nan, for every record a run can produce
+        r = rng(41)
+        pools = ([0.0, -0.0], [0.0, -0.0, 1.0, -1.0], [1.0, 2.0, 2.0, 3.0],
+                 [np.inf, -np.inf, np.nan, 1.0, 0.0, -0.0],
+                 [1e300, -1e300, 1.5e300, 1.7e308, -1.7e308])
+        cases = 0
+        for n in [*range(1, 61), 2000]:
+            records = [r.standard_normal(n), np.round(r.standard_normal(n) * 2.0),
+                       r.standard_normal(n) * 1e300]
+            records += [r.choice(pool, n) for pool in pools]
+            for rec in records:
+                for _, q in gcomp._QUANTILES:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = np.float64(np.quantile(rec, q))
+                    got = gcomp._quantile(rec, q)
+                    assert type(got) is float
+                    assert np.float64(got).view(np.uint64) == want.view(np.uint64), (rec, q)
+                    cases += 1
+        assert cases == 61 * 8 * len(gcomp._QUANTILES)
+
     def test_config_validation(self, null_data):
         with pytest.raises(ConfigError):
             run_small(null_data, SensitivitySetting(), draws=0)

@@ -298,6 +298,43 @@ class TestGammaSupLogratio:
               for x in (guard, end)]
         assert at[0] > at[1] and fast[0] == brute[0] == at[0]
 
+    @pytest.mark.parametrize("share_inside", [1.0, 0.1])
+    def test_guard_slot_wins_inside_the_grid(self, share_inside):
+        # near-flat quadratics on a narrow grid far from 0: rounding makes
+        # w[c + 1] strictly the largest of the four slots at about one interior
+        # point in fifty; the kernel must still read it, on the pass that
+        # searches every point and on the one that searches a tenth
+        winners = 0
+        for seed in range(24):
+            r = np.random.default_rng(seed)
+            n_obs, n_pts = int(r.integers(9, 200)), 2000
+            offset = 10.0 ** r.uniform(0.0, 4.0)
+            w = np.sort(offset + 1e-3 * r.standard_normal(n_obs))
+            sc = float(r.uniform(0.5, 2.0))
+            sr = sc * (1.0 + 10.0 ** r.uniform(-9.0, -3.0))
+            ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
+            mu_r = offset + 1e-3 * r.standard_normal(n_pts)
+            mu_c = mu_r + 1e-3 * r.standard_normal(n_pts)
+            put = r.random(n_pts) < share_inside
+            target = r.uniform(w[0], w[-1], put.sum())
+            mu_c[put] = (ir * mu_r[put] - (ir - ic) * target) / ic
+            v = self.vertex(mu_c, sc, mu_r, sr)
+            c = np.searchsorted(w, v)
+            const = 0.5 * math.log(sr / sc)
+            at = []
+            for k in (-2, -1, 0, 1):   # each slot by the brute scan's expression
+                wj = w[np.clip(c + k, 0, n_obs - 1)]
+                dr, dc = wj - mu_r, wj - mu_c
+                at.append(const + dr * dr * ir - dc * dc * ic)
+            inside = (v > w[0]) & (v <= w[-1])
+            guard = inside & (at[3] > np.maximum.reduce(at[:3]))
+            winners += np.count_nonzero(guard)
+            args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
+            fast = gamma_sup_logratio(*args)
+            assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
+            assert np.array_equal(bits(fast[guard]), bits(at[3][guard]))
+        assert winners >= 20
+
     def test_infinite_and_nan_vertices(self):
         w = np.array([-1.5, -0.5, 0.25, 1.0, 2.0])
         mu_c = np.array([np.inf, -np.inf, 1e308, -1e308, np.nan, 0.3, 0.3])
