@@ -243,6 +243,7 @@ def cmd_verify(args) -> int:
             "seed": report.seed,
             "stats": report.stats,
             "eta_gap_min_any": report.eta_gap_min_any,
+            "worst": report.worst,
             "failures": failures,
             "passed": fuzz_ok,
         },

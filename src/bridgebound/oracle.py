@@ -18,10 +18,13 @@ error rather than Monte Carlo error:
 * the quantile re-representation on [0, 1] preserving (eta, gamma),
 * the variance bound var(psi(U)) <= eta^2 / 4.
 
-check_model runs all of them on one model in a single walk: each mediator
-value is partitioned once and each (m, stratum, arm) cell enumerated once,
-and the scalar reduction reads the same cells. run_fuzz folds the per-model
-worst values over a seeded corpus.
+check_model runs all of them on one model in one batched pass: each mediator
+value is partitioned once, the strata of all mediator values form one
+cell x covariate membership mask, and every (arm, m, stratum) cell is
+evaluated at once by masked array operations, so each statistic is one max or
+min per model; the scalar reduction reads the same cells. exact_sensitivity
+evaluates one cell with the same array code. run_fuzz folds the per-model
+worst values over a seeded corpus and names the model behind each.
 
 The fuzz generator builds seeded random models whose multi-x strata are exact
 by construction: members of a group share bridge laws either by sharing the
@@ -76,7 +79,7 @@ class DiscreteModel:
         if psi.shape != p_u.shape or len(self.groups) != nx:
             raise BridgeboundError("psi or groups shape disagrees")
         for name, table in (("p_x", p_x), ("p_u", p_u), ("p_m", p_m)):
-            if np.any(table < 0.0) or not np.all(np.isfinite(table)):
+            if (table < 0.0).any() or not np.isfinite(table).all():
                 raise BridgeboundError(f"{name} has negative or non-finite entries")
         if abs(p_x.sum() - 1.0) > _SUM_TOL:
             raise BridgeboundError(f"p_x sums to {p_x.sum()}")
@@ -84,14 +87,16 @@ class DiscreteModel:
             raise BridgeboundError("a p_u row does not sum to 1")
         if np.max(np.abs(p_m.sum(axis=3) - 1.0)) > _SUM_TOL:
             raise BridgeboundError("a p_m row does not sum to 1")
-        if not np.all(np.isfinite(psi)):
+        if not np.isfinite(psi).all():
             raise BridgeboundError("psi has non-finite entries")
-        for g in set(self.groups):
-            members = [x for x in range(nx) if self.groups[x] == g]
-            ref = psi[:, members[0], :]
-            for x in members[1:]:
-                if np.max(np.abs(psi[:, x, :] - ref)) > 1e-9:
-                    raise BridgeboundError(f"psi not constant within group {g}")
+        # each x against the first member of its group
+        groups = np.asarray(self.groups)
+        first = np.argmax(groups[:, None] == groups[None, :], axis=1)
+        drift = np.abs(psi - psi[:, first, :]).max(axis=(0, 2))
+        if (drift > 1e-9).any():
+            bad = set(groups[drift > 1e-9].tolist())
+            g = next(g for g in set(self.groups) if g in bad)
+            raise BridgeboundError(f"psi not constant within group {g}")
         bridge = np.einsum("axu,axum->axm", p_u, p_m)
         bridge.flags.writeable = False
         object.__setattr__(self, "_bridge", bridge)
@@ -113,24 +118,35 @@ class DiscreteModel:
 
 
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
-    """Strata of x values sharing the bridge pair (f0(m|x), f1(m|x))."""
+    """Strata of x values sharing the bridge pair (f0(m|x), f1(m|x)).
+
+    Each x, in lexicographic order of its pair, joins the first stratum whose
+    head (first member) matches it on both arms; every open stratum is
+    compared, since another stratum's f0 may sort between two members.
+    """
     f = model.bridge_values()
-    pairs = np.stack([f[0, :, m], f[1, :, m]], axis=1)
+    pairs = f[:, :, m].T
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    close = np.all(np.abs(pairs[:, None, :] - pairs[None, :, :]) <= _INTRA_TOL, axis=2)
     strata: List[List[int]] = []
-    for x in order:
-        if strata:
-            head = strata[-1][0]
-            if np.all(np.abs(pairs[x] - pairs[head]) <= _INTRA_TOL):
-                strata[-1].append(int(x))
-                continue
-        strata.append([int(x)])
+    for x in order.tolist():
+        for stratum in strata:
+            if close[x, stratum[0]]:
+                stratum.append(x)
+                break
+        else:
+            strata.append([x])
     return [sorted(s) for s in strata]
 
 
 @dataclass(frozen=True)
 class StratumSensitivity:
-    """Exact sensitivity quantities for one (arm, m, stratum) cell."""
+    """Exact sensitivity quantities for one (arm, m, stratum) cell.
+
+    _evaluate fills the same fields for a batch of cells: each gains a
+    leading cell axis, and the per-member fields span every x, with weight and
+    delta_star 0 and gamma_star and eta_star -inf outside the stratum.
+    """
 
     delta: float
     gamma: float
@@ -145,64 +161,118 @@ class StratumSensitivity:
     decoupled: bool
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0 (below the floor of 1 every sup takes)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _range(values: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """max - min of values over the last axis, restricted to where."""
+    return (values.max(axis=-1, where=where, initial=-np.inf)
+            - values.min(axis=-1, where=where, initial=np.inf))
+
+
+def _stratum(members: np.ndarray, k) -> List[int]:
+    return np.flatnonzero(members[k]).tolist()
+
+
+def _evaluate(model: DiscreteModel, arm: np.ndarray, m: np.ndarray,
+              members: np.ndarray, head: np.ndarray) -> StratumSensitivity:
+    """Delta, gamma, eta and their covariate-level analogues for a batch of cells.
+
+    Cell k is (arm[k], m[k], stratum) with the stratum given by the boolean
+    row members[k] over x; its psi is that of member head[k]. The one cell
+    evaluator: exact_sensitivity and check_model both run on it.
+    """
+    groups = np.asarray(model.groups)
+    mixed = np.any(members & (groups[None, :] != groups[head][:, None]), axis=1)
+    if mixed.any():
+        idx = _stratum(members, np.argmax(mixed))
+        raise BridgeboundError(f"stratum {idx} mixes groups; bridge collision?")
+    p_x = model.p_x * members                      # (k, nx)
+    total = p_x.sum(axis=1)
+    if np.any(total <= 0.0):
+        idx = _stratum(members, np.argmax(total <= 0.0))
+        raise BridgeboundError(f"stratum {idx} has zero covariate mass")
+    weights = p_x / total[:, None]
+
+    p_u = model.p_u[arm]                           # (k, nx, nu)
+    p_m_at = model.p_m[arm, :, :, m]               # (k, nx, nu)
+    f0 = np.einsum("kx,kxu->ku", weights, p_u)
+    # P(u, m | a, S) / P(S), summed over x first: a one-x stratum is then
+    # bit-identical to its covariate-level cell below
+    joint = (weights[:, :, None] * p_u * p_m_at).sum(axis=1)
+    mass = joint.sum(axis=1)
+    if np.any(mass <= 0.0):
+        k = np.argmax(mass <= 0.0)
+        raise BridgeboundError(f"no mediator mass at m={m[k]} in stratum "
+                               f"{_stratum(members, k)}, arm={arm[k]}")
+    f1 = joint / mass[:, None]
+
+    psi = model.psi[arm, head]                     # (k, nu)
+    support = f0 > 0.0
+    delta = np.sum(psi * (f1 - f0), axis=1)
+    # sup of dF1/dF0 is >= 1 for any two laws; the floor guards rounding only
+    gamma = _ratio(f1, f0).max(axis=1, where=support, initial=1.0)
+    eta = _range(psi, support)
+
+    # covariate level: x alone is its stratum
+    fx_joint = p_u * p_m_at
+    fx = fx_joint.sum(axis=2)                      # (k, nx)
+    dead = members & (fx <= 0.0)
+    if dead.any():
+        k, x = np.argwhere(dead)[0]
+        raise BridgeboundError(f"f_{arm[k]}(m={m[k]} | x={x}) = 0")
+    f1_x = fx_joint / np.where(members, fx, 1.0)[:, :, None]
+    sup_x = p_u > 0.0
+    psi_x = model.psi[arm]                         # (k, nx, nu)
+    delta_star = np.where(members, np.sum(psi_x * (f1_x - p_u), axis=2), 0.0)
+    gamma_star = np.where(members, _ratio(f1_x, p_u).max(axis=2, where=sup_x, initial=1.0),
+                          -np.inf)
+    eta_star = np.where(members, _range(psi_x, sup_x), -np.inf)
+
+    spread = np.abs(p_u - f0[:, None, :]).max(axis=(1, 2), where=members[:, :, None],
+                                              initial=0.0)
+    return StratumSensitivity(delta, gamma, eta, f0, f1, psi, weights,
+                              delta_star, gamma_star, eta_star, spread <= _INTRA_TOL)
+
+
 def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
                       stratum: Sequence[int]) -> StratumSensitivity:
-    """Enumerate Delta, gamma, eta and their covariate-level analogues."""
+    """Enumerate Delta, gamma, eta and their covariate-level analogues.
+
+    One cell through _evaluate; the per-member fields follow stratum's order.
+    """
     idx = list(stratum)
-    g = model.groups[idx[0]]
-    for x in idx:
-        if model.groups[x] != g:
-            raise BridgeboundError(f"stratum {idx} mixes groups; bridge collision?")
-    psi = model.psi[arm, idx[0], :]
-
-    p_x = model.p_x[idx]
-    if p_x.sum() <= 0.0:
-        raise BridgeboundError(f"stratum {idx} has zero covariate mass")
-    weights = p_x / p_x.sum()
-
-    p_u = model.p_u[arm, idx, :]                   # (s, nu)
-    p_m_at = model.p_m[arm, idx, :, m]             # (s, nu)
-    f0 = weights @ p_u
-    joint = weights[:, None] * p_u * p_m_at        # (s, nu), P(x, u, m | a, S) / P(S)
-    mass = joint.sum()
-    if mass <= 0.0:
-        raise BridgeboundError(f"no mediator mass at m={m} in stratum {idx}, arm={arm}")
-    f1 = joint.sum(axis=0) / mass
-
-    support = f0 > 0.0
-    delta = float(psi @ (f1 - f0))
-    # sup of dF1/dF0 is >= 1 for any two laws; the max() guards rounding only
-    gamma = max(float(np.max(f1[support] / f0[support])), 1.0)
-    eta = float(psi[support].max() - psi[support].min())
-
-    delta_star = np.empty(len(idx))
-    gamma_star = np.empty(len(idx))
-    eta_star = np.empty(len(idx))
-    for j, x in enumerate(idx):
-        pu_x = model.p_u[arm, x, :]
-        fx = float(pu_x @ model.p_m[arm, x, :, m])
-        if fx <= 0.0:
-            raise BridgeboundError(f"f_{arm}(m={m} | x={x}) = 0")
-        f1_x = pu_x * model.p_m[arm, x, :, m] / fx
-        sup_x = pu_x > 0.0
-        psi_x = model.psi[arm, x, :]
-        delta_star[j] = float(psi_x @ (f1_x - pu_x))
-        gamma_star[j] = max(float(np.max(f1_x[sup_x] / pu_x[sup_x])), 1.0)
-        eta_star[j] = float(psi_x[sup_x].max() - psi_x[sup_x].min())
-
-    decoupled = bool(np.max(np.abs(p_u - f0[None, :])) <= _INTRA_TOL) if len(idx) > 1 else True
-    return StratumSensitivity(delta, gamma, eta, f0, f1, psi, weights,
-                              delta_star, gamma_star, eta_star, decoupled)
+    members = np.zeros((1, model.nx), dtype=bool)
+    members[0, idx] = True
+    cell = _evaluate(model, np.array([arm]), np.array([m]), members, np.array([idx[0]]))
+    return StratumSensitivity(
+        float(cell.delta[0]), float(cell.gamma[0]), float(cell.eta[0]),
+        cell.f0[0], cell.f1[0], cell.psi[0], cell.weights[0, idx],
+        cell.delta_star[0, idx], cell.gamma_star[0, idx], cell.eta_star[0, idx],
+        bool(cell.decoupled[0]))
 
 
-def bound_gap(sens: StratumSensitivity) -> float:
+# The checks below read one cell or a batch alike: they reduce over the last
+# axis and return one value per cell.
+
+def _xi(eta, gamma):
+    """xi_pointwise on arrays: eta * (gamma - 1) / gamma, capped at eta.
+
+    gamma here is a finite density ratio, never the +inf xi_pointwise admits.
+    """
+    return np.minimum(eta * (gamma - 1.0) / gamma, eta)
+
+
+def bound_gap(sens: StratumSensitivity):
     """|Delta| minus the envelope; positive values violate the bound."""
-    return abs(sens.delta) - xi_pointwise(sens.eta, sens.gamma)
+    return np.abs(sens.delta) - _xi(sens.eta, sens.gamma)
 
 
-def check_projection(sens: StratumSensitivity) -> float:
+def check_projection(sens: StratumSensitivity):
     """|Delta - sum_x w_x Delta*_x|: stratum value as mixture of covariate values."""
-    return abs(sens.delta - float(sens.weights @ sens.delta_star))
+    return np.abs(sens.delta - np.sum(sens.weights * sens.delta_star, axis=-1))
 
 
 def check_tightening(sens: StratumSensitivity):
@@ -212,19 +282,19 @@ def check_tightening(sens: StratumSensitivity):
     when the covariate and latent laws decouple inside the stratum
     (sens.decoupled).
     """
-    gamma_gap = float(sens.gamma_star.max() - sens.gamma)
-    eta_gap = float(sens.eta_star.max() - sens.eta)
+    gamma_gap = np.max(sens.gamma_star, axis=-1) - sens.gamma
+    eta_gap = np.max(sens.eta_star, axis=-1) - sens.eta
     return gamma_gap, eta_gap
 
 
-def check_popoviciu(sens: StratumSensitivity) -> float:
+def check_popoviciu(sens: StratumSensitivity):
     """max variance of psi(U) under f0/f1 minus eta^2 / 4 (<= 0 up to rounding)."""
-    worst = -np.inf
+    worst = []
     for law in (sens.f0, sens.f1):
-        mean = float(law @ sens.psi)
-        var = float(law @ (sens.psi - mean) ** 2)
-        worst = max(worst, var - 0.25 * sens.eta * sens.eta)
-    return worst
+        mean = np.sum(law * sens.psi, axis=-1, keepdims=True)
+        var = np.sum(law * (sens.psi - mean) ** 2, axis=-1)
+        worst.append(var - 0.25 * sens.eta * sens.eta)
+    return np.maximum(*worst)
 
 
 def check_quantile_representation(sens: StratumSensitivity) -> dict:
@@ -234,24 +304,24 @@ def check_quantile_representation(sens: StratumSensitivity) -> dict:
     conditional means must match the direct sums and (eta, gamma) must be
     preserved exactly.
     """
-    cum = np.cumsum(sens.f0)
-    widths = np.diff(np.concatenate([[0.0], cum]))
+    cum = np.cumsum(sens.f0, axis=-1)
+    widths = cum.copy()
+    widths[..., 1:] -= cum[..., :-1]
     pos = widths > 0.0
-    h = np.zeros_like(sens.f0)
-    np.divide(sens.f1, sens.f0, out=h, where=sens.f0 > 0.0)
+    h = _ratio(sens.f1, sens.f0)
 
-    mean0_blocks = float(np.sum(sens.psi[pos] * widths[pos]))
-    mean0_direct = float(sens.psi @ sens.f0)
-    mean1_blocks = float(np.sum(sens.psi[pos] * h[pos] * widths[pos]))
-    mean1_direct = float(sens.psi @ sens.f1)
-    eta_blocks = float(sens.psi[pos].max() - sens.psi[pos].min())
-    gamma_blocks = max(float(h[pos].max()), 1.0)
+    mean0_blocks = np.sum(sens.psi * widths, axis=-1, where=pos)
+    mean0_direct = np.sum(sens.psi * sens.f0, axis=-1)
+    mean1_blocks = np.sum(sens.psi * h * widths, axis=-1, where=pos)
+    mean1_direct = np.sum(sens.psi * sens.f1, axis=-1)
+    eta_blocks = _range(sens.psi, pos)
+    gamma_blocks = h.max(axis=-1, where=pos, initial=1.0)
     return {
-        "mean0_residual": abs(mean0_blocks - mean0_direct),
-        "mean1_residual": abs(mean1_blocks - mean1_direct),
-        "eta_residual": abs(eta_blocks - sens.eta),
-        "gamma_residual": abs(gamma_blocks - sens.gamma),
-        "total_width_residual": abs(float(cum[-1]) - 1.0),
+        "mean0_residual": np.abs(mean0_blocks - mean0_direct),
+        "mean1_residual": np.abs(mean1_blocks - mean1_direct),
+        "eta_residual": np.abs(eta_blocks - sens.eta),
+        "gamma_residual": np.abs(gamma_blocks - sens.gamma),
+        "total_width_residual": np.abs(cum[..., -1] - 1.0),
         "widths": widths,
         "density_ratio": h,
     }
@@ -306,9 +376,10 @@ def self_test_failure():
 # ---------------------------------------------------------------------------
 
 
-def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    # floor keeps every cell bounded away from zero so ratios stay stable
-    return 0.85 * rng.dirichlet(np.full(k, 2.0)) + 0.15 / k
+def _simplex(rng: np.random.Generator, k: int, rows=None) -> np.ndarray:
+    # floor keeps every cell bounded away from zero so ratios stay stable; one
+    # call for `rows` draws consumes the stream exactly as `rows` single calls
+    return 0.85 * rng.dirichlet(np.full(k, 2.0), size=rows) + 0.15 / k
 
 
 def _pm_perturbation(rng, p_u: np.ndarray, nm: int) -> np.ndarray:
@@ -374,16 +445,13 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
             psi_g = rng.uniform(0.0, 1.0, size=(2, nu))
             if shared_arms:
                 psi_g[1] = psi_g[0]
-            base_pu = np.stack([_simplex(rng, nu) for _ in range(2)])
+            base_pu = _simplex(rng, nu, 2)
             if shared_arms:
                 base_pu[1] = base_pu[0]
             if mediator_ignorable:
-                marginal = np.stack([_simplex(rng, nm) for _ in range(2)])
-                base_pm = np.stack([np.tile(marginal[a], (nu, 1)) for a in range(2)])
+                base_pm = np.repeat(_simplex(rng, nm, 2)[:, None, :], nu, axis=1)
             else:
-                base_pm = np.stack([
-                    np.stack([_simplex(rng, nm) for _ in range(nu)]) for _ in range(2)
-                ])
+                base_pm = _simplex(rng, nm, 2 * nu).reshape(2, nu, nm)
             for j, x in enumerate(members):
                 psi[:, x, :] = psi_g
                 for a in range(2):
@@ -416,17 +484,11 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
 def _well_separated(model: DiscreteModel) -> bool:
     """Bridge values must collide inside groups and separate across them."""
     f = model.bridge_values()
-    for m in range(model.nm):
-        pairs = np.stack([f[0, :, m], f[1, :, m]], axis=1)
-        for x1 in range(model.nx):
-            for x2 in range(x1 + 1, model.nx):
-                gap = np.abs(pairs[x1] - pairs[x2]).max()
-                same = model.groups[x1] == model.groups[x2]
-                if same and gap > _INTRA_TOL:
-                    return False
-                if not same and gap < _SEPARATION:
-                    return False
-    return True
+    gap = np.abs(f[:, :, None, :] - f[:, None, :, :]).max(axis=0)   # (nx, nx, nm)
+    groups = np.asarray(model.groups)
+    same = (groups[:, None] == groups[None, :])[:, :, None]
+    return not (np.any(same & (gap > _INTRA_TOL))
+                or np.any(~same & (gap < _SEPARATION)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +514,24 @@ CHECK_THRESHOLDS = {
 # folded by min; every other statistic is folded by max
 _MIN_STATS = ("gamma_gap_min", "eta_gap_min_decoupled", "eta_gap_min_any")
 
+# run_fuzz's model kinds, by corpus index modulo 4
+MODEL_KINDS = ("decoupled", "coupled", "arm-free decoupled", "arm-free coupled")
+
 
 @dataclass
 class FuzzReport:
-    """Worst observed statistic per check over a model corpus."""
+    """Worst observed statistic per check over a model corpus.
+
+    worst names, per statistic (eta_gap_min_any included), the first corpus
+    model attaining its most extreme value: {"model": index, "kind": one of
+    MODEL_KINDS, "mediator_ignorable": bool}, or None if no model reports it.
+    """
 
     n_models: int
     seed: int
     stats: dict
     eta_gap_min_any: float     # reported, never asserted
+    worst: dict
 
     def failures(self) -> dict:
         return {name: value for name, value in self.stats.items()
@@ -468,19 +539,28 @@ class FuzzReport:
                     else value > CHECK_THRESHOLDS[name])}
 
 
-def _fold(stats: dict, name: str, value) -> None:
-    pick = min if name in _MIN_STATS else max
-    stats[name] = pick(stats.get(name, value), value)
+def _partition_mask(model: DiscreteModel):
+    """(members, m) of every (m, stratum): one boolean row over x per stratum."""
+    rows, ms = [], []
+    for m in range(model.nm):
+        for stratum in exact_bridge_partition(model, m):
+            row = np.zeros(model.nx, dtype=bool)
+            row[stratum] = True
+            rows.append(row)
+            ms.append(m)
+    return np.array(rows), np.array(ms)
 
 
 def check_model(model: DiscreteModel) -> dict:
-    """Worst value of every exact check on one model, in a single walk.
+    """Worst value of every exact check on one model, in one batched pass.
 
-    Each mediator value is partitioned once and each (m, stratum, arm) cell
-    enumerated once. A cell gives its stratum's balancing TV distance between
-    P(x | a, M=m, stratum) and P(x | a, stratum) and its bound, projection,
-    tightening, quantile and Popoviciu statistics; eta_gap_min_any covers
-    the cells that do not decouple.
+    Each mediator value is partitioned once; the strata of all mediator values
+    form one cell x covariate membership mask, and _evaluate computes every
+    (arm, m, stratum) cell at once. The checks run on the whole batch and each
+    statistic is one max or min over its cells. A cell gives its stratum's
+    balancing TV distance between P(x | a, M=m, stratum) and P(x | a, stratum)
+    and its bound, projection, tightening, quantile and Popoviciu statistics;
+    eta_gap_min_any covers the cells that do not decouple.
 
     When the latent law and psi are arm-free, the same cells give the scalar
     reduction: theta enumerated directly and as theta_si + Delta_bar_0 -
@@ -490,100 +570,107 @@ def check_model(model: DiscreteModel) -> dict:
     exact, and scalar_identity covers that gap too. Models whose arms differ
     get no reduction entries.
     """
-    f = model.bridge_values()
-    arm_free = (np.array_equal(model.p_u[0], model.p_u[1])
-                and np.array_equal(model.psi[0], model.psi[1]))
-    out = {}
-    theta_si = 0.0
-    delta_bar = [0.0, 0.0]
-    xi_bar = [0.0, 0.0]
-    xi_max = [0.0, 0.0]
-    for m in range(model.nm):
-        cell_of = {}
-        for stratum in exact_bridge_partition(model, m):
-            idx = np.asarray(stratum)
-            px = model.p_x[idx]
-            for arm in (0, 1):
-                joint = px * f[arm, idx, m]
-                if joint.sum() <= 0.0:
-                    raise BridgeboundError(
-                        f"stratum {stratum} carries no mass at m={m}, arm={arm}")
-                tv = 0.5 * float(np.abs(joint / joint.sum() - px / px.sum()).sum())
-                _fold(out, "balancing_tv", tv)
-            sens = [exact_sensitivity(model, arm, m, stratum) for arm in (0, 1)]
-            for cell in sens:
-                _fold(out, "bound_gap", bound_gap(cell))
-                _fold(out, "projection_residual", check_projection(cell))
-                ggap, egap = check_tightening(cell)
-                _fold(out, "gamma_gap_min", ggap)
-                _fold(out, "eta_gap_min_decoupled" if cell.decoupled
-                      else "eta_gap_min_any", egap)
-                q = check_quantile_representation(cell)
-                for key in ("mean0", "mean1", "eta", "gamma"):
-                    _fold(out, f"quantile_{key}", q[f"{key}_residual"])
-                _fold(out, "popoviciu_gap", check_popoviciu(cell))
-            if arm_free:
-                # mu1: outcome mean among treated at (m, stratum)
-                w1 = px[:, None] * model.p_u[1, idx, :] * model.p_m[1, idx, :, m]
-                mu1 = float((w1 * model.psi[1, idx, :]).sum() / w1.sum())
-                for x in stratum:
-                    cell_of[x] = (mu1, sens)
-        if not arm_free:
-            continue
-        for x in range(model.nx):
-            mu1, sens = cell_of[x]
-            w = model.p_x[x] * f[0, x, m]
-            theta_si += w * mu1
-            for arm in (0, 1):
-                delta_bar[arm] += w * sens[arm].delta
-                xi = xi_pointwise(sens[arm].eta, sens[arm].gamma)
-                xi_bar[arm] += w * xi
-                xi_max[arm] = max(xi_max[arm], xi)
-    if not arm_free:
-        return out
+    members, ms = _partition_mask(model)           # (s, nx), (s,)
+    n = len(ms)
+    p_x = model.p_x * members
+    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a)
+    joint = p_x * np.moveaxis(model.bridge_values(), 2, 1)[:, ms]    # (2, s, nx)
+    mass = joint.sum(axis=2)                       # (2, s)
+    if np.any(mass <= 0.0):
+        s, arm = np.argwhere(mass.T <= 0.0)[0]
+        raise BridgeboundError(f"stratum {_stratum(members, s)} carries no mass "
+                               f"at m={ms[s]}, arm={arm}")
+    tv = 0.5 * np.abs(joint / mass[:, :, None]
+                      - p_x / p_x.sum(axis=1)[:, None]).sum(axis=2)
 
-    theta_direct = 0.0
-    for x in range(model.nx):
-        inner = float(np.sum(model.p_u[0, x, :][:, None] * model.p_m[0, x, :, :]
-                             * model.psi[0, x, :][:, None]))
-        theta_direct += model.p_x[x] * inner
+    heads = members.argmax(axis=1)
+    cells = _evaluate(model, np.repeat([0, 1], n), np.concatenate([ms, ms]),
+                      np.concatenate([members, members]), np.concatenate([heads, heads]))
+    gamma_gap, eta_gap = check_tightening(cells)
+    decoupled = cells.decoupled
+    q = check_quantile_representation(cells)
+    out = {
+        "balancing_tv": float(tv.max()),
+        "bound_gap": float(bound_gap(cells).max()),
+        "projection_residual": float(check_projection(cells).max()),
+        "gamma_gap_min": float(gamma_gap.min()),
+        **{f"quantile_{key}": float(q[f"{key}_residual"].max())
+           for key in ("mean0", "mean1", "eta", "gamma")},
+        "popoviciu_gap": float(check_popoviciu(cells).max()),
+    }
+    if decoupled.any():
+        out["eta_gap_min_decoupled"] = float(eta_gap[decoupled].min())
+    if not decoupled.all():
+        out["eta_gap_min_any"] = float(eta_gap[~decoupled].min())
+
+    if not (np.array_equal(model.p_u[0], model.p_u[1])
+            and np.array_equal(model.psi[0], model.psi[1])):
+        return out
+    # mu1: outcome mean among treated at (m, stratum)
+    w1 = p_x[:, :, None] * model.p_u[1] * model.p_m[1, :, :, ms]
+    mu1 = (w1 * model.psi[1]).sum(axis=(1, 2)) / w1.sum(axis=(1, 2))
+    # each (m, stratum) weighs in by P(M=m, stratum | a=0)
+    w = mass[0]
+    theta_si = float(w @ mu1)
+    delta = cells.delta.reshape(2, n)
+    xi = _xi(cells.eta, cells.gamma).reshape(2, n)
+    delta_bar = tuple(float(v) for v in delta @ w)
+    xi_bar = tuple(float(v) for v in xi @ w)
+    xi_max = xi.max(axis=1)
+
+    inner = (model.p_u[0][:, :, None] * model.p_m[0]
+             * model.psi[0][:, :, None]).sum(axis=(1, 2))
+    theta_direct = float(model.p_x @ inner)
     recombined = theta_si + delta_bar[0] - delta_bar[1]
     identity = abs(theta_direct - recombined)
     out.update(
         theta_direct=theta_direct,
         theta_recombined=recombined,
-        delta_bar=tuple(delta_bar),
-        xi_bar=tuple(xi_bar),
+        delta_bar=delta_bar,
+        xi_bar=xi_bar,
         scalar_identity=identity,
-        xi_bar_sup_gap=max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1]),
+        xi_bar_sup_gap=float(max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1])),
         delta_bar_envelope_gap=max(abs(delta_bar[0]) - xi_bar[0],
                                    abs(delta_bar[1]) - xi_bar[1]),
     )
     if identity <= 1e-12 and not np.ptp(model.p_m, axis=2).any():
-        anchor_gap = abs(theta_direct - (recombined - delta_bar[0] + delta_bar[1]))
-        _fold(out, "scalar_identity", anchor_gap)
+        anchor_gap = abs(theta_direct - theta_si)
+        out["scalar_identity"] = max(identity, anchor_gap)
     return out
 
 
 def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
     """Run every exact check over a seeded corpus of random models.
 
-    The corpus cycles through four kinds: decoupled, non-decoupled, arm-free
-    decoupled, and arm-free non-decoupled. check_model walks each model once;
-    on arm-free models that walk also checks the scalar-reduction identity.
-    Every tenth arm-free decoupled model is mediator-ignorable, where the
-    anchor is exact.
+    The corpus cycles through MODEL_KINDS: decoupled, non-decoupled, arm-free
+    decoupled, and arm-free non-decoupled. check_model evaluates each model in
+    one pass; on arm-free models that pass also checks the scalar-reduction
+    identity. Every tenth arm-free decoupled model is mediator-ignorable,
+    where the anchor is exact.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    stats = {name: (np.inf if name in _MIN_STATS else 0.0)
-             for name in (*CHECK_THRESHOLDS, "eta_gap_min_any")}
+    names = (*CHECK_THRESHOLDS, "eta_gap_min_any")
+    extreme = {}
+    worst = dict.fromkeys(names)
     for i in range(n_models):
         kind = i % 4
+        ignorable = kind == 2 and i % 40 == 2
         model = random_model(rng, decoupled=kind in (0, 2), shared_arms=kind in (2, 3),
-                             mediator_ignorable=kind == 2 and (i % 40 == 2))
+                             mediator_ignorable=ignorable)
         res = check_model(model)
-        for name in stats:
-            if name in res:
-                _fold(stats, name, res[name])
+        for name in names:
+            if name not in res:
+                continue
+            value = res[name]
+            if name not in extreme or (value < extreme[name] if name in _MIN_STATS
+                                       else value > extreme[name]):
+                extreme[name] = value
+                worst[name] = {"model": i, "kind": MODEL_KINDS[kind],
+                               "mediator_ignorable": ignorable}
+    # a max statistic reads at least 0; a min statistic no model reports reads +inf
+    stats = {name: (extreme.get(name, np.inf) if name in _MIN_STATS
+                    else max(0.0, extreme.get(name, 0.0)))
+             for name in names}
     eta_any = stats.pop("eta_gap_min_any")
-    return FuzzReport(n_models, seed, stats, float(eta_any if np.isfinite(eta_any) else 0.0))
+    return FuzzReport(n_models, seed, stats,
+                      float(eta_any if np.isfinite(eta_any) else 0.0), worst)

@@ -555,6 +555,9 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["sharpness"]["points"] == 15
         assert payload["fuzz"]["failures"] == {}
+        worst = payload["fuzz"]["worst"]
+        assert set(worst) == {*payload["fuzz"]["stats"], "eta_gap_min_any"}
+        assert all(0 <= entry["model"] < 8 for entry in worst.values())
 
     def test_sharpness_grid_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "verify.json", {

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from bridgebound import oracle
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError
-from bridgebound.oracle import (CHECK_THRESHOLDS, DiscreteModel,
-                                bound_gap, check_bound_and_sharpness,
+from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel,
+                                StratumSensitivity, bound_gap,
+                                check_bound_and_sharpness,
                                 check_model, check_popoviciu,
                                 check_projection,
                                 check_quantile_representation,
@@ -47,6 +49,27 @@ def mirrored_pair_model():
     return DiscreteModel(np.array([0.5, 0.5]), p_u, p_m, psi, (0, 0))
 
 
+def corpus_models(seed, n_models):
+    """(index, model) of run_fuzz's corpus, replaying its generator calls."""
+    r = rng(seed)
+    for i in range(n_models):
+        kind = i % 4
+        yield i, random_model(r, decoupled=kind in (0, 2), shared_arms=kind in (2, 3),
+                              mediator_ignorable=kind == 2 and i % 40 == 2)
+
+
+def straddled_stratum_model():
+    """Group 0 = {0, 2} whose f0 at m=0 brackets x=1's, a different group."""
+    f0 = np.array([0.5, 0.5 + 1e-13, 0.5 + 2e-13])
+    f1 = np.array([0.9, 0.1, 0.9])
+    p_m = np.empty((2, 3, 1, 2))
+    for a, f in enumerate((f0, f1)):
+        p_m[a, :, 0, 0] = f
+        p_m[a, :, 0, 1] = 1.0 - f
+    psi = np.array([0.25, 0.75, 0.25])[None, :, None].repeat(2, axis=0)
+    return DiscreteModel(np.full(3, 1.0 / 3.0), np.ones((2, 3, 1)), p_m, psi, (0, 1, 0))
+
+
 class TestPartition:
     def test_identical_bridges_form_one_stratum(self):
         p_u = np.tile(np.array([0.5, 0.5]), (2, 3, 1))
@@ -81,6 +104,14 @@ class TestPartition:
         model = mirrored_pair_model()
         for m in (0, 1):
             assert exact_bridge_partition(model, m) == [[0, 1]]
+
+    def test_member_sorting_after_another_stratum_joins_its_head(self):
+        # x=1's f0 sorts between x=0's and x=2's, so x=2 must be matched with
+        # the head of a stratum that is not the last one opened
+        model = straddled_stratum_model()
+        assert oracle._well_separated(model)
+        assert exact_bridge_partition(model, 0) == [[0, 2], [1]]
+        assert exact_bridge_partition(model, 1) == [[0, 2], [1]]
 
 
 class TestBalancing:
@@ -280,18 +311,173 @@ class TestScalarReduction:
 
 
 def test_check_model_enumerates_each_cell_once(monkeypatch):
+    # one partition per mediator value, then every cell in one batched pass:
+    # no per-cell exact_sensitivity call
     model = random_model(rng(39), decoupled=False, shared_arms=True)
     strata = sum(len(exact_bridge_partition(model, m)) for m in range(model.nm))
-    calls = {"exact_bridge_partition": 0, "exact_sensitivity": 0}
+    calls = {"exact_bridge_partition": 0, "exact_sensitivity": 0, "_evaluate": 0}
+    cells = []
     for name in calls:
         def counted(*args, _inner=getattr(oracle, name), _name=name):
             calls[_name] += 1
-            return _inner(*args)
+            out = _inner(*args)
+            if _name == "_evaluate":
+                cells.append(len(out.delta))
+            return out
         monkeypatch.setattr(oracle, name, counted)
     res = check_model(model)
     assert "scalar_identity" in res
-    assert calls == {"exact_bridge_partition": model.nm,
-                     "exact_sensitivity": 2 * strata}
+    assert calls == {"exact_bridge_partition": model.nm, "exact_sensitivity": 0,
+                     "_evaluate": 1}
+    assert cells == [2 * strata]
+
+
+# ---------------------------------------------------------------------------
+# per-cell reference: check_model as a walk over (m, stratum, arm) cells, each
+# enumerated on its own by scalar code
+# ---------------------------------------------------------------------------
+
+
+def ref_sensitivity(model, arm, m, stratum):
+    idx = list(stratum)
+    psi = model.psi[arm, idx[0], :]
+    p_x = model.p_x[idx]
+    weights = p_x / p_x.sum()
+    p_u = model.p_u[arm, idx, :]
+    p_m_at = model.p_m[arm, idx, :, m]
+    f0 = weights @ p_u
+    joint = weights[:, None] * p_u * p_m_at
+    f1 = joint.sum(axis=0) / joint.sum()
+    support = f0 > 0.0
+    delta = float(psi @ (f1 - f0))
+    gamma = max(float(np.max(f1[support] / f0[support])), 1.0)
+    eta = float(psi[support].max() - psi[support].min())
+    star = np.empty((3, len(idx)))
+    for j, x in enumerate(idx):
+        pu_x = model.p_u[arm, x, :]
+        f1_x = pu_x * model.p_m[arm, x, :, m] / float(pu_x @ model.p_m[arm, x, :, m])
+        sup_x = pu_x > 0.0
+        psi_x = model.psi[arm, x, :]
+        star[:, j] = (float(psi_x @ (f1_x - pu_x)),
+                      max(float(np.max(f1_x[sup_x] / pu_x[sup_x])), 1.0),
+                      float(psi_x[sup_x].max() - psi_x[sup_x].min()))
+    decoupled = bool(np.max(np.abs(p_u - f0[None, :])) <= 1e-12) if len(idx) > 1 else True
+    return StratumSensitivity(delta, gamma, eta, f0, f1, psi, weights,
+                              *star, decoupled)
+
+
+def ref_cell_stats(sens):
+    """(name, value) of every statistic one cell gives."""
+    yield "bound_gap", abs(sens.delta) - xi_pointwise(sens.eta, sens.gamma)
+    yield "projection_residual", abs(sens.delta - float(sens.weights @ sens.delta_star))
+    yield "gamma_gap_min", float(sens.gamma_star.max() - sens.gamma)
+    yield ("eta_gap_min_decoupled" if sens.decoupled else "eta_gap_min_any",
+           float(sens.eta_star.max() - sens.eta))
+    cum = np.cumsum(sens.f0)
+    widths = np.diff(np.concatenate([[0.0], cum]))
+    pos = widths > 0.0
+    h = np.zeros_like(sens.f0)
+    np.divide(sens.f1, sens.f0, out=h, where=sens.f0 > 0.0)
+    yield "quantile_mean0", abs(float(np.sum(sens.psi[pos] * widths[pos]))
+                                - float(sens.psi @ sens.f0))
+    yield "quantile_mean1", abs(float(np.sum(sens.psi[pos] * h[pos] * widths[pos]))
+                                - float(sens.psi @ sens.f1))
+    yield "quantile_eta", abs(float(sens.psi[pos].max() - sens.psi[pos].min()) - sens.eta)
+    yield "quantile_gamma", abs(max(float(h[pos].max()), 1.0) - sens.gamma)
+    popoviciu = -np.inf
+    for law in (sens.f0, sens.f1):
+        mean = float(law @ sens.psi)
+        var = float(law @ (sens.psi - mean) ** 2)
+        popoviciu = max(popoviciu, var - 0.25 * sens.eta * sens.eta)
+    yield "popoviciu_gap", popoviciu
+
+
+def ref_check_model(model):
+    f = model.bridge_values()
+    arm_free = (np.array_equal(model.p_u[0], model.p_u[1])
+                and np.array_equal(model.psi[0], model.psi[1]))
+    out = {}
+
+    def fold(name, value):
+        pick = min if name in ("gamma_gap_min", "eta_gap_min_decoupled",
+                               "eta_gap_min_any") else max
+        out[name] = pick(out.get(name, value), value)
+
+    theta_si = 0.0
+    delta_bar = [0.0, 0.0]
+    xi_bar = [0.0, 0.0]
+    xi_max = [0.0, 0.0]
+    for m in range(model.nm):
+        cell_of = {}
+        for stratum in exact_bridge_partition(model, m):
+            idx = np.asarray(stratum)
+            px = model.p_x[idx]
+            for arm in (0, 1):
+                joint = px * f[arm, idx, m]
+                fold("balancing_tv",
+                     0.5 * float(np.abs(joint / joint.sum() - px / px.sum()).sum()))
+            sens = [ref_sensitivity(model, arm, m, stratum) for arm in (0, 1)]
+            for cell in sens:
+                for name, value in ref_cell_stats(cell):
+                    fold(name, value)
+            w1 = px[:, None] * model.p_u[1, idx, :] * model.p_m[1, idx, :, m]
+            mu1 = float((w1 * model.psi[1, idx, :]).sum() / w1.sum())
+            for x in stratum:
+                cell_of[x] = (mu1, sens)
+        for x in range(model.nx):
+            mu1, sens = cell_of[x]
+            w = model.p_x[x] * f[0, x, m]
+            theta_si += w * mu1
+            for arm in (0, 1):
+                delta_bar[arm] += w * sens[arm].delta
+                xi = xi_pointwise(sens[arm].eta, sens[arm].gamma)
+                xi_bar[arm] += w * xi
+                xi_max[arm] = max(xi_max[arm], xi)
+    if not arm_free:
+        return out
+    theta_direct = 0.0
+    for x in range(model.nx):
+        inner = float(np.sum(model.p_u[0, x, :][:, None] * model.p_m[0, x, :, :]
+                             * model.psi[0, x, :][:, None]))
+        theta_direct += model.p_x[x] * inner
+    recombined = theta_si + delta_bar[0] - delta_bar[1]
+    identity = abs(theta_direct - recombined)
+    out.update(
+        theta_direct=theta_direct,
+        theta_recombined=recombined,
+        delta_bar=tuple(delta_bar),
+        xi_bar=tuple(xi_bar),
+        scalar_identity=identity,
+        xi_bar_sup_gap=max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1]),
+        delta_bar_envelope_gap=max(abs(delta_bar[0]) - xi_bar[0],
+                                   abs(delta_bar[1]) - xi_bar[1]),
+    )
+    if identity <= 1e-12 and not np.ptp(model.p_m, axis=2).any():
+        fold("scalar_identity", abs(theta_direct - theta_si))
+    return out
+
+
+def reference_models():
+    for i, model in corpus_models(90210, 200):
+        yield f"corpus-{i}", model
+    yield "two-point", TWO_POINT
+    yield "mirrored-pair", mirrored_pair_model()
+    yield "zero-f0-entry", make_sharpness_model(1.0, 1.0)
+    yield "straddled", straddled_stratum_model()
+    yield "mediator-ignorable", random_model(rng(38), shared_arms=True,
+                                             mediator_ignorable=True)
+
+
+@pytest.mark.parametrize("model", [pytest.param(model, id=label)
+                                   for label, model in reference_models()])
+def test_check_model_matches_per_cell_reference(model):
+    # the batched pass sums in another order than the per-cell walk; 2e-15
+    # allows a few float64 ulps on O(1) values
+    got, want = check_model(model), ref_check_model(model)
+    assert set(got) == set(want)
+    for name, value in want.items():
+        for g, w in zip(np.atleast_1d(got[name]), np.atleast_1d(value)):
+            assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (name, got[name], value)
 
 
 class TestModelValidation:
@@ -322,6 +508,17 @@ class TestModelValidation:
         psi[:, 1, :] = [0.0, 1.0]
         with pytest.raises(BridgeboundError, match="group"):
             DiscreteModel(model.p_x, model.p_u, model.p_m, psi, model.groups)
+
+    def test_group_constancy_names_the_group(self):
+        # x=3 drifts from x=1, the first member of group 1; group 0 is intact
+        p_u = np.tile(np.array([0.5, 0.5]), (2, 4, 1))
+        p_m = np.tile(np.array([[0.75, 0.25], [0.25, 0.75]]), (2, 4, 1, 1))
+        psi = np.tile(np.array([1.0, 0.0]), (2, 4, 1))
+        psi[1, 3, 0] += 2e-9
+        with pytest.raises(BridgeboundError, match="psi not constant within group 1$"):
+            DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
+        psi[1, 3, 0] = 1.0 + 5e-10
+        DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
 
     def test_non_finite_rejected(self):
         with pytest.raises(BridgeboundError, match="psi has non-finite"):
@@ -384,6 +581,47 @@ class TestFuzzMachinery:
         a = run_fuzz(n_models=12, seed=4)
         b = run_fuzz(n_models=12, seed=4)
         assert a.stats == b.stats
+
+    def test_corpus_stream_is_pinned(self):
+        # sha256 of the first 40 corpus models' tables for seed 90210, taken
+        # with one dirichlet call per simplex row (commit c2a97a8, numpy
+        # 2.4.6); drawing a table's rows in one call must not move a bit
+        h = hashlib.sha256()
+        for _, model in corpus_models(90210, 40):
+            for table in (model.p_x, model.p_u, model.p_m, model.psi,
+                          np.asarray(model.groups, dtype=np.int64)):
+                h.update(table.tobytes())
+        assert h.hexdigest() == (
+            "3c6e7190c41ac054880d2951bb4e5f3f8225ab2e6e9047d4f8788fcaa103ca25")
+
+    def test_worst_model_is_named(self):
+        report = run_fuzz(n_models=80, seed=90210)
+        assert set(report.worst) == {*CHECK_THRESHOLDS, "eta_gap_min_any"}
+        results = {i: check_model(model) for i, model in corpus_models(90210, 80)}
+        for name, entry in report.worst.items():
+            i = entry["model"]
+            assert entry == {"model": i, "kind": MODEL_KINDS[i % 4],
+                             "mediator_ignorable": i % 40 == 2}
+            pick = min if name in ("gamma_gap_min", "eta_gap_min_decoupled",
+                                   "eta_gap_min_any") else max
+            values = [res[name] for res in results.values() if name in res]
+            # the first model attaining the extreme
+            assert results[i][name] == pick(values)
+            assert not any(res.get(name) == pick(values) for j, res in results.items()
+                           if j < i)
+        # the folded statistic is that extreme, floored at 0 for max statistics
+        assert report.stats["bound_gap"] == max(0.0, results[report.worst["bound_gap"]
+                                                             ["model"]]["bound_gap"])
+        assert report.eta_gap_min_any == results[report.worst["eta_gap_min_any"]
+                                                 ["model"]]["eta_gap_min_any"]
+
+    def test_ignorable_worst_model_is_flagged(self):
+        # of models 0-2 only model 2 is arm-free, and it is mediator-ignorable,
+        # so it is the worst model on every scalar-reduction statistic
+        report = run_fuzz(n_models=3, seed=5)
+        for name in ("scalar_identity", "xi_bar_sup_gap", "delta_bar_envelope_gap"):
+            assert report.worst[name] == {"model": 2, "kind": "arm-free decoupled",
+                                          "mediator_ignorable": True}
 
 
 def test_self_test_failure_is_detected():
