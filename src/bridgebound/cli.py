@@ -223,16 +223,25 @@ def cmd_verify(args) -> int:
     from .oracle import check_bound_and_sharpness, run_fuzz, self_test_failure
 
     cfg = _config(args, VERIFY_KEYS)
-    max_gap = 0.0
-    points = 0
+    gaps = []
     for gamma in cfg.get("gammas", SHARPNESS_GAMMAS):
         for eta in cfg.get("etas", SHARPNESS_ETAS):
             plus, minus, bound = check_bound_and_sharpness(gamma, eta)
-            max_gap = max(max_gap, abs(plus - bound), abs(minus + bound))
-            points += 1
+            gaps += [abs(plus - bound), abs(minus + bound)]
+    points = len(gaps) // 2
+    max_gap = float(np.max(gaps))   # unlike max(), keeps a NaN gap
     sharp_ok = max_gap <= 1e-12
 
     report = run_fuzz(n_models=cfg.get("n_models", 100), seed=cfg.get("seed", 90210))
+    # JSON cannot spell a non-finite statistic, so the run fails here and names it
+    broken = [] if math.isfinite(max_gap) else [f"sharpness max_abs_gap = {max_gap}"]
+    for name, value in {**report.stats, "eta_gap_min_any": report.eta_gap_min_any}.items():
+        if not math.isfinite(value):
+            model = report.worst.get(name)
+            broken.append(f"fuzz {name} = {value} (" + (
+                f"model {model['model']}, {model['kind']})" if model else "no model reports it)"))
+    if broken:
+        raise VerificationFailure("non-finite check statistic: " + "; ".join(broken))
     failures = report.failures()
     fuzz_ok = not failures
 
@@ -303,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid sweep over one sensitivity axis")
     for p, func in ((p_fit, cmd_fit), (p_sweep, cmd_sweep)):
         common(p)
-        p.add_argument("--threads", type=int, help="worker threads for the draw loop")
+        p.add_argument("--threads", type=int,
+                       help="worker processes for the draw loop, at most draws and the "
+                            "available CPUs")
         p.set_defaults(func=func)
 
     p_ver = sub.add_parser("verify", help="exact checks of the bound machinery")

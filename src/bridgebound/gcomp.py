@@ -9,15 +9,17 @@ mediator_draws); turn the chosen calibration route into an aggregated envelope
 Xi_bar per arm; draw the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar];
 and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models), each driven by its own seed substream, so
-results are byte-identical regardless of thread count. Steps 1-3 run once per
-draw for any list of settings, whatever their routes and priors; each setting
-gets exactly the values a run of its own would.
+results are byte-identical however many worker processes share them. Steps 1-3
+run once per draw for any list of settings, whatever their routes and priors;
+each setting gets exactly the values a run of its own would.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -35,7 +37,8 @@ from .calibration import (
     residual_envelope,
 )
 from .data import Dataset
-from .errors import ConfigError, Key, VerificationFailure, check
+from .errors import (BridgeboundError, ConfigError, Key, NumericalFailure,
+                     VerificationFailure, check)
 from .linear_bayes import default_prior, nig_update, sample_draw
 
 ROUTES = ("si_anchor", "benchmark_raw", "benchmark_rank", "residual_budget")
@@ -97,8 +100,8 @@ class SensitivitySetting:
         check("setting", dataclasses.asdict(self), SETTING_KEYS)
 
 
-# the arguments of run() and sweep() that shape the draw loop; the pool may
-# start one OS thread per worker, so threads is capped
+# the arguments of run() and sweep() that shape the draw loop; each worker
+# beyond the first is a forked process, so threads is capped
 _POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
 RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws": _POSITIVE,
             "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
@@ -310,6 +313,13 @@ class _Engine:
                 delta1 - theta_upper, delta1 - theta_lower, *diag)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
               draws: int, burn_in: int, mediator_draws: int, seed: int, threads: int):
     check("run", dict(draws=draws, burn_in=burn_in, seed=seed, threads=threads,
@@ -331,19 +341,124 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
                       if engine.bench else None)
         engine.run_draw(rng, points_rng, t, storage)
 
-    if threads <= 1:
+    # a fork copies only the calling thread, so a lock that another thread holds
+    # (malloc's, the import lock, a log handler's) would stay locked in the child
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(threads, draws, _available_cpus()) if forkable else 1
+    if workers == 1:
         for t in range(draws):
             task(t)
     else:
-        # imported here: concurrent.futures pulls in logging, which a
-        # one-thread run does not need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, range(draws)))
+        _forked_draws(task, storage, draws, workers)
 
     return [RunResult(setting, dict(zip(fields[j], storage[j].T)))
             for j, setting in enumerate(settings)]
+
+
+# a forked worker's message starts with this 8-byte header: _ROWS, then its rows
+# of every storage array as raw float64 bytes, or the failing draw's index, then
+# its pickled exception
+_ROWS = -1
+
+
+def _header(t: int) -> bytes:
+    return t.to_bytes(8, "little", signed=True)
+
+
+def _forked_draws(task, storage, draws: int, workers: int) -> None:
+    """Run task(t) for every draw t in `workers` processes, this one included.
+
+    Process k takes draws k, k + workers, ...; this one is process 0, and the
+    others are forked once the engine is built. Each forked worker sends its
+    rows back through a pipe in one write after its last draw (a pipe holds only
+    64 KB, so a worker that streamed its rows would stall until this process
+    finished its own share), then leaves by os._exit, so it never flushes this
+    process's stdio buffers. As in the serial loop, the error of the lowest
+    failing draw is raised. Every worker is reaped, whatever happens here.
+    """
+    shares = [slice(k, draws, workers) for k in range(workers)]
+    pending = {}   # pid -> read end of its pipe, until the worker is reaped
+    errors = []    # (draw, exception); a worker that broke off sorts last
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                for fh in pending.values():
+                    fh.close()
+                _draw_worker(task, storage, share, w)
+            pending[pid] = open(r, "rb")
+            os.close(w)
+        for t in range(draws)[shares[0]]:
+            try:
+                task(t)
+            except Exception as exc:
+                errors.append((t, exc))
+                break
+        # a failure at draw 0 comes first whatever the workers report
+        if not (errors and errors[0][0] == 0):
+            for pid, share in zip(list(pending), shares[1:]):
+                message = pending[pid].read()
+                pending.pop(pid).close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                errors += _take_rows(storage, share, message, status, draws)
+    finally:
+        if pending:
+            import signal
+
+            for pid, fh in pending.items():
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+
+
+def _draw_worker(task, storage, share: slice, fd: int) -> None:
+    """Body of a forked worker: run its share of the draws, send the result to
+    fd, exit 0 once it is all sent. Never returns."""
+    code = 1
+    try:
+        t = share.start
+        try:
+            for t in range(len(storage[0]))[share]:
+                task(t)
+            message = _header(_ROWS) + b"".join(s[share].tobytes() for s in storage)
+        except BaseException as exc:
+            import pickle
+
+            try:
+                blob = pickle.dumps(exc)
+                pickle.loads(blob)
+            except Exception:   # an exception that does not survive pickling
+                blob = pickle.dumps(BridgeboundError(f"{type(exc).__name__}: {exc}"))
+            message = _header(t) + blob
+        with open(fd, "wb") as fh:
+            fh.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _take_rows(storage, share: slice, message: bytes, status: int, draws: int) -> list:
+    """Copy a worker's rows into storage; return its [(draw, exception)], if any."""
+    want = 8 + 8 * sum(s[share].size for s in storage)
+    sent = status == 0 and len(message) >= 8
+    t = int.from_bytes(message[:8], "little", signed=True) if sent else None
+    if t == _ROWS and len(message) == want:
+        values = np.frombuffer(message, np.float64, offset=8)
+        for s in storage:
+            block = s[share]
+            block[...] = values[:block.size].reshape(block.shape)
+            values = values[block.size:]
+        return []
+    if t is not None and t >= 0:
+        import pickle
+
+        return [(t, pickle.loads(message[8:]))]
+    return [(draws, BridgeboundError(f"a draw worker exited with status {status} after "
+                                     f"sending {len(message)} bytes of its {want}"))]
 
 
 def run(data: Dataset, setting: SensitivitySetting, *,
@@ -424,10 +539,17 @@ def check_sweep_rows(rows) -> None:
 
     The SI center must be bit-identical across grid points (it never touches
     the swept parameter) and the envelope half-width must be nondecreasing in
-    the swept parameter, up to 1e-12 rounding slack.
+    the swept parameter, up to 1e-12 rounding slack (none past an infinite
+    half-width). A NaN grid value, center or half-width, which no order
+    holds, is a numerical failure, raised first.
     """
     if not rows:
         raise VerificationFailure("empty sweep table")
+    for row in rows:
+        for name in ("value", "si_center", "half_width"):
+            if math.isnan(row[name]):
+                raise NumericalFailure(f"non-finite value nan at {row['axis']} = "
+                                       f"{row['value']}, column {name}")
     center = rows[0]["si_center"]
     for row in rows[1:]:
         if row["si_center"] != center:
@@ -435,8 +557,9 @@ def check_sweep_rows(rows) -> None:
                 f"SI center moved across grid points: {center} vs {row['si_center']}")
     ordered = sorted(rows, key=lambda r: r["value"])
     for prev, cur in zip(ordered, ordered[1:]):
-        slack = 1e-12 * max(1.0, abs(prev["half_width"]))
-        if cur["half_width"] < prev["half_width"] - slack:
+        width = prev["half_width"]
+        slack = 1e-12 * max(1.0, abs(width)) if math.isfinite(width) else 0.0
+        if cur["half_width"] < width - slack:
             raise VerificationFailure(
                 "envelope half-width decreased in the swept parameter: "
-                f"{prev['half_width']} -> {cur['half_width']}")
+                f"{width} -> {cur['half_width']}")

@@ -35,6 +35,7 @@ inside the mediator matrix's kernel (non-decoupled).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -534,9 +535,10 @@ class FuzzReport:
     worst: dict
 
     def failures(self) -> dict:
+        # a NaN compares false either way, so it fails
         return {name: value for name, value in self.stats.items()
-                if (value < CHECK_THRESHOLDS[name] if name in _MIN_STATS
-                    else value > CHECK_THRESHOLDS[name])}
+                if not (value >= CHECK_THRESHOLDS[name] if name in _MIN_STATS
+                        else value <= CHECK_THRESHOLDS[name])}
 
 
 def _partition_mask(model: DiscreteModel):
@@ -629,13 +631,14 @@ def check_model(model: DiscreteModel) -> dict:
         delta_bar=delta_bar,
         xi_bar=xi_bar,
         scalar_identity=identity,
-        xi_bar_sup_gap=float(max(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1])),
-        delta_bar_envelope_gap=max(abs(delta_bar[0]) - xi_bar[0],
-                                   abs(delta_bar[1]) - xi_bar[1]),
+        # np.maximum, unlike max(), keeps a NaN in either place
+        xi_bar_sup_gap=float(np.maximum(xi_bar[0] - xi_max[0], xi_bar[1] - xi_max[1])),
+        delta_bar_envelope_gap=float(np.maximum(abs(delta_bar[0]) - xi_bar[0],
+                                                abs(delta_bar[1]) - xi_bar[1])),
     )
     if identity <= 1e-12 and not np.ptp(model.p_m, axis=2).any():
         anchor_gap = abs(theta_direct - theta_si)
-        out["scalar_identity"] = max(identity, anchor_gap)
+        out["scalar_identity"] = float(np.maximum(identity, anchor_gap))
     return out
 
 
@@ -662,15 +665,26 @@ def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
             if name not in res:
                 continue
             value = res[name]
-            if name not in extreme or (value < extreme[name] if name in _MIN_STATS
-                                       else value > extreme[name]):
+            if name not in extreme or _worse(name, value, extreme[name]):
                 extreme[name] = value
                 worst[name] = {"model": i, "kind": MODEL_KINDS[kind],
                                "mediator_ignorable": ignorable}
-    # a max statistic reads at least 0; a min statistic no model reports reads +inf
-    stats = {name: (extreme.get(name, np.inf) if name in _MIN_STATS
-                    else max(0.0, extreme.get(name, 0.0)))
-             for name in names}
+    # a finite max statistic reads at least 0; a min statistic no model reports
+    # reads +inf, and eta_gap_min_any 0
+    stats = {}
+    for name in names:
+        value = extreme.get(name, math.inf if name in _MIN_STATS else 0.0)
+        stats[name] = value if name in _MIN_STATS or not math.isfinite(value) else max(0.0, value)
     eta_any = stats.pop("eta_gap_min_any")
     return FuzzReport(n_models, seed, stats,
-                      float(eta_any if np.isfinite(eta_any) else 0.0), worst)
+                      float(eta_any if worst["eta_gap_min_any"] else 0.0), worst)
+
+
+def _worse(name: str, value: float, than: float) -> bool:
+    """Whether value is a more extreme reading of the statistic name than
+    `than`. A non-finite value is the most extreme, and the first one stays."""
+    if not math.isfinite(than):
+        return False
+    if not math.isfinite(value):
+        return True
+    return value < than if name in _MIN_STATS else value > than

@@ -51,3 +51,22 @@ def bench_run(bench_data):
 
 def rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def nan_after_first(check_model, name):
+    """check_model, but every model after the first that reports name reads NaN
+    for it. Returns (wrapped, reported): reported lists, in order, the corpus
+    indices of the models that report name."""
+    reported = []
+
+    def wrapped(model):
+        res = check_model(model)
+        if name in res:
+            if reported:
+                res[name] = np.nan
+            reported.append(wrapped.calls)
+        wrapped.calls += 1
+        return res
+
+    wrapped.calls = 0
+    return wrapped, reported

@@ -21,7 +21,9 @@ import bridgebound.gcomp as gcomp
 from bridgebound.gcomp import PRIOR_KEYS, SETTING_KEYS
 from bridgebound.data import BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, save_dataset
 from bridgebound.errors import ConfigError, Key, NumericalFailure, check
-from conftest import BENCH_SPEC, NULL_SPEC
+from bridgebound import oracle
+from bridgebound.oracle import CHECK_THRESHOLDS
+from conftest import BENCH_SPEC, NULL_SPEC, nan_after_first
 from bridgebound.data import BenchmarkSpec, SyntheticSpec, generate_synthetic
 
 
@@ -566,6 +568,32 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sharpness"]["points"] == 1
 
+    @pytest.mark.parametrize("name", [*CHECK_THRESHOLDS, "eta_gap_min_any"])
+    def test_nan_statistic_exits_4_naming_it(self, tmp_path, capsys, monkeypatch, name):
+        wrapped, reported = nan_after_first(oracle.check_model, name)
+        monkeypatch.setattr(oracle, "check_model", wrapped)
+        cfg = write_config(tmp_path, "verify.json", {"n_models": 8, "seed": 1})
+        out = tmp_path / "verify.out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4
+        i = reported[1]
+        assert (f"verification failure: non-finite check statistic: fuzz {name} = nan "
+                f"(model {i}, {oracle.MODEL_KINDS[i % 4]})") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_sharpness_gap_exits_4_naming_it(self, tmp_path, capsys, monkeypatch):
+        exact = oracle.check_bound_and_sharpness
+
+        def nan_at_one_point(gamma, eta):
+            plus, minus, bound = exact(gamma, eta)
+            return (np.nan if (gamma, eta) == (2.0, 1.0) else plus), minus, bound
+
+        monkeypatch.setattr(oracle, "check_bound_and_sharpness", nan_at_one_point)
+        cfg = write_config(tmp_path, "verify.json", {"n_models": 4, "seed": 4})
+        assert cli.main(["verify", "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        assert "non-finite check statistic: sharpness max_abs_gap = nan" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key,value", [("gammas", ["abc"]), ("gammas", 5),
                                            ("etas", [None]), ("etas", "1.0")])
     def test_non_numeric_sharpness_grid(self, tmp_path, capsys, key, value):
@@ -593,16 +621,44 @@ class TestVerify:
         assert set(self_test["model"]) == {"p_x", "p_u", "p_m", "psi", "groups"}
 
 
-LAZY = ["numpy.ma", "bridgebound.oracle", "concurrent.futures"]
+LAZY = ["numpy.ma", "bridgebound.oracle", "concurrent.futures", "logging",
+        "multiprocessing"]
+# lets every requested draw worker fork, however many CPUs the host has
+_ANY_CPUS = "import bridgebound.gcomp; bridgebound.gcomp._available_cpus = lambda: 64\n"
 # runs one command (argv[2:]) and writes its exit code and the LAZY modules it
 # loaded to argv[1]
-_FOOTPRINT = """
+_FOOTPRINT = _ANY_CPUS + """
 import json, sys
 from bridgebound.cli import main
 code = main(sys.argv[2:])
 with open(sys.argv[1], "w") as fh:
     json.dump([code, [m for m in %r if m in sys.modules]], fh)
 """ % (LAZY,)
+
+
+def run_fresh(script, *args):
+    """Run a Python script in a fresh interpreter that imports this checkout,
+    with stdout block-buffered into a pipe, as in a plain run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+def imports_of(data_dir, tmp_path, command, cfg, threads="1"):
+    """[exit code, the LAZY modules loaded] of one command in a fresh interpreter."""
+    if command in ("fit", "sweep"):
+        cfg = {"data": str(data_dir / "bench.csv"), **FAST, **cfg}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+    if command in ("fit", "sweep"):
+        argv += ["--threads", threads]
+    report = tmp_path / "report.json"
+    proc = run_fresh(_FOOTPRINT, str(report), *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(report.read_text())
 
 
 @pytest.mark.parametrize("command,cfg,loads", [
@@ -615,22 +671,58 @@ with open(sys.argv[1], "w") as fh:
     ("verify", {"n_models": 4, "seed": 4}, ["bridgebound.oracle"]),
 ])
 def test_command_imports_only_what_it_runs(data_dir, tmp_path, command, cfg, loads):
-    # numpy.ma (np.quantile's first call), the exact oracle and the thread pool
-    # stay unimported unless the command runs them
-    if command in ("fit", "sweep"):
-        cfg = {"data": str(data_dir / "bench.csv"), **FAST, **cfg}
-    path = write_config(tmp_path, "cfg.json", cfg)
-    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
-    if command in ("fit", "sweep"):
-        argv += ["--threads", "1"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    report = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(report), *argv],
-                          capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text()) == [0, loads]
+    # numpy.ma (np.quantile's first call) and the exact oracle stay unimported
+    # unless the command runs them
+    assert imports_of(data_dir, tmp_path, command, cfg) == [0, loads]
+
+
+def test_forked_workers_import_no_pool(data_dir, tmp_path):
+    # the draw workers are plain forks: no process or thread pool, nor the
+    # logging these pull in
+    cfg = {"setting": {"route": "benchmark_raw"}}
+    assert imports_of(data_dir, tmp_path, "fit", cfg, threads="2") == [0, []]
+
+
+class TestForkedDraws:
+    @pytest.fixture(autouse=True)
+    def every_worker_forks(self, monkeypatch):
+        monkeypatch.setattr(gcomp, "_available_cpus", lambda: 64)
+        yield
+        # no worker is left, running or unreaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_too_large_for_memory_as_at_one_thread(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "data": str(data_dir / "bench.csv"), "setting": {"route": "benchmark_raw"},
+            **FAST, "mediator_draws": 10**12})
+        out = tmp_path / "out"
+        errs = []
+        for threads in ("1", "2"):
+            assert cli.main(["fit", "--config", cfg, "--threads", threads,
+                             "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("config error: draws, mediator_draws or the sweep grid "
+                                  "size is too large for memory")
+        assert not out.exists()
+
+    def test_fit_to_stdout_prints_one_document(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "data": str(data_dir / "bench.csv"), "setting": {"route": "benchmark_raw"}, **FAST})
+        assert cli.main(["fit", "--config", cfg, "--threads", "1"]) == 0
+        expected = capsys.readouterr().out
+        # the first line is still in the stdout buffer when the workers fork; a
+        # worker that flushed it on exit would print it twice
+        script = _ANY_CPUS + (
+            "import os, sys\nfrom bridgebound.cli import main\n"
+            "sys.stdout.write('first line\\n')\ncode = main(sys.argv[1:])\n"
+            "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n"
+            "    sys.exit(code)\nsys.exit('a draw worker was left')\n")
+        proc = run_fresh(script, "fit", "--config", cfg, "--threads", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "first line\n" + expected
+        json.loads(expected)   # one JSON document and nothing else
 
 
 @pytest.mark.parametrize("command,value", [("verify", "2"), ("simulate", "-3")])

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 import time
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
 from bridgebound.calibration import benchmark_envelope
 from bridgebound.envelope import xi_pointwise
-from bridgebound.errors import (BridgeboundError, ConfigError,
+from bridgebound.errors import (BridgeboundError, ConfigError, NumericalFailure,
                                 VerificationFailure)
 import bridgebound._kernels as _kernels
 import bridgebound.gcomp as gcomp
@@ -397,6 +399,25 @@ class TestSweep:
         with pytest.raises(VerificationFailure):
             check_sweep_rows([])
 
+    def test_check_sweep_rows_fails_closed_on_non_finite(self):
+        def rows(*widths, center=0.3):
+            return [{"axis": "kappa", "value": v, "si_center": center, "half_width": w}
+                    for v, w in zip((1.0, 2.0, 3.0), widths)]
+
+        # a NaN hides the decrease 0.2 -> 0.1 from a pairwise order check
+        with pytest.raises(NumericalFailure, match="nan at kappa = 2.0, column half_width"):
+            check_sweep_rows(rows(0.2, math.nan, 0.1))
+        with pytest.raises(NumericalFailure, match="column si_center"):
+            check_sweep_rows(rows(0.1, 0.2, 0.3, center=math.nan))
+        bad_value = rows(0.1, 0.2, 0.3)
+        bad_value[1]["value"] = math.nan
+        with pytest.raises(NumericalFailure, match="column value"):
+            check_sweep_rows(bad_value)
+        # an infinite half-width is ordered like any other value, with no slack
+        with pytest.raises(VerificationFailure, match="inf -> 0.1"):
+            check_sweep_rows(rows(0.2, math.inf, 0.1))
+        check_sweep_rows(rows(0.2, math.inf, math.inf))
+
 
 SHARED = dict(draws=12, burn_in=2, mediator_draws=6, seed=5)
 BETA = DeltaPrior(kind="beta", shape1=2.0, shape2=5.0)
@@ -527,3 +548,123 @@ class TestSharedModelPass:
                  SensitivitySetting(route="residual_budget")]
         with pytest.raises(ConfigError, match="does not apply to route 'residual_budget'"):
             sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
+
+
+class PicklesBadly(Exception):
+    """Pickles, but cannot be unpickled: its __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def assert_bitwise_equal(results, refs):
+    for res, ref in zip(results, refs, strict=True):
+        assert res.field_order == ref.field_order
+        for name in ref.field_order:
+            assert res.records[name].tobytes() == ref.records[name].tobytes(), name
+
+
+class TestForkedWorkers:
+    SETTINGS = [SensitivitySetting(route="benchmark_raw", kappa0=1.5),
+                SensitivitySetting(route="residual_budget", k0=0.5, g1=2.0),
+                SensitivitySetting(route="benchmark_rank", comonotone=True)]
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        # every requested worker forks, however many CPUs this host has
+        monkeypatch.setattr(gcomp, "_available_cpus", lambda: 64)
+        forks = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        yield forks
+        # no worker is left, running or unreaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("draws,threads,workers", [(7, 3, 3), (1, 4, 1), (5, 2, 2)])
+    def test_bitwise_equal_to_one_thread(self, bench_data, forks, draws, threads, workers):
+        run = dict(SHARED, draws=draws)
+        serial = _run_grid(bench_data, self.SETTINGS, threads=1, **run)
+        assert forks == []
+        forked = _run_grid(bench_data, self.SETTINGS, threads=threads, **run)
+        assert len(forks) == workers - 1
+        assert_bitwise_equal(forked, serial)
+
+    def test_runs_inline_beside_another_thread(self, bench_data, forks):
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            beside = _run_grid(bench_data, self.SETTINGS, threads=3, **SHARED)
+        finally:
+            done.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+        alone = _run_grid(bench_data, self.SETTINGS, threads=3, **SHARED)
+        assert len(forks) == 2
+        assert_bitwise_equal(beside, alone)
+
+    @staticmethod
+    def fail_at(monkeypatch, failures):
+        """Make run_draw raise failures[t] (an exception factory) at draw t."""
+        draw = gcomp._Engine.run_draw
+
+        def failing(self, rng, points_rng, t, storage):
+            if t in failures:
+                raise failures[t](t)
+            draw(self, rng, points_rng, t, storage)
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", failing)
+
+    def raised(self, data, threads, draws=9):
+        with pytest.raises(BaseException) as info:
+            _run_grid(data, self.SETTINGS, threads=threads, **dict(SHARED, draws=draws))
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("odd,even", [(3, 4), (5, 2), (1, 0), (7, 8)])
+    def test_lowest_failing_draw_is_raised(self, bench_data, monkeypatch, forks, odd, even):
+        # with two workers, a forked worker runs the odd draws and this process the even
+        def failure(t):
+            return NumericalFailure(f"draw {t} failed")
+
+        self.fail_at(monkeypatch, {odd: failure, even: failure})
+        first = min(odd, even)
+        assert self.raised(bench_data, 1) == (NumericalFailure, f"draw {first} failed")
+        assert self.raised(bench_data, 2) == (NumericalFailure, f"draw {first} failed")
+        assert len(forks) == 1
+
+    def test_worker_error_that_does_not_unpickle(self, bench_data, monkeypatch):
+        self.fail_at(monkeypatch, {3: lambda t: PicklesBadly("x", t)})
+        assert self.raised(bench_data, 1) == (PicklesBadly, "x and 3")
+        assert self.raised(bench_data, 2) == (BridgeboundError, "PicklesBadly: x and 3")
+
+    def test_worker_that_dies_is_an_error(self, bench_data, monkeypatch):
+        self.fail_at(monkeypatch, {3: lambda t: os._exit(5)})
+        kind, message = self.raised(bench_data, 2)
+        assert kind is BridgeboundError
+        assert message.startswith("a draw worker exited with status 5 after sending 0 bytes")
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, NumericalFailure])
+    def test_first_draw_failing_kills_and_reaps_the_workers(self, bench_data, monkeypatch,
+                                                            error):
+        # an interrupt, or a failure at draw 0, which no worker can undercut
+        parent = os.getpid()
+        draw = gcomp._Engine.run_draw
+
+        def stopped(self, rng, points_rng, t, storage):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)    # a worker that would outlive the run if left alone
+            draw(self, rng, points_rng, t, storage)
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", stopped)
+        start = time.monotonic()
+        assert self.raised(bench_data, 3)[0] is error
+        assert time.monotonic() - start < 30

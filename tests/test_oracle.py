@@ -7,7 +7,7 @@ import pytest
 from bridgebound import oracle
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import BridgeboundError
-from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel,
+from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel, FuzzReport,
                                 StratumSensitivity, bound_gap,
                                 check_bound_and_sharpness,
                                 check_model, check_popoviciu,
@@ -18,7 +18,7 @@ from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel,
                                 make_sharpness_model, random_model, run_fuzz,
                                 self_test_failure)
 
-from conftest import rng
+from conftest import nan_after_first, rng
 
 
 def single_x_model(p_u, p_m, psi):
@@ -614,6 +614,29 @@ class TestFuzzMachinery:
                                                              ["model"]]["bound_gap"])
         assert report.eta_gap_min_any == results[report.worst["eta_gap_min_any"]
                                                  ["model"]]["eta_gap_min_any"]
+
+    @pytest.mark.parametrize("name", [*CHECK_THRESHOLDS, "eta_gap_min_any"])
+    def test_nan_statistic_is_the_worst_and_fails(self, monkeypatch, name):
+        # a finite reading, then NaNs: the first NaN is the worst reading
+        wrapped, reported = nan_after_first(oracle.check_model, name)
+        monkeypatch.setattr(oracle, "check_model", wrapped)
+        report = run_fuzz(n_models=8, seed=1)
+        assert len(reported) >= 3
+        assert report.worst[name]["model"] == reported[1]
+        if name == "eta_gap_min_any":   # reported, never asserted
+            assert math.isnan(report.eta_gap_min_any) and not report.failures()
+        else:
+            assert math.isnan(report.stats[name])
+            assert list(report.failures()) == [name]
+
+    def test_failures_flags_nan_and_wrong_side_infinity(self):
+        clean = run_fuzz(n_models=4, seed=1).stats
+        for name, value in (("bound_gap", math.nan), ("gamma_gap_min", math.nan),
+                            ("bound_gap", math.inf), ("gamma_gap_min", -math.inf)):
+            report = FuzzReport(4, 1, {**clean, name: value}, 0.0, {})
+            assert list(report.failures()) == [name]
+        # a min statistic that no model reports reads +inf and passes
+        assert not FuzzReport(4, 1, {**clean, "gamma_gap_min": math.inf}, 0.0, {}).failures()
 
     def test_ignorable_worst_model_is_flagged(self):
         # of models 0-2 only model 2 is arm-free, and it is mediator-ignorable,
