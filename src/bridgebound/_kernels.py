@@ -69,10 +69,16 @@ def comp_sum(x):
 
 
 def normal_logpdf(x, mean, var):
+    """const - d * d * inv with d = x - mean, computed in place on d; a float
+    for scalar input."""
     const = -0.5 * math.log(2.0 * math.pi * var)
     inv = 1.0 / (2.0 * var)
     d = x - mean
-    return const - d * d * inv
+    if not isinstance(d, np.ndarray):
+        return float(const - d * d * inv)
+    np.multiply(d, d, out=d)
+    d *= inv
+    return np.subtract(const, d, out=d)
 
 
 def outcome_mean_sum(m, l0, l1, beta):

@@ -9,6 +9,8 @@ value itself is needed. The outcome regressor layout is a frozen interface:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import _kernels
@@ -41,17 +43,30 @@ def bridge_log_pair(m: np.ndarray, mean0: np.ndarray, treat_shift: float, sigma2
     return l0, l1
 
 
-def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
+def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Outcome-model design matrix with the frozen column order.
 
     Columns: 1, m, a, l0, l1, m*l0, m*l1, l0*l1. The log-score interactions are
     what lets a linear fit absorb covariate effects that enter only through the
     bridge. The arm a enters only as the beta_a * a column, with no interaction,
     so gcomp derives E[Y(0, M(0))] as E[Y(1, M(0))] - beta_a.
+
+    The matrix is written into out, a C-ordered (n, 8) float64 array, when one
+    is given: an engine passes the same buffer on every draw, so no draw maps a
+    fresh multi-megabyte array.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
     l0 = np.atleast_1d(np.asarray(l0, dtype=np.float64))
     l1 = np.atleast_1d(np.asarray(l1, dtype=np.float64))
-    a_col = np.broadcast_to(np.asarray(a, dtype=np.float64), m.shape)
-    cols = (np.ones_like(m), m, a_col, l0, l1, m * l0, m * l1, l0 * l1)
-    return np.column_stack(cols)
+    if out is None:
+        out = np.empty((m.shape[0], 8))
+    out[:, 0] = 1.0
+    out[:, 1] = m
+    out[:, 2] = a
+    out[:, 3] = l0
+    out[:, 4] = l1
+    np.multiply(m, l0, out=out[:, 5])
+    np.multiply(m, l1, out=out[:, 6])
+    np.multiply(l0, l1, out=out[:, 7])
+    return out

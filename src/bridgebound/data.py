@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -85,31 +86,81 @@ def load_dataset(path: str, schema: dict) -> Dataset:
 
     A leading byte-order mark, as spreadsheet programs write, is skipped.
 
-    One csv.reader pass, then one float64 parse and one finiteness check per
-    schema column. Rows keep csv.DictReader's semantics: blank lines are
-    skipped, a duplicated header name reads its last column, a short row's
-    missing cell is None and extra trailing cells are ignored. Only when a
-    column fails are the cells parsed one at a time, in row-major schema
-    order, so the error names the first bad cell.
+    Rows keep csv.DictReader's semantics: blank lines are skipped, a
+    duplicated header name reads its last column, a short row's missing cell
+    is None and extra trailing cells are ignored. After csv.reader has taken
+    the header, numpy's C tokenizer parses the schema columns in one pass.
+    Whatever it refuses, a non-finite value or a file without rows sends the
+    whole file through _load_cells, the csv.reader pass that defines these
+    semantics: it also accepts the spellings only float() reads (1_0, other
+    scripts' digits) and names the first bad cell.
     """
     check("schema", schema, SCHEMA_KEYS)
     cov_names = list(schema.get("covariates", ()))
     bench_name = schema.get("benchmark")
     wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
     wanted += cov_names + ([bench_name] if bench_name else [])
+    names = list(dict.fromkeys(wanted))
 
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = _read_header(csv.reader(fh), wanted)
+            index = _column_index(header)
+            block = _parse_columns(fh, [index[name] for name in names])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read data {path}: {exc}") from exc
+    if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
+        columns = _load_cells(path, wanted)
+    else:
+        # one array per column: a strided view of the block would change how
+        # numpy and BLAS walk the column, and with it the last bits of a fit
+        columns = {name: block[:, j].copy() for j, name in enumerate(names)}
+
+    n = len(columns[wanted[0]])
+    cov = (np.column_stack([columns[name] for name in cov_names]) if cov_names
+           else np.empty((n, 0)))
+    bench = columns[bench_name] if bench_name else None
+    return Dataset(columns[schema["treatment"]], columns[schema["mediator"]],
+                   columns[schema["outcome"]], cov, bench)
+
+
+def _read_header(reader, wanted: list) -> list:
+    header = next(reader, [])
+    for col in wanted:
+        if col not in header:
+            raise BridgeboundError(f"column '{col}' not in CSV header {header}")
+    return header
+
+
+def _column_index(header: list) -> dict:
+    return {name: j for j, name in enumerate(header)}  # a repeated name keeps its last column
+
+
+def _parse_columns(fh, usecols: list) -> Optional[np.ndarray]:
+    """The rest of fh as a (rows, len(usecols)) float64 block, or None where
+    numpy's tokenizer or float parser refuses a row or cell."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+            return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                              usecols=usecols)
+    except ValueError:   # UnicodeDecodeError too: _load_cells reports it
+        return None
+
+
+def _load_cells(path: str, wanted: list) -> dict:
+    """One csv.reader pass, one float64 parse and one finiteness check per
+    schema column. Only when a column fails are the cells parsed one at a
+    time, in row-major schema order, so the error names the first bad cell."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            for col in wanted:
-                if col not in header:
-                    raise BridgeboundError(f"column '{col}' not in CSV header {header}")
+            header = _read_header(reader, wanted)
             rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc
 
-    index = {name: j for j, name in enumerate(header)}  # a repeated name keeps its last column
+    index = _column_index(header)
     cells = {name: [row[index[name]] for row in rows] for name in wanted}
     columns = {}
     for name, col in cells.items():
@@ -120,12 +171,7 @@ def load_dataset(path: str, schema: dict) -> Dataset:
         if values is None or not np.all(np.isfinite(values)):
             _raise_first_bad_cell(wanted, cells)
         columns[name] = values
-
-    cov = (np.column_stack([columns[name] for name in cov_names]) if cov_names
-           else np.empty((len(rows), 0)))
-    bench = columns[bench_name] if bench_name else None
-    return Dataset(columns[schema["treatment"]], columns[schema["mediator"]],
-                   columns[schema["outcome"]], cov, bench)
+    return columns
 
 
 def _raise_first_bad_cell(wanted: list, cells: dict) -> None:
@@ -141,6 +187,9 @@ def _raise_first_bad_cell(wanted: list, cells: dict) -> None:
                 raise BridgeboundError(f"column '{name}': non-finite value {raw!r}")
 
 
+_SAVE_BLOCK = 4096
+
+
 def save_dataset(data: Dataset, path: str) -> None:
     """Write the dataset with canonical column names (treat, m, y, x1.., w).
 
@@ -153,11 +202,14 @@ def save_dataset(data: Dataset, path: str) -> None:
         names.append("w")
         columns.append(data.benchmark)
     row_format = "%d" + ",%.17g" * (len(names) - 1) + "\n"
-    table = np.column_stack(columns).tolist()
+    table = np.column_stack(columns)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(names) + "\n")
-            fh.writelines(row_format % tuple(row) for row in table)
+            # one % per block of rows: no per-row tuple, no list of the whole table
+            for start in range(0, data.n, _SAVE_BLOCK):
+                block = table[start:start + _SAVE_BLOCK]
+                fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -220,6 +220,11 @@ class _Engine:
         self.outcome_prior = default_prior(8)
         self.treated = data.arm_indices(1)
         self.treat_col = data.treatment.astype(np.float64)
+        # every draw overwrites these in full: the outcome design, and its treated
+        # rows for the residual budget. Fresh multi-megabyte temporaries would be
+        # mapped anew on every draw, page-faulting each of their pages
+        self.design_y = np.empty((n, 8))
+        self.design_treated = np.empty((self.treated.size, 8))
         self.bench = {}
         for setting in self.settings:
             scale = _BENCH_SCALE.get(setting.route)
@@ -233,7 +238,8 @@ class _Engine:
         med = sample_draw(self.med_post, rng)
         mean0, shift = mediator_means(data.covariates, med.beta)
         l0_obs, l1_obs = bridge_log_pair(data.mediator, mean0, shift, med.sigma2)
-        design_y = outcome_design(data.mediator, self.treat_col, l0_obs, l1_obs)
+        design_y = outcome_design(data.mediator, self.treat_col, l0_obs, l1_obs,
+                                  out=self.design_y)
         out_post = nig_update(self.outcome_prior, design_y, data.outcome)
         out = sample_draw(out_post, rng)
         beta_y = np.ascontiguousarray(out.beta)
@@ -286,7 +292,10 @@ class _Engine:
                 diag = (*eta_hat, gmax0, gmax1)
             elif setting.route == "residual_budget":
                 if sigma_eta is None:
-                    pred = design_y[self.treated] @ beta_y
+                    # mode='raise' would gather into a temporary and copy it over
+                    treated = np.take(design_y, self.treated, axis=0, out=self.design_treated,
+                                      mode="clip")
+                    pred = treated @ beta_y
                     sigma_eta = estimate_sigma_eta(data.outcome[self.treated], pred)
                 xi0 = residual_envelope(sigma_eta, setting.k0, setting.g0)
                 xi1 = residual_envelope(sigma_eta, setting.k1, setting.g1)

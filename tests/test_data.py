@@ -1,9 +1,12 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgebound.data import (BenchmarkSpec, Dataset, SyntheticSpec,
                               fractional_ranks, generate_synthetic, infer_schema,
@@ -51,6 +54,97 @@ class TestDatasetValidation:
 
 
 BARE_SCHEMA = {"treatment": "treat", "mediator": "m", "outcome": "y", "covariates": []}
+
+
+def reference_load(path, schema):
+    """load_dataset rebuilt on csv.DictReader and float(), one cell at a time."""
+    cov_names = list(schema.get("covariates", ()))
+    bench_name = schema.get("benchmark")
+    wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
+    wanted += cov_names + ([bench_name] if bench_name else [])
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for name in wanted:
+            if name not in header:
+                raise BridgeboundError(f"column '{name}' not in CSV header {header}")
+        rows = list(reader)
+    columns = {name: [] for name in wanted}
+    for row in rows:
+        for name in wanted:
+            raw = row[name]
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise BridgeboundError(f"column '{name}': cannot parse {raw!r}") from None
+            if not math.isfinite(value):
+                raise BridgeboundError(f"column '{name}': non-finite value {raw!r}")
+        for name, column in columns.items():
+            column.append(float(row[name]))
+    cov = np.array([columns[name] for name in cov_names]).T.reshape(len(rows), len(cov_names))
+    return Dataset(np.array(columns[wanted[0]]), np.array(columns[wanted[1]]),
+                   np.array(columns[wanted[2]]), np.ascontiguousarray(cov),
+                   np.array(columns[bench_name]) if bench_name else None)
+
+
+# cells numpy's parser reads as float() does; spellings only float() reads;
+# cells no one reads or that read as non-finite; treatment cells other than 0 and 1
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10**6, 10**6).map(str),
+                     st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"))
+_FLOAT_ONLY = st.sampled_from(["1_0", "\u0663", "\u0661.\u0665", "\xa02", " 2 ", "\t3", "+.5",
+                               "1.", "1e-400", "4.9e-324"])
+_BAD = st.sampled_from(["1e400", "nan", "-inf", "Infinity", "", " ", "oops", "0x10", "1d5",
+                        "1 0"])
+_ODD_ARMS = st.sampled_from(["1.0", " 0", "0e0", "2", "-0"])
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+# each rewrites one cell of a row: quoted, quoted with a doubled quote, quoted
+# across a line break, or a quote closed before the cell ends
+_WRAPS = {"quoted": _quoted, "doubled": lambda c: _quoted(c + '"'),
+          "newline": lambda c: _quoted(c + "\n"), "early": lambda c: _quoted(c[:1]) + c[1:]}
+
+
+@st.composite
+def csv_texts(draw):
+    """(file bytes, schema): a clean random CSV with a few edits on the edges
+    load_dataset must keep (odd cells and quoting, blank, short and long rows,
+    repeated and unused names, line ends, a byte-order mark)."""
+    covariates = draw(st.sampled_from([[], ["x"], ["x", "y"]]))
+    bench = draw(st.sampled_from([None, "w"]))
+    names = ["treat", "m", "y"] + covariates[:1] + ([bench] if bench else [])
+    names += draw(st.sampled_from([[], ["z"], ["m"], ["treat", "z"]]))   # unused and repeated
+    header = draw(st.permutations(names))
+    rows = [[str(i % 2) if name == "treat" else draw(_NUMBERS) for name in header]
+            for i in range(draw(st.integers(0, 14)))]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, max(len(rows[i]) - 1, 0)))
+        edit = draw(st.sampled_from(["float_only", "bad", "arm", "blank", "space", "short",
+                                     "long", *_WRAPS]))
+        if edit in ("blank", "space"):
+            rows.insert(i, [] if edit == "blank" else [" "])
+        elif edit == "short":
+            del rows[i][-1:]
+        elif edit == "long":
+            rows[i] += [draw(_NUMBERS), ""]
+        elif rows[i]:
+            cells = {"float_only": _FLOAT_ONLY, "bad": _BAD, "arm": _ODD_ARMS}
+            rows[i][j] = draw(cells[edit]) if edit in cells else _WRAPS[edit](rows[i][j])
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    raw = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    schema = {"treatment": "treat", "mediator": "m", "outcome": "y", "covariates": covariates}
+    if bench:
+        schema["benchmark"] = bench
+    return raw, schema
 
 
 # (mediator cell, its loaded value or the exact error message); the cells that
@@ -105,6 +199,22 @@ LOAD_FILES = [
 ]
 
 
+def csv_writer_bytes(data):
+    """save_dataset's file as csv.writer writes it, cell by cell."""
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["treat", "m", "y"] + [f"x{j + 1}" for j in range(data.p)]
+                    + (["w"] if data.benchmark is not None else []))
+    for i in range(data.n):
+        row = [str(int(data.treatment[i])), format(data.mediator[i], ".17g"),
+               format(data.outcome[i], ".17g")]
+        row += [format(v, ".17g") for v in data.covariates[i]]
+        if data.benchmark is not None:
+            row.append(format(data.benchmark[i], ".17g"))
+        writer.writerow(row)
+    return ref.getvalue().encode("utf-8")
+
+
 class TestCsvRoundtrip:
     def test_save_load_identity(self, tmp_path):
         data, _ = generate_synthetic(
@@ -143,18 +253,17 @@ class TestCsvRoundtrip:
                           benchmark=bench_spec), seed=5)
         path = tmp_path / "saved.csv"
         save_dataset(data, str(path))
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(["treat", "m", "y"] + [f"x{j + 1}" for j in range(p)]
-                        + (["w"] if bench_spec else []))
-        for i in range(data.n):
-            row = [str(int(data.treatment[i])), format(data.mediator[i], ".17g"),
-                   format(data.outcome[i], ".17g")]
-            row += [format(v, ".17g") for v in data.covariates[i]]
-            if bench_spec:
-                row.append(format(data.benchmark[i], ".17g"))
-            writer.writerow(row)
-        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+        assert path.read_bytes() == csv_writer_bytes(data)
+
+    @pytest.mark.parametrize("bench_spec", [None, BenchmarkSpec(-1.0, 3.0)], ids=["no_w", "w"])
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    def test_save_blocks_match_csv_writer(self, tmp_path, n, bench_spec):
+        # save_dataset formats 4096 rows at a time: one block short of, at and past it
+        data, _ = generate_synthetic(
+            SyntheticSpec(n=n, p=1, beta_m=(0.5, 1.2, 0.3), benchmark=bench_spec), seed=6)
+        path = tmp_path / "saved.csv"
+        save_dataset(data, str(path))
+        assert path.read_bytes() == csv_writer_bytes(data)
 
     def test_survey_style_header(self, tmp_path):
         # externally named columns mapped through an explicit schema
@@ -212,6 +321,38 @@ class TestCsvRoundtrip:
         else:
             data = load_dataset(str(path), BARE_SCHEMA)
             assert np.array_equal(data.mediator, expected)
+
+    @settings(max_examples=300)
+    @given(case=csv_texts())
+    def test_matches_dict_reader_reference(self, tmp_path_factory, case):
+        raw, schema = case
+        path = tmp_path_factory.mktemp("prop") / "data.csv"
+        path.write_bytes(raw)
+        outcomes = []
+        for load in (load_dataset, reference_load):
+            try:
+                outcomes.append(load(str(path), schema))
+            except BridgeboundError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        if isinstance(want, BridgeboundError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            for name in ("treatment", "mediator", "outcome", "covariates", "benchmark"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    # contiguous, as a fit's last bits depend on the column layout
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("treat,m,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BridgeboundError, match="arm 0 has 0 rows"):
+                load_dataset(str(path), BARE_SCHEMA)
 
     def test_schema_keys_required(self, tmp_path):
         with pytest.raises(BridgeboundError, match="schema key 'mediator' is required"):

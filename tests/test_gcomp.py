@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
 from bridgebound.calibration import benchmark_envelope
+from bridgebound.data import generate_synthetic
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError, NumericalFailure,
                                 VerificationFailure)
@@ -18,7 +20,7 @@ from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
                                _run_grid, counterfactual_mediator_draws, run,
                                sweep, check_sweep_rows)
 
-from conftest import rng
+from conftest import BENCH_SPEC, rng
 
 
 class TestCounterfactualDraws:
@@ -198,6 +200,17 @@ class TestRun:
         tail = run_small(null_data, setting, draws=8, burn_in=4)
         for name in head.field_order:
             assert np.array_equal(head.records[name][4:], tail.records[name])
+
+    @pytest.mark.parametrize("route", ["residual_budget", "benchmark_raw"])
+    def test_reused_draw_buffers_carry_nothing_over(self, route):
+        # the engine rewrites one design buffer per draw; n = 2100 puts it past
+        # glibc's initial mmap threshold, like the large fits it serves
+        data, _ = generate_synthetic(dataclasses.replace(BENCH_SPEC, n=2100), seed=17)
+        setting = SensitivitySetting(route=route)
+        five = run_small(data, setting, draws=5, burn_in=0)
+        one = run_small(data, setting, draws=1, burn_in=3)
+        for name in five.field_order:
+            assert five.records[name][3:4].tobytes() == one.records[name].tobytes(), name
 
     def test_burn_in_builds_no_skipped_substreams(self, null_data):
         start = time.perf_counter()

@@ -149,6 +149,26 @@ def test_normal_logpdf_matches_numpy_reference():
     assert np.allclose(got, direct, atol=1e-12)
 
 
+def test_normal_logpdf_is_the_closed_form_bit_for_bit():
+    # computed in place on its one temporary: the inputs stay as they were and
+    # every element is const - d * d * inv to the bit
+    var = 1.7
+    const = -0.5 * math.log(2.0 * math.pi * var)
+    inv = 1.0 / (2.0 * var)
+    x = rng(2).standard_normal(500)
+    mean = rng(3).standard_normal(500)
+    xk = rng(4).standard_normal((500, 6))
+    kept = x.copy(), mean.copy(), xk.copy()
+    for xs, mu in ((x, mean), (xk, mean[:, None])):
+        d = xs - mu
+        got = normal_logpdf(xs, mu, var)
+        assert got.shape == xs.shape and np.array_equal(bits(got), bits(const - d * d * inv))
+    assert all(np.array_equal(a, b) for a, b in zip((x, mean, xk), kept))
+    d = 0.83 - -0.2
+    got = normal_logpdf(0.83, -0.2, var)
+    assert type(got) is float and got == const - d * d * inv
+
+
 def test_outcome_mean_sum_equals_design_dot():
     r = rng(4)
     m, l0, l1 = (r.standard_normal(4000) for _ in range(3))
