@@ -58,11 +58,14 @@ class Dataset:
                 raise BridgeboundError("benchmark column length disagrees")
             if not np.all(np.isfinite(bench)):
                 raise BridgeboundError("non-finite value in benchmark column")
+        # contiguous columns of its own: a fit's last bits depend on the layout,
+        # and the loader and the generator build them this way (no copy then)
         object.__setattr__(self, "treatment", treat_i)
-        object.__setattr__(self, "mediator", med)
-        object.__setattr__(self, "outcome", out)
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "benchmark", bench)
+        object.__setattr__(self, "mediator", np.ascontiguousarray(med))
+        object.__setattr__(self, "outcome", np.ascontiguousarray(out))
+        object.__setattr__(self, "covariates", np.ascontiguousarray(cov))
+        object.__setattr__(self, "benchmark",
+                           None if bench is None else np.ascontiguousarray(bench))
 
     @property
     def n(self) -> int:

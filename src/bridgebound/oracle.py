@@ -18,13 +18,17 @@ error rather than Monte Carlo error:
 * the quantile re-representation on [0, 1] preserving (eta, gamma),
 * the variance bound var(psi(U)) <= eta^2 / 4.
 
-check_model runs all of them on one model in one batched pass: each mediator
-value is partitioned once, the strata of all mediator values form one
-cell x covariate membership mask, and every (arm, m, stratum) cell is
-evaluated at once by masked array operations, so each statistic is one max or
-min per model; the scalar reduction reads the same cells. exact_sensitivity
-evaluates one cell with the same array code. run_fuzz folds the per-model
-worst values over a seeded corpus and names the model behind each.
+check_models runs all of them on a list of models in shape-grouped batches.
+Models of one shape (nx, nu, nm) have their tables stacked on a leading model
+axis; each mediator value of each model is partitioned once, the strata of all
+of them form one cell x covariate membership mask with a model index per cell,
+and every (arm, m, stratum) cell of the group is evaluated at once by masked
+array operations. Each statistic is then one max or min per model over its
+run of cells; the scalar reduction reads the same cells, one model at a time.
+check_model is the one-model case and exact_sensitivity evaluates one cell
+with the same array code. run_fuzz checks its corpus in chunks of _CHUNK
+models and folds the per-model worst values in corpus order, naming the model
+behind each.
 
 The fuzz generator builds seeded random models whose multi-x strata are exact
 by construction: members of a group share bridge laws either by sharing the
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ _SUM_TOL = 1e-12
 _INTRA_TOL = 1e-12      # members of one stratum agree on the bridge to this
 _SEPARATION = 1e-7      # distinct strata differ by at least this
 _MODEL_TRIES = 100      # random_model redraws before giving up
+_CHUNK = 1024           # corpus models run_fuzz generates, then checks, per batch
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,25 @@ class DiscreteModel:
         return self._bridge
 
 
+class _Tables(NamedTuple):
+    """Tables of same-shape models stacked on a leading model axis."""
+
+    p_x: np.ndarray            # (G, nx)
+    p_u: np.ndarray            # (G, 2, nx, nu)
+    p_m: np.ndarray            # (G, 2, nx, nu, nm)
+    psi: np.ndarray            # (G, 2, nx, nu)
+    groups: np.ndarray         # (G, nx)
+    bridge: np.ndarray         # (G, 2, nx, nm): f[a, x, m]
+
+
+def _stack(models: Sequence[DiscreteModel]) -> _Tables:
+    return _Tables(
+        *(np.stack([getattr(model, name) for model in models])
+          for name in ("p_x", "p_u", "p_m", "psi")),
+        np.array([model.groups for model in models]),
+        np.stack([model.bridge_values() for model in models]))
+
+
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
     """Strata of x values sharing the bridge pair (f0(m|x), f1(m|x)).
 
@@ -177,28 +201,29 @@ def _stratum(members: np.ndarray, k) -> List[int]:
     return np.flatnonzero(members[k]).tolist()
 
 
-def _evaluate(model: DiscreteModel, arm: np.ndarray, m: np.ndarray,
+def _evaluate(tables: _Tables, g: np.ndarray, arm: np.ndarray, m: np.ndarray,
               members: np.ndarray, head: np.ndarray) -> StratumSensitivity:
     """Delta, gamma, eta and their covariate-level analogues for a batch of cells.
 
-    Cell k is (arm[k], m[k], stratum) with the stratum given by the boolean
-    row members[k] over x; its psi is that of member head[k]. The one cell
-    evaluator: exact_sensitivity and check_model both run on it.
+    Cell k is (arm[k], m[k], stratum) of model g[k] of tables, with the
+    stratum given by the boolean row members[k] over x; its psi is that of
+    member head[k]. The one cell evaluator: exact_sensitivity and
+    check_models both run on it.
     """
-    groups = np.asarray(model.groups)
-    mixed = np.any(members & (groups[None, :] != groups[head][:, None]), axis=1)
+    groups = tables.groups[g]                      # (k, nx)
+    mixed = np.any(members & (groups != tables.groups[g, head][:, None]), axis=1)
     if mixed.any():
         idx = _stratum(members, np.argmax(mixed))
         raise BridgeboundError(f"stratum {idx} mixes groups; bridge collision?")
-    p_x = model.p_x * members                      # (k, nx)
+    p_x = tables.p_x[g] * members                  # (k, nx)
     total = p_x.sum(axis=1)
     if np.any(total <= 0.0):
         idx = _stratum(members, np.argmax(total <= 0.0))
         raise BridgeboundError(f"stratum {idx} has zero covariate mass")
     weights = p_x / total[:, None]
 
-    p_u = model.p_u[arm]                           # (k, nx, nu)
-    p_m_at = model.p_m[arm, :, :, m]               # (k, nx, nu)
+    p_u = tables.p_u[g, arm]                       # (k, nx, nu)
+    p_m_at = tables.p_m[g, arm, :, :, m]           # (k, nx, nu)
     f0 = np.einsum("kx,kxu->ku", weights, p_u)
     # P(u, m | a, S) / P(S), summed over x first: a one-x stratum is then
     # bit-identical to its covariate-level cell below
@@ -210,7 +235,7 @@ def _evaluate(model: DiscreteModel, arm: np.ndarray, m: np.ndarray,
                                f"{_stratum(members, k)}, arm={arm[k]}")
     f1 = joint / mass[:, None]
 
-    psi = model.psi[arm, head]                     # (k, nu)
+    psi = tables.psi[g, arm, head]                 # (k, nu)
     support = f0 > 0.0
     delta = np.sum(psi * (f1 - f0), axis=1)
     # sup of dF1/dF0 is >= 1 for any two laws; the floor guards rounding only
@@ -226,7 +251,7 @@ def _evaluate(model: DiscreteModel, arm: np.ndarray, m: np.ndarray,
         raise BridgeboundError(f"f_{arm[k]}(m={m[k]} | x={x}) = 0")
     f1_x = fx_joint / np.where(members, fx, 1.0)[:, :, None]
     sup_x = p_u > 0.0
-    psi_x = model.psi[arm]                         # (k, nx, nu)
+    psi_x = tables.psi[g, arm]                     # (k, nx, nu)
     delta_star = np.where(members, np.sum(psi_x * (f1_x - p_u), axis=2), 0.0)
     gamma_star = np.where(members, _ratio(f1_x, p_u).max(axis=2, where=sup_x, initial=1.0),
                           -np.inf)
@@ -247,7 +272,8 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
     idx = list(stratum)
     members = np.zeros((1, model.nx), dtype=bool)
     members[0, idx] = True
-    cell = _evaluate(model, np.array([arm]), np.array([m]), members, np.array([idx[0]]))
+    cell = _evaluate(_stack([model]), np.zeros(1, dtype=int), np.array([arm]),
+                     np.array([m]), members, np.array([idx[0]]))
     return StratumSensitivity(
         float(cell.delta[0]), float(cell.gamma[0]), float(cell.eta[0]),
         cell.f0[0], cell.f1[0], cell.psi[0], cell.weights[0, idx],
@@ -554,7 +580,7 @@ def _partition_mask(model: DiscreteModel):
 
 
 def check_model(model: DiscreteModel) -> dict:
-    """Worst value of every exact check on one model, in one batched pass.
+    """Worst value of every exact check on one model: check_models on [model].
 
     Each mediator value is partitioned once; the strata of all mediator values
     form one cell x covariate membership mask, and _evaluate computes every
@@ -572,11 +598,50 @@ def check_model(model: DiscreteModel) -> dict:
     exact, and scalar_identity covers that gap too. Models whose arms differ
     get no reduction entries.
     """
-    members, ms = _partition_mask(model)           # (s, nx), (s,)
+    return check_models([model])[0]
+
+
+def check_models(models: Sequence[DiscreteModel]) -> List[dict]:
+    """check_model of every model, in one batched pass per model shape.
+
+    The models of one shape (nx, nu, nm) are stacked and their cells, tagged
+    with a model index, go through _evaluate and the checks together; each
+    statistic is folded per model over its run of cells by reduceat, which
+    keeps NaN. Every entry matches a lone check_model call bit for bit. If the
+    batch raises, the models are re-checked one at a time in order, so the
+    error is the first one a loop of check_model calls would raise.
+    """
+    shapes = {}
+    for i, model in enumerate(models):
+        shapes.setdefault(model.p_m.shape, []).append(i)
+    results = [None] * len(models)
+    try:
+        for idx in shapes.values():
+            for i, res in zip(idx, _check_group([models[i] for i in idx])):
+                results[i] = res
+    except BridgeboundError:
+        if len(models) > 1:
+            for model in models:
+                _check_group([model])
+        raise
+    return results
+
+
+def _check_group(models: Sequence[DiscreteModel]) -> List[dict]:
+    """check_models on models of one shape."""
+    tables = _stack(models)
+    parts = [_partition_mask(model) for model in models]
+    members = np.concatenate([rows for rows, _ in parts])      # (s, nx)
+    ms = np.concatenate([mvals for _, mvals in parts])         # (s,)
+    sizes = [len(mvals) for _, mvals in parts]
+    g = np.repeat(np.arange(len(models)), sizes)               # model of each stratum
+    bounds = np.cumsum([0, *sizes])
     n = len(ms)
-    p_x = model.p_x * members
-    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a)
-    joint = p_x * np.moveaxis(model.bridge_values(), 2, 1)[:, ms]    # (2, s, nx)
+    p_x = tables.p_x[g] * members
+    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a). Stored
+    # stratum-major, as a lone model's bridge[:, ms] is, so that mass[0] keeps
+    # the stride that fixes the summation order of BLAS's dot in theta_si
+    joint = p_x * np.moveaxis(tables.bridge[g, :, :, ms], 0, 1)   # (2, s, nx)
     mass = joint.sum(axis=2)                       # (2, s)
     if np.any(mass <= 0.0):
         s, arm = np.argwhere(mass.T <= 0.0)[0]
@@ -586,36 +651,65 @@ def check_model(model: DiscreteModel) -> dict:
                       - p_x / p_x.sum(axis=1)[:, None]).sum(axis=2)
 
     heads = members.argmax(axis=1)
-    cells = _evaluate(model, np.repeat([0, 1], n), np.concatenate([ms, ms]),
-                      np.concatenate([members, members]), np.concatenate([heads, heads]))
+    cells = _evaluate(tables, np.concatenate([g, g]), np.repeat([0, 1], n),
+                      np.concatenate([ms, ms]), np.concatenate([members, members]),
+                      np.concatenate([heads, heads]))
+
+    def fold(ufunc, values):
+        # per model over its strata, then over the two arms
+        return ufunc.reduce(ufunc.reduceat(values.reshape(2, n), bounds[:-1], axis=1))
+
     gamma_gap, eta_gap = check_tightening(cells)
     decoupled = cells.decoupled
     q = check_quantile_representation(cells)
-    out = {
-        "balancing_tv": float(tv.max()),
-        "bound_gap": float(bound_gap(cells).max()),
-        "projection_residual": float(check_projection(cells).max()),
-        "gamma_gap_min": float(gamma_gap.min()),
-        **{f"quantile_{key}": float(q[f"{key}_residual"].max())
+    stats = {
+        "balancing_tv": fold(np.maximum, tv),
+        "bound_gap": fold(np.maximum, bound_gap(cells)),
+        "projection_residual": fold(np.maximum, check_projection(cells)),
+        "gamma_gap_min": fold(np.minimum, gamma_gap),
+        **{f"quantile_{key}": fold(np.maximum, q[f"{key}_residual"])
            for key in ("mean0", "mean1", "eta", "gamma")},
-        "popoviciu_gap": float(check_popoviciu(cells).max()),
+        "popoviciu_gap": fold(np.maximum, check_popoviciu(cells)),
     }
-    if decoupled.any():
-        out["eta_gap_min_decoupled"] = float(eta_gap[decoupled].min())
-    if not decoupled.all():
-        out["eta_gap_min_any"] = float(eta_gap[~decoupled].min())
+    any_decoupled = fold(np.logical_or, decoupled)
+    all_decoupled = fold(np.logical_and, decoupled)
+    eta_decoupled = fold(np.minimum, np.where(decoupled, eta_gap, np.inf))
+    eta_any = fold(np.minimum, np.where(decoupled, np.inf, eta_gap))
+    delta = cells.delta.reshape(2, n)
+    xi = _xi(cells.eta, cells.gamma).reshape(2, n)
 
+    results = []
+    for j, model in enumerate(models):
+        out = {name: float(values[j]) for name, values in stats.items()}
+        if any_decoupled[j]:
+            out["eta_gap_min_decoupled"] = float(eta_decoupled[j])
+        if not all_decoupled[j]:
+            out["eta_gap_min_any"] = float(eta_any[j])
+        lo, hi = bounds[j], bounds[j + 1]
+        out.update(_scalar_reduction(model, p_x[lo:hi], ms[lo:hi], mass[0, lo:hi],
+                                     delta[:, lo:hi], xi[:, lo:hi]))
+        results.append(out)
+    return results
+
+
+def _scalar_reduction(model: DiscreteModel, p_x, ms, w, delta, xi) -> dict:
+    """check_model's scalar-reduction entries from one model's strata.
+
+    p_x and ms give the model's strata, w = P(M=m, stratum | a=0) weighs
+    them, and delta and xi hold one row per arm; all are the model's slices
+    of its group's arrays. BLAS's summation order depends on the memory
+    layout, so w keeps its stride and delta and xi are copied to fresh rows,
+    each as it is for the model alone.
+    """
     if not (np.array_equal(model.p_u[0], model.p_u[1])
             and np.array_equal(model.psi[0], model.psi[1])):
-        return out
+        return {}
+    delta, xi = delta.copy(), xi.copy()
     # mu1: outcome mean among treated at (m, stratum)
     w1 = p_x[:, :, None] * model.p_u[1] * model.p_m[1, :, :, ms]
     mu1 = (w1 * model.psi[1]).sum(axis=(1, 2)) / w1.sum(axis=(1, 2))
     # each (m, stratum) weighs in by P(M=m, stratum | a=0)
-    w = mass[0]
     theta_si = float(w @ mu1)
-    delta = cells.delta.reshape(2, n)
-    xi = _xi(cells.eta, cells.gamma).reshape(2, n)
     delta_bar = tuple(float(v) for v in delta @ w)
     xi_bar = tuple(float(v) for v in xi @ w)
     xi_max = xi.max(axis=1)
@@ -625,7 +719,7 @@ def check_model(model: DiscreteModel) -> dict:
     theta_direct = float(model.p_x @ inner)
     recombined = theta_si + delta_bar[0] - delta_bar[1]
     identity = abs(theta_direct - recombined)
-    out.update(
+    out = dict(
         theta_direct=theta_direct,
         theta_recombined=recombined,
         delta_bar=delta_bar,
@@ -642,12 +736,18 @@ def check_model(model: DiscreteModel) -> dict:
     return out
 
 
+def _corpus_kind(i: int) -> Tuple[int, bool]:
+    """(index into MODEL_KINDS, mediator_ignorable) of corpus model i."""
+    return i % 4, i % 40 == 2
+
+
 def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
     """Run every exact check over a seeded corpus of random models.
 
     The corpus cycles through MODEL_KINDS: decoupled, non-decoupled, arm-free
-    decoupled, and arm-free non-decoupled. check_model evaluates each model in
-    one pass; on arm-free models that pass also checks the scalar-reduction
+    decoupled, and arm-free non-decoupled. It is generated serially in chunks
+    of _CHUNK models and check_models checks each chunk in one pass per model
+    shape; on arm-free models that pass also checks the scalar-reduction
     identity. Every tenth arm-free decoupled model is mediator-ignorable,
     where the anchor is exact.
     """
@@ -655,20 +755,28 @@ def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
     names = (*CHECK_THRESHOLDS, "eta_gap_min_any")
     extreme = {}
     worst = dict.fromkeys(names)
-    for i in range(n_models):
-        kind = i % 4
-        ignorable = kind == 2 and i % 40 == 2
-        model = random_model(rng, decoupled=kind in (0, 2), shared_arms=kind in (2, 3),
-                             mediator_ignorable=ignorable)
-        res = check_model(model)
-        for name in names:
-            if name not in res:
-                continue
-            value = res[name]
-            if name not in extreme or _worse(name, value, extreme[name]):
-                extreme[name] = value
-                worst[name] = {"model": i, "kind": MODEL_KINDS[kind],
-                               "mediator_ignorable": ignorable}
+    for start in range(0, n_models, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, n_models))
+        models = []
+        try:
+            for i in chunk:
+                kind, ignorable = _corpus_kind(i)
+                models.append(random_model(rng, decoupled=kind in (0, 2),
+                                           shared_arms=kind in (2, 3),
+                                           mediator_ignorable=ignorable))
+        except BridgeboundError:
+            check_models(models)    # a model checked before the failed draw raises first
+            raise
+        for i, res in zip(chunk, check_models(models)):
+            kind, ignorable = _corpus_kind(i)
+            for name in names:
+                if name not in res:
+                    continue
+                value = res[name]
+                if name not in extreme or _worse(name, value, extreme[name]):
+                    extreme[name] = value
+                    worst[name] = {"model": i, "kind": MODEL_KINDS[kind],
+                                   "mediator_ignorable": ignorable}
     # a finite max statistic reads at least 0; a min statistic no model reports
     # reads +inf, and eta_gap_min_any 0
     stats = {}

@@ -53,20 +53,21 @@ def rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def nan_after_first(check_model, name):
-    """check_model, but every model after the first that reports name reads NaN
-    for it. Returns (wrapped, reported): reported lists, in order, the corpus
-    indices of the models that report name."""
+def nan_after_first(check_models, name):
+    """check_models, but every model after the first that reports name reads
+    NaN for it. Returns (wrapped, reported): reported lists, in order, the
+    corpus indices of the models that report name."""
     reported = []
 
-    def wrapped(model):
-        res = check_model(model)
-        if name in res:
-            if reported:
-                res[name] = np.nan
-            reported.append(wrapped.calls)
-        wrapped.calls += 1
-        return res
+    def wrapped(models):
+        results = check_models(models)
+        for res in results:
+            if name in res:
+                if reported:
+                    res[name] = np.nan
+                reported.append(wrapped.calls)
+            wrapped.calls += 1
+        return results
 
     wrapped.calls = 0
     return wrapped, reported

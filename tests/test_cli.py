@@ -570,8 +570,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", [*CHECK_THRESHOLDS, "eta_gap_min_any"])
     def test_nan_statistic_exits_4_naming_it(self, tmp_path, capsys, monkeypatch, name):
-        wrapped, reported = nan_after_first(oracle.check_model, name)
-        monkeypatch.setattr(oracle, "check_model", wrapped)
+        wrapped, reported = nan_after_first(oracle.check_models, name)
+        monkeypatch.setattr(oracle, "check_models", wrapped)
         cfg = write_config(tmp_path, "verify.json", {"n_models": 8, "seed": 1})
         out = tmp_path / "verify.out"
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4

@@ -10,7 +10,7 @@ import pytest
 
 from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
 from bridgebound.calibration import benchmark_envelope
-from bridgebound.data import generate_synthetic
+from bridgebound.data import Dataset, generate_synthetic
 from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError, NumericalFailure,
                                 VerificationFailure)
@@ -211,6 +211,23 @@ class TestRun:
         one = run_small(data, setting, draws=1, burn_in=3)
         for name in five.field_order:
             assert five.records[name][3:4].tobytes() == one.records[name].tobytes(), name
+
+    @pytest.mark.parametrize("route", ["si_anchor", "benchmark_raw"])
+    def test_column_views_fit_as_contiguous_columns(self, route):
+        # the columns of one (n, k) block are strided views; the fit must give
+        # the bits it gives on contiguous columns, as the CSV loader builds them
+        data, _ = generate_synthetic(dataclasses.replace(BENCH_SPEC, n=2100), seed=17)
+        block = np.column_stack([data.treatment, data.mediator, data.outcome,
+                                 data.covariates, data.benchmark])
+        views = Dataset(block[:, 0], block[:, 1], block[:, 2], block[:, 3:5], block[:, 5])
+        copies = Dataset(*(np.array(c) for c in (block[:, 0], block[:, 1], block[:, 2],
+                                                  block[:, 3:5], block[:, 5])))
+        assert all(getattr(views, name).flags.c_contiguous for name in
+                   ("treatment", "mediator", "outcome", "covariates", "benchmark"))
+        setting = SensitivitySetting(route=route)
+        a, b = run_small(views, setting, draws=5), run_small(copies, setting, draws=5)
+        for name in a.field_order:
+            assert a.records[name].tobytes() == b.records[name].tobytes(), name
 
     def test_burn_in_builds_no_skipped_substreams(self, null_data):
         start = time.perf_counter()

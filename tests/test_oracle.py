@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bridgebound.errors import BridgeboundError
 from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel, FuzzReport,
                                 StratumSensitivity, bound_gap,
                                 check_bound_and_sharpness,
-                                check_model, check_popoviciu,
+                                check_model, check_models, check_popoviciu,
                                 check_projection,
                                 check_quantile_representation,
                                 check_tightening,
@@ -332,6 +333,71 @@ def test_check_model_enumerates_each_cell_once(monkeypatch):
     assert cells == [2 * strata]
 
 
+def float_bits(value):
+    """struct-packed bits of a statistic: a float or a tuple of floats."""
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    return struct.pack("<d", value)
+
+
+def test_batch_matches_each_model_alone_bit_for_bit():
+    # all four kinds and many shapes: stacking a shape's models and folding
+    # each model's run of cells must not move a bit of any statistic
+    models = [model for _, model in corpus_models(90210, 200)]
+    assert len({model.p_m.shape for model in models}) >= 10
+    for i, (model, got) in enumerate(zip(models, check_models(models))):
+        want = check_model(model)
+        assert list(got) == list(want), i
+        assert ({k: float_bits(v) for k, v in got.items()}
+                == {k: float_bits(v) for k, v in want.items()}), i
+
+
+def test_batch_raises_the_first_failing_models_error():
+    # no mediator mass at m=1 (two latent values) and at m=0 (three); the
+    # shape of TWO_POINT and no_m1 is evaluated first, yet the batch must
+    # raise the error of its lowest-index failing model
+    no_m1 = single_x_model([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
+    no_m0 = single_x_model([0.25, 0.25, 0.5], [[0.0, 1.0]] * 3, [1.0, 0.0, 0.5])
+    alone = {}
+    for model in (no_m1, no_m0):
+        with pytest.raises(BridgeboundError, match="carries no mass") as err:
+            check_model(model)
+        alone[id(model)] = str(err.value)
+    assert alone[id(no_m1)] != alone[id(no_m0)]
+    for first, second in ((no_m0, no_m1), (no_m1, no_m0)):
+        with pytest.raises(BridgeboundError) as err:
+            check_models([TWO_POINT, first, second])
+        assert str(err.value) == alone[id(first)]
+
+
+def test_chunks_leave_the_report_alone(monkeypatch):
+    whole = run_fuzz(n_models=10, seed=90210)
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    assert run_fuzz(n_models=10, seed=90210) == whole
+
+
+def test_failed_draw_raises_after_the_models_before_it(monkeypatch):
+    # a check that fails ahead of the failed draw raises first, as it would
+    # if each model were checked as soon as it is drawn
+    dead = single_x_model([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
+
+    def draws(models):
+        models = iter(models)
+
+        def drawn(rng, **kind):
+            for model in models:
+                return model
+            raise BridgeboundError("no draw left")
+        return drawn
+
+    monkeypatch.setattr(oracle, "random_model", draws([TWO_POINT, dead]))
+    with pytest.raises(BridgeboundError, match="carries no mass"):
+        run_fuzz(n_models=4)
+    monkeypatch.setattr(oracle, "random_model", draws([TWO_POINT]))
+    with pytest.raises(BridgeboundError, match="no draw left"):
+        run_fuzz(n_models=4)
+
+
 # ---------------------------------------------------------------------------
 # per-cell reference: check_model as a walk over (m, stratum, arm) cells, each
 # enumerated on its own by scalar code
@@ -618,8 +684,8 @@ class TestFuzzMachinery:
     @pytest.mark.parametrize("name", [*CHECK_THRESHOLDS, "eta_gap_min_any"])
     def test_nan_statistic_is_the_worst_and_fails(self, monkeypatch, name):
         # a finite reading, then NaNs: the first NaN is the worst reading
-        wrapped, reported = nan_after_first(oracle.check_model, name)
-        monkeypatch.setattr(oracle, "check_model", wrapped)
+        wrapped, reported = nan_after_first(oracle.check_models, name)
+        monkeypatch.setattr(oracle, "check_models", wrapped)
         report = run_fuzz(n_models=8, seed=1)
         assert len(reported) >= 3
         assert report.worst[name]["model"] == reported[1]
