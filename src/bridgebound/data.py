@@ -115,9 +115,7 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
         columns = _load_cells(path, wanted)
     else:
-        # one array per column: a strided view of the block would change how
-        # numpy and BLAS walk the column, and with it the last bits of a fit
-        columns = {name: block[:, j].copy() for j, name in enumerate(names)}
+        columns = {name: block[:, j] for j, name in enumerate(names)}
 
     n = len(columns[wanted[0]])
     cov = (np.column_stack([columns[name] for name in cov_names]) if cov_names

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -230,6 +232,10 @@ class _Engine:
             scale = _BENCH_SCALE.get(setting.route)
             if scale is not None and scale not in self.bench:
                 self.bench[scale] = prepare_benchmark(data, scale)
+        # each benchmark-route draw takes an (n, mediator_draws) grid of envelope
+        # points; refuse one numpy cannot even index before any draw or fork
+        if self.bench and 8 * n * mediator_draws > sys.maxsize:
+            raise MemoryError(f"cannot index {n} x {mediator_draws} envelope points")
 
     def run_draw(self, rng: np.random.Generator, points_rng: Optional[np.random.Generator],
                  t: int, storage):
@@ -335,8 +341,7 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
                       mediator_draws=mediator_draws), RUN_KEYS)
     engine = _Engine(data, settings, mediator_draws)
     fields = [_CORE_FIELDS + _ROUTE_FIELDS[s.route] for s in settings]
-    # column-major, so each field's column is a contiguous view
-    storage = [np.empty((draws, len(f)), order="F") for f in fields]
+    storage = [_shared_records(draws, len(f)) for f in fields]
 
     def task(t: int):
         # draws are i.i.d.; burn-in is honored as a substream offset so configs
@@ -354,52 +359,48 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
     # (malloc's, the import lock, a log handler's) would stay locked in the child
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(threads, draws, _available_cpus()) if forkable else 1
-    if workers == 1:
-        for t in range(draws):
-            task(t)
-    else:
-        _forked_draws(task, storage, draws, workers)
+    _run_draws(task, draws, workers)
 
     return [RunResult(setting, dict(zip(fields[j], storage[j].T)))
             for j, setting in enumerate(settings)]
 
 
-# a forked worker's message starts with this 8-byte header: _ROWS, then its rows
-# of every storage array as raw float64 bytes, or the failing draw's index, then
-# its pickled exception
-_ROWS = -1
+def _shared_records(draws: int, width: int) -> np.ndarray:
+    """A (draws, width) float64 array in anonymous shared memory, column-major
+    so each field's column is a contiguous view; rows a forked worker writes
+    into it are this process's rows."""
+    try:
+        buf = mmap.mmap(-1, 8 * draws * width)
+    except (OSError, OverflowError) as exc:   # ENOMEM, or past ssize_t
+        raise MemoryError(f"cannot map {draws} x {width} draw records: {exc}") from None
+    return np.frombuffer(buf, np.float64).reshape(width, draws).T
 
 
-def _header(t: int) -> bytes:
-    return t.to_bytes(8, "little", signed=True)
-
-
-def _forked_draws(task, storage, draws: int, workers: int) -> None:
+def _run_draws(task, draws: int, workers: int) -> None:
     """Run task(t) for every draw t in `workers` processes, this one included.
 
     Process k takes draws k, k + workers, ...; this one is process 0, and the
-    others are forked once the engine is built. Each forked worker sends its
-    rows back through a pipe in one write after its last draw (a pipe holds only
-    64 KB, so a worker that streamed its rows would stall until this process
-    finished its own share), then leaves by os._exit, so it never flushes this
-    process's stdio buffers. As in the serial loop, the error of the lowest
-    failing draw is raised. Every worker is reaped, whatever happens here.
+    others are forked here, once the engine is built. With one worker nothing
+    forks: this is the serial loop. A forked worker writes its rows straight
+    into the shared records and leaves by os._exit, so it never flushes this
+    process's stdio buffers; its pipe carries only a failure. The error of the
+    lowest failing draw is raised, with its own type. Every worker is reaped,
+    whatever happens here.
     """
-    shares = [slice(k, draws, workers) for k in range(workers)]
     pending = {}   # pid -> read end of its pipe, until the worker is reaped
     errors = []    # (draw, exception); a worker that broke off sorts last
     try:
-        for share in shares[1:]:
+        for k in range(1, workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(r)
                 for fh in pending.values():
                     fh.close()
-                _draw_worker(task, storage, share, w)
+                _draw_worker(task, range(k, draws, workers), w)
             pending[pid] = open(r, "rb")
             os.close(w)
-        for t in range(draws)[shares[0]]:
+        for t in range(0, draws, workers):
             try:
                 task(t)
             except Exception as exc:
@@ -407,11 +408,17 @@ def _forked_draws(task, storage, draws: int, workers: int) -> None:
                 break
         # a failure at draw 0 comes first whatever the workers report
         if not (errors and errors[0][0] == 0):
-            for pid, share in zip(list(pending), shares[1:]):
+            for pid in list(pending):
                 message = pending[pid].read()
                 pending.pop(pid).close()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                errors += _take_rows(storage, share, message, status, draws)
+                if status:
+                    errors.append((draws, BridgeboundError(
+                        f"a draw worker exited with status {status}")))
+                elif message:
+                    import pickle
+
+                    errors.append(pickle.loads(message))
     finally:
         if pending:
             import signal
@@ -424,50 +431,28 @@ def _forked_draws(task, storage, draws: int, workers: int) -> None:
         raise min(errors, key=lambda e: e[0])[1]
 
 
-def _draw_worker(task, storage, share: slice, fd: int) -> None:
-    """Body of a forked worker: run its share of the draws, send the result to
-    fd, exit 0 once it is all sent. Never returns."""
+def _draw_worker(task, share: range, fd: int) -> None:
+    """Body of a forked worker: run its share of the draws; on a failure, send
+    the draw and its pickled exception to fd. Exits 0 once done; never returns."""
     code = 1
     try:
         t = share.start
         try:
-            for t in range(len(storage[0]))[share]:
+            for t in share:
                 task(t)
-            message = _header(_ROWS) + b"".join(s[share].tobytes() for s in storage)
         except BaseException as exc:
             import pickle
 
             try:
-                blob = pickle.dumps(exc)
+                blob = pickle.dumps((t, exc))
                 pickle.loads(blob)
             except Exception:   # an exception that does not survive pickling
-                blob = pickle.dumps(BridgeboundError(f"{type(exc).__name__}: {exc}"))
-            message = _header(t) + blob
-        with open(fd, "wb") as fh:
-            fh.write(message)
+                blob = pickle.dumps((t, BridgeboundError(f"{type(exc).__name__}: {exc}")))
+            with open(fd, "wb") as fh:
+                fh.write(blob)
         code = 0
     finally:
         os._exit(code)
-
-
-def _take_rows(storage, share: slice, message: bytes, status: int, draws: int) -> list:
-    """Copy a worker's rows into storage; return its [(draw, exception)], if any."""
-    want = 8 + 8 * sum(s[share].size for s in storage)
-    sent = status == 0 and len(message) >= 8
-    t = int.from_bytes(message[:8], "little", signed=True) if sent else None
-    if t == _ROWS and len(message) == want:
-        values = np.frombuffer(message, np.float64, offset=8)
-        for s in storage:
-            block = s[share]
-            block[...] = values[:block.size].reshape(block.shape)
-            values = values[block.size:]
-        return []
-    if t is not None and t >= 0:
-        import pickle
-
-        return [(t, pickle.loads(message[8:]))]
-    return [(draws, BridgeboundError(f"a draw worker exited with status {status} after "
-                                     f"sending {len(message)} bytes of its {want}"))]
 
 
 def run(data: Dataset, setting: SensitivitySetting, *,

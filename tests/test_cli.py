@@ -693,19 +693,22 @@ class TestForkedDraws:
             os.waitpid(-1, os.WNOHANG)
 
     def test_too_large_for_memory_as_at_one_thread(self, data_dir, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "data": str(data_dir / "bench.csv"), "setting": {"route": "benchmark_raw"},
-            **FAST, "mediator_draws": 10**12})
-        out = tmp_path / "out"
-        errs = []
-        for threads in ("1", "2"):
-            assert cli.main(["fit", "--config", cfg, "--threads", threads,
-                             "--out", str(out)]) == 2
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1]
-        assert errs[0].startswith("config error: draws, mediator_draws or the sweep grid "
-                                  "size is too large for memory")
-        assert not out.exists()
+        # the envelope points are allocated in the first draw, the draw records
+        # before any worker forks
+        for edit in ({"mediator_draws": 10**12}, {"draws": 10**15}):
+            cfg = write_config(tmp_path, "cfg.json", {
+                "data": str(data_dir / "bench.csv"), "setting": {"route": "benchmark_raw"},
+                **FAST, **edit})
+            out = tmp_path / "out"
+            errs = []
+            for threads in ("1", "2"):
+                assert cli.main(["fit", "--config", cfg, "--threads", threads,
+                                 "--out", str(out)]) == 2
+                errs.append(capsys.readouterr().err)
+            assert errs[0] == errs[1]
+            assert errs[0].startswith("config error: draws, mediator_draws or the sweep grid "
+                                      "size is too large for memory")
+            assert not out.exists()
 
     def test_fit_to_stdout_prints_one_document(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -779,10 +782,14 @@ def test_take_floats_requires_numbers():
                            "benchmark": {"low": -1e308, "high": 1e308}}}, [], "high="),
     ("fit", {}, ["--threads", "257"], "'threads'"),
     # too large for memory; each fails at its first allocation: the draw records
-    # before any draw runs, the benchmark envelope points in the first draw
+    # before any draw runs, the benchmark envelope points in the first draw. Past
+    # what numpy can index, the records' mapping and the engine refuse them
     ("fit", {"draws": 10**15}, [], "too large for memory"),
     ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw"},
              "mediator_draws": 10**12}, [], "too large for memory"),
+    ("fit", {"draws": 10**18}, [], "too large for memory"),
+    ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw"},
+             "mediator_draws": 10**18}, [], "too large for memory"),
 ])
 def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
                                               command, edit, flags, key):

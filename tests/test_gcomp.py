@@ -679,7 +679,7 @@ class TestForkedWorkers:
         self.fail_at(monkeypatch, {3: lambda t: os._exit(5)})
         kind, message = self.raised(bench_data, 2)
         assert kind is BridgeboundError
-        assert message.startswith("a draw worker exited with status 5 after sending 0 bytes")
+        assert message == "a draw worker exited with status 5"
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, NumericalFailure])
     def test_first_draw_failing_kills_and_reaps_the_workers(self, bench_data, monkeypatch,
