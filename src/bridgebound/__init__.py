@@ -6,23 +6,31 @@ envelope eta * (gamma - 1) / gamma. The envelope is calibrated from an
 observed benchmark column, from a residual budget, or supplied directly;
 posterior uncertainty comes from conjugate linear models, and every
 identification claim behind the machinery has an exact finite-state check
-in ``bridgebound.oracle``, which the package root leaves unimported.
+in ``bridgebound.oracle``.
+
+The public names below resolve on first access (PEP 562), each by importing
+its home module, so importing the package, or a command that needs only part
+of it, loads nothing else.
 """
 
-from .calibration import (DEFAULT_GAMMA_CAP, benchmark_envelope,
-                          estimate_benchmark_eta, estimate_benchmark_gamma,
-                          prepare_benchmark, residual_envelope)
-from .data import (BenchmarkSpec, Dataset, SyntheticSpec, fractional_ranks,
-                   generate_synthetic, infer_schema, load_dataset, save_dataset)
-from .envelope import xi_pointwise
-from .errors import (BridgeboundError, ConfigError, NumericalFailure,
-                     VerificationFailure)
-from .gcomp import (DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS,
-                    ROUTES, DeltaPrior, RunResult, SensitivitySetting,
-                    SweepResult, check_sweep_rows, run, sweep)
-from .linear_bayes import NIGParams, default_prior, nig_update, sample_draw
+import importlib
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "calibration": ("DEFAULT_GAMMA_CAP", "benchmark_envelope", "estimate_benchmark_eta",
+                    "estimate_benchmark_gamma", "prepare_benchmark", "residual_envelope"),
+    "data": ("BenchmarkSpec", "Dataset", "SyntheticSpec", "fractional_ranks",
+             "generate_synthetic", "infer_schema", "load_dataset", "save_dataset"),
+    "envelope": ("xi_pointwise",),
+    "errors": ("BridgeboundError", "ConfigError", "NumericalFailure", "VerificationFailure",
+               "ROUTES"),
+    "gcomp": ("DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_MEDIATOR_DRAWS", "DeltaPrior",
+              "RunResult", "SensitivitySetting", "SweepResult", "check_sweep_rows", "run",
+              "sweep"),
+    "linear_bayes": ("NIGParams", "default_prior", "nig_update", "sample_draw"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "BenchmarkSpec", "BridgeboundError", "ConfigError", "Dataset", "DeltaPrior",
@@ -35,3 +43,16 @@ __all__ = [
     "prepare_benchmark", "residual_envelope", "run", "sample_draw",
     "save_dataset", "sweep", "xi_pointwise",
 ]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value   # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

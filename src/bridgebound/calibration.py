@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+# envelope is called through its module, as gcomp calls this one (see gcomp)
+from . import _kernels, envelope
 from .data import Dataset, fractional_ranks
-from .envelope import xi_pointwise
 from .errors import BridgeboundError, DegenerateBenchmark
 from .linear_bayes import default_prior, nig_update, posterior_sigma2_mean
 
@@ -172,4 +172,4 @@ def residual_envelope(sigma_eta: float, k: float, g: float) -> float:
         raise BridgeboundError(f"k must lie in [0, 1], got {k}")
     if sigma_eta < 0.0 or not np.isfinite(sigma_eta):
         raise BridgeboundError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
-    return xi_pointwise(2.0 * sigma_eta * np.sqrt(k), g)
+    return envelope.xi_pointwise(2.0 * sigma_eta * np.sqrt(k), g)

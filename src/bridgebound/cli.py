@@ -12,6 +12,10 @@ rendered with format(x, '.17g'), JSON keys are sorted, CSV rows use LF line
 endings, and nothing timestamp- or host-dependent is written. Exit codes:
 0 success, 2 unusable config or data, 3 numerical failure, 4 verification
 failure.
+
+Each command imports the modules it runs when it runs: the posterior engine
+for ``fit`` and ``sweep``, the data layer alone for ``simulate`` and the exact
+oracle alone for ``verify``. The config tables come from ``errors``.
 """
 
 from __future__ import annotations
@@ -28,13 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .data import (SCHEMA_KEYS, SPEC_KEYS, BenchmarkSpec, SyntheticSpec,
-                   generate_synthetic, infer_schema, load_dataset, save_dataset)
-from .errors import (BridgeboundError, ConfigError, Key, NumericalFailure,
-                     VerificationFailure, check)
-from .gcomp import (DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS,
-                    RUN_KEYS, SETTING_KEYS, DeltaPrior, SensitivitySetting, run,
-                    sweep)
+from .errors import (RUN_KEYS, SCHEMA_KEYS, SETTING_KEYS, SPEC_KEYS, BridgeboundError,
+                     ConfigError, Key, NumericalFailure, VerificationFailure, check)
 
 DEFAULT_SEED = 1729
 SHARPNESS_GAMMAS = (1.1, 1.5, 2.0, 5.0, 50.0)
@@ -149,7 +148,9 @@ def _config(args, table: dict) -> dict:
     return check("config", cfg, table)
 
 
-def setting_from_dict(raw: dict) -> SensitivitySetting:
+def setting_from_dict(raw: dict):
+    from .gcomp import DeltaPrior, SensitivitySetting
+
     raw = dict(check("setting", raw, SETTING_KEYS))
     if "delta_prior" in raw:
         raw["delta_prior"] = DeltaPrior(**raw["delta_prior"])
@@ -157,10 +158,14 @@ def setting_from_dict(raw: dict) -> SensitivitySetting:
 
 
 def schema_from_config(cfg: dict, data_path: str) -> dict:
+    from .data import infer_schema
+
     return cfg["schema"] if "schema" in cfg else infer_schema(data_path)
 
 
 def _run_kwargs(cfg: dict) -> dict:
+    from .gcomp import DEFAULT_BURN_IN, DEFAULT_DRAWS, DEFAULT_MEDIATOR_DRAWS
+
     defaults = {"draws": DEFAULT_DRAWS, "burn_in": DEFAULT_BURN_IN,
                 "mediator_draws": DEFAULT_MEDIATOR_DRAWS, "seed": DEFAULT_SEED, "threads": 1}
     return {name: cfg.get(name, default) for name, default in defaults.items()}
@@ -172,6 +177,9 @@ def _run_kwargs(cfg: dict) -> dict:
 
 
 def cmd_fit(args) -> int:
+    from .data import load_dataset
+    from .gcomp import run
+
     cfg = _config(args, FIT_KEYS)
     data = load_dataset(cfg["data"], schema_from_config(cfg, cfg["data"]))
     setting = setting_from_dict(cfg["setting"])
@@ -188,6 +196,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .data import load_dataset
+    from .gcomp import sweep
+
     cfg = _config(args, SWEEP_KEYS)
     if ("overlays" in cfg) == ("setting" in cfg):
         raise ConfigError("give exactly one of config keys 'setting' and 'overlays'")
@@ -219,7 +230,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the exact oracle is imported by the one command that runs it
     from .oracle import check_bound_and_sharpness, run_fuzz, self_test_failure
 
     cfg = _config(args, VERIFY_KEYS)
@@ -275,6 +285,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .data import BenchmarkSpec, SyntheticSpec, generate_synthetic, save_dataset
+
     cfg = _config(args, SIMULATE_KEYS)
     raw = dict(cfg["spec"])
     if "benchmark" in raw:

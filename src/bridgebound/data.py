@@ -11,7 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BridgeboundError, ConfigError, Key, check
+# the config tables of schemas and specs live in errors (see gcomp)
+from .errors import (BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, BridgeboundError, ConfigError,
+                     check)
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,6 @@ class Dataset:
 
     def arm_indices(self, arm: int) -> np.ndarray:
         return np.flatnonzero(self.treatment == arm)
-
-
-_COLUMN = Key("str", required=True)
-SCHEMA_KEYS = {"treatment": _COLUMN, "mediator": _COLUMN, "outcome": _COLUMN,
-               "covariates": Key(["str"]), "benchmark": Key("str")}
 
 
 def load_dataset(path: str, schema: dict) -> Dataset:
@@ -252,9 +249,6 @@ def fractional_ranks(data: Dataset) -> np.ndarray:
     return out
 
 
-BENCHMARK_KEYS = dict.fromkeys(("low", "high", "coef_m", "coef_y"), Key("number"))
-
-
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Observed proxy W ~ Uniform(low, high), feeding mediator and outcome."""
@@ -269,17 +263,6 @@ class BenchmarkSpec:
         if not (self.high > self.low and math.isfinite(self.high - self.low)):
             raise ConfigError("benchmark support must have high > low and a finite width, "
                               f"got low={self.low!r}, high={self.high!r}")
-
-
-_REAL = Key("number")
-_SCALE = Key("number", (0, math.inf), open=True)
-SPEC_KEYS = {
-    "n": Key("int", required=True), "p": Key("int", (0, math.inf), required=True),
-    "beta_m": Key(["number"], required=True),
-    "c0": _REAL, "c_a": _REAL, "c_m": _REAL, "x_scale": _REAL, "confounder_strength": _REAL,
-    "sigma_m": _SCALE, "sigma_y": _SCALE, "treat_prob": Key("number", (0, 1), open=True),
-    "benchmark": Key(BENCHMARK_KEYS),
-}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, one per CLI exit code, and the
-declarative checker that every config object goes through."""
+"""Exception types shared across the package, one per CLI exit code, the
+declarative checker that every config object goes through, and the tables of
+config keys it checks them against.
+
+The tables are pure data, so a command parses its config without importing
+the modules that run it; gcomp and data re-export the tables of their own
+objects."""
 
 import math
 import numbers
@@ -111,3 +116,49 @@ def _what(key: Key, many: bool = False) -> str:
     if kind == "number":
         text += " (+inf allowed)" if key.inf else " (finite)"
     return text
+
+
+# ---------------------------------------------------------------------------
+# config tables
+# ---------------------------------------------------------------------------
+
+ROUTES = ("si_anchor", "benchmark_raw", "benchmark_rank", "residual_budget")
+PRIOR_KINDS = ("uniform", "beta", "endpoint_lower", "endpoint_upper")
+
+_SHAPE = Key("number", (0, math.inf), open=True)
+PRIOR_KEYS = {"kind": Key(PRIOR_KINDS), "shape1": _SHAPE, "shape2": _SHAPE}
+
+_FACTOR = Key("number", (1, math.inf))
+_RATIO = Key("number", (1, math.inf), inf=True)
+_SHARE = Key("number", (0, 1))
+SETTING_KEYS = {
+    "route": Key(ROUTES, required=True),
+    "lambda0": _FACTOR, "lambda1": _FACTOR,
+    "kappa0": _RATIO, "kappa1": _RATIO,
+    "k0": _SHARE, "k1": _SHARE,
+    "g0": _RATIO, "g1": _RATIO,
+    "delta_prior": Key(PRIOR_KEYS), "comonotone": Key("bool"), "pooled_gamma": Key("bool"),
+    "gamma_cap": _FACTOR,
+}
+
+# the arguments of run() and sweep() that shape the draw loop; each worker
+# beyond the first is a forked process, so threads is capped
+_POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
+RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws": _POSITIVE,
+            "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
+
+_COLUMN = Key("str", required=True)
+SCHEMA_KEYS = {"treatment": _COLUMN, "mediator": _COLUMN, "outcome": _COLUMN,
+               "covariates": Key(["str"]), "benchmark": Key("str")}
+
+BENCHMARK_KEYS = dict.fromkeys(("low", "high", "coef_m", "coef_y"), Key("number"))
+
+_REAL = Key("number")
+_SCALE = Key("number", (0, math.inf), open=True)
+SPEC_KEYS = {
+    "n": Key("int", required=True), "p": Key("int", (0, math.inf), required=True),
+    "beta_m": Key(["number"], required=True),
+    "c0": _REAL, "c_a": _REAL, "c_m": _REAL, "x_scale": _REAL, "confounder_strength": _REAL,
+    "sigma_m": _SCALE, "sigma_y": _SCALE, "treat_prob": Key("number", (0, 1), open=True),
+    "benchmark": Key(BENCHMARK_KEYS),
+}

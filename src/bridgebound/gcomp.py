@@ -27,31 +27,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
+# the kernels and the calibration layer are called through their modules, so a
+# wrapper set on a module attribute (a test's monkeypatch, perfbench's tracer)
+# sees every call, whichever module was imported first
+from . import _kernels, calibration
 from .bridge import bridge_log_pair, mediator_means, outcome_design
-from .calibration import (
-    DEFAULT_GAMMA_CAP,
-    benchmark_envelope,
-    estimate_benchmark_eta,
-    estimate_benchmark_gamma,
-    estimate_sigma_eta,
-    prepare_benchmark,
-    residual_envelope,
-)
+from .calibration import DEFAULT_GAMMA_CAP
 from .data import Dataset
-from .errors import (BridgeboundError, ConfigError, Key, NumericalFailure,
+# the config tables of settings and run arguments live in errors, so that cli
+# parses them without importing this module; they are re-exported here
+from .errors import (PRIOR_KEYS, PRIOR_KINDS, ROUTES, RUN_KEYS, SETTING_KEYS,
+                     BridgeboundError, ConfigError, NumericalFailure,
                      VerificationFailure, check)
 from .linear_bayes import default_prior, nig_update, sample_draw
-
-ROUTES = ("si_anchor", "benchmark_raw", "benchmark_rank", "residual_budget")
-PRIOR_KINDS = ("uniform", "beta", "endpoint_lower", "endpoint_upper")
 
 DEFAULT_DRAWS = 2000
 DEFAULT_BURN_IN = 500
 DEFAULT_MEDIATOR_DRAWS = 50
-
-_SHAPE = Key("number", (0, math.inf), open=True)
-PRIOR_KEYS = {"kind": Key(PRIOR_KINDS), "shape1": _SHAPE, "shape2": _SHAPE}
 
 
 @dataclass(frozen=True)
@@ -65,19 +57,6 @@ class DeltaPrior:
     def __post_init__(self):
         check("delta_prior", dataclasses.asdict(self), PRIOR_KEYS)
 
-
-_FACTOR = Key("number", (1, math.inf))
-_RATIO = Key("number", (1, math.inf), inf=True)
-_SHARE = Key("number", (0, 1))
-SETTING_KEYS = {
-    "route": Key(ROUTES, required=True),
-    "lambda0": _FACTOR, "lambda1": _FACTOR,
-    "kappa0": _RATIO, "kappa1": _RATIO,
-    "k0": _SHARE, "k1": _SHARE,
-    "g0": _RATIO, "g1": _RATIO,
-    "delta_prior": Key(PRIOR_KEYS), "comonotone": Key("bool"), "pooled_gamma": Key("bool"),
-    "gamma_cap": _FACTOR,
-}
 
 
 @dataclass(frozen=True)
@@ -101,12 +80,6 @@ class SensitivitySetting:
     def __post_init__(self):
         check("setting", dataclasses.asdict(self), SETTING_KEYS)
 
-
-# the arguments of run() and sweep() that shape the draw loop; each worker
-# beyond the first is a forked process, so threads is capped
-_POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
-RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws": _POSITIVE,
-            "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
 
 
 def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
@@ -231,7 +204,7 @@ class _Engine:
         for setting in self.settings:
             scale = _BENCH_SCALE.get(setting.route)
             if scale is not None and scale not in self.bench:
-                self.bench[scale] = prepare_benchmark(data, scale)
+                self.bench[scale] = calibration.prepare_benchmark(data, scale)
         # each benchmark-route draw takes an (n, mediator_draws) grid of envelope
         # points; refuse one numpy cannot even index before any draw or fork
         if self.bench and 8 * n * mediator_draws > sys.maxsize:
@@ -280,12 +253,14 @@ class _Engine:
             if scale is not None:
                 bench = self.bench[scale]
                 if scale not in eta_memo:
-                    eta_memo[scale] = estimate_benchmark_eta(design_y, data.outcome, bench)
+                    eta_memo[scale] = calibration.estimate_benchmark_eta(design_y, data.outcome,
+                                                                         bench)
                 eta_hat = eta_memo[scale]
                 key = (scale, setting.gamma_cap)
                 if key not in gamma_memo:
-                    gammas = (estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs, bench, arm,
-                                                       *pts, cap=setting.gamma_cap)
+                    gammas = (calibration.estimate_benchmark_gamma(
+                                  data.mediator, l0_obs, l1_obs, bench, arm, *pts,
+                                  cap=setting.gamma_cap)
                               for arm in (0, 1))
                     # per arm: the mean of (gamma - 1) / gamma over the points, and the max gamma
                     gamma_memo[key] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
@@ -293,8 +268,10 @@ class _Engine:
                 (gap0, gmax0), (gap1, gmax1) = gamma_memo[key]
                 if setting.pooled_gamma:
                     gap0, gap1 = (gmax0 - 1.0) / gmax0, (gmax1 - 1.0) / gmax1
-                xi0 = benchmark_envelope(eta_hat[0], gap0, setting.lambda0, setting.kappa0)
-                xi1 = benchmark_envelope(eta_hat[1], gap1, setting.lambda1, setting.kappa1)
+                xi0 = calibration.benchmark_envelope(eta_hat[0], gap0, setting.lambda0,
+                                                     setting.kappa0)
+                xi1 = calibration.benchmark_envelope(eta_hat[1], gap1, setting.lambda1,
+                                                     setting.kappa1)
                 diag = (*eta_hat, gmax0, gmax1)
             elif setting.route == "residual_budget":
                 if sigma_eta is None:
@@ -302,9 +279,9 @@ class _Engine:
                     treated = np.take(design_y, self.treated, axis=0, out=self.design_treated,
                                       mode="clip")
                     pred = treated @ beta_y
-                    sigma_eta = estimate_sigma_eta(data.outcome[self.treated], pred)
-                xi0 = residual_envelope(sigma_eta, setting.k0, setting.g0)
-                xi1 = residual_envelope(sigma_eta, setting.k1, setting.g1)
+                    sigma_eta = calibration.estimate_sigma_eta(data.outcome[self.treated], pred)
+                xi0 = calibration.residual_envelope(sigma_eta, setting.k0, setting.g0)
+                xi1 = calibration.residual_envelope(sigma_eta, setting.k1, setting.g1)
                 diag = (sigma_eta,)
             else:
                 xi0 = xi1 = 0.0

@@ -20,10 +20,12 @@ error rather than Monte Carlo error:
 
 check_models runs all of them on a list of models in shape-grouped batches.
 Models of one shape (nx, nu, nm) have their tables stacked on a leading model
-axis; each mediator value of each model is partitioned once, the strata of all
-of them form one cell x covariate membership mask with a model index per cell,
-and every (arm, m, stratum) cell of the group is evaluated at once by masked
-array operations. Each statistic is then one max or min per model over its
+axis and validated together, with the public constructor's checks and
+messages (the corpus generator builds its models unchecked). Each mediator
+value of each model is partitioned once, the strata of all of them form one
+cell x covariate membership mask with a model index per cell, and every
+(arm, m, stratum) cell of the group is evaluated at once by masked array
+operations. Each statistic is then one max or min per model over its
 run of cells; the scalar reduction reads the same cells, one model at a time.
 check_model is the one-model case and exact_sensitivity evaluates one cell
 with the same array code. run_fuzz checks its corpus in chunks of _CHUNK
@@ -53,6 +55,7 @@ _INTRA_TOL = 1e-12      # members of one stratum agree on the bridge to this
 _SEPARATION = 1e-7      # distinct strata differ by at least this
 _MODEL_TRIES = 100      # random_model redraws before giving up
 _CHUNK = 1024           # corpus models run_fuzz generates, then checks, per batch
+_TABLES = ("p_x", "p_u", "p_m", "psi")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class DiscreteModel:
 
     psi is the mean of Y(1, m), free of m by construction, and constant across
     the x's of one group; groups are the x's sharing identical bridge laws.
+    The constructor converts the tables to float64 and checks them (_validate
+    on a one-model stack); random_model builds through _unchecked instead.
     """
 
     p_x: np.ndarray            # (nx,)
@@ -70,42 +75,22 @@ class DiscreteModel:
     groups: Tuple[int, ...]
 
     def __post_init__(self):
-        p_x = np.asarray(self.p_x, dtype=np.float64)
-        p_u = np.asarray(self.p_u, dtype=np.float64)
-        p_m = np.asarray(self.p_m, dtype=np.float64)
-        psi = np.asarray(self.psi, dtype=np.float64)
-        object.__setattr__(self, "p_x", p_x)
-        object.__setattr__(self, "p_u", p_u)
-        object.__setattr__(self, "p_m", p_m)
-        object.__setattr__(self, "psi", psi)
+        for name in _TABLES:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
-        nx = p_x.shape[0]
-        if p_u.shape[:2] != (2, nx) or p_m.shape[:3] != (2, nx, p_u.shape[2]):
-            raise BridgeboundError("table shapes disagree")
-        if psi.shape != p_u.shape or len(self.groups) != nx:
-            raise BridgeboundError("psi or groups shape disagrees")
-        for name, table in (("p_x", p_x), ("p_u", p_u), ("p_m", p_m)):
-            if (table < 0.0).any() or not np.isfinite(table).all():
-                raise BridgeboundError(f"{name} has negative or non-finite entries")
-        if abs(p_x.sum() - 1.0) > _SUM_TOL:
-            raise BridgeboundError(f"p_x sums to {p_x.sum()}")
-        if np.max(np.abs(p_u.sum(axis=2) - 1.0)) > _SUM_TOL:
-            raise BridgeboundError("a p_u row does not sum to 1")
-        if np.max(np.abs(p_m.sum(axis=3) - 1.0)) > _SUM_TOL:
-            raise BridgeboundError("a p_m row does not sum to 1")
-        if not np.isfinite(psi).all():
-            raise BridgeboundError("psi has non-finite entries")
-        # each x against the first member of its group
-        groups = np.asarray(self.groups)
-        first = np.argmax(groups[:, None] == groups[None, :], axis=1)
-        drift = np.abs(psi - psi[:, first, :]).max(axis=(0, 2))
-        if (drift > 1e-9).any():
-            bad = set(groups[drift > 1e-9].tolist())
-            g = next(g for g in set(self.groups) if g in bad)
-            raise BridgeboundError(f"psi not constant within group {g}")
-        bridge = np.einsum("axu,axum->axm", p_u, p_m)
-        bridge.flags.writeable = False
-        object.__setattr__(self, "_bridge", bridge)
+        _validate(_stack([self]))
+
+    @classmethod
+    def _unchecked(cls, p_x, p_u, p_m, psi, groups: Tuple[int, ...]) -> "DiscreteModel":
+        """A model of float64 tables taken as they are, without _validate.
+
+        For tables valid by construction; check_models validates every model
+        it is given before it reads one.
+        """
+        model = object.__new__(cls)
+        for name, value in zip((*_TABLES, "groups"), (p_x, p_u, p_m, psi, groups)):
+            object.__setattr__(model, name, value)
+        return model
 
     @property
     def nx(self) -> int:
@@ -118,9 +103,14 @@ class DiscreteModel:
     def bridge_values(self) -> np.ndarray:
         """f[a, x, m] = P(M = m | A = a, X = x), marginal over U (read-only).
 
-        Enumerated once, when the model is built.
+        Enumerated on first use, then kept.
         """
-        return self._bridge
+        bridge = self.__dict__.get("_bridge")
+        if bridge is None:
+            bridge = np.einsum("axu,axum->axm", self.p_u, self.p_m)
+            bridge.flags.writeable = False
+            object.__setattr__(self, "_bridge", bridge)
+        return bridge
 
 
 class _Tables(NamedTuple):
@@ -131,15 +121,52 @@ class _Tables(NamedTuple):
     p_m: np.ndarray            # (G, 2, nx, nu, nm)
     psi: np.ndarray            # (G, 2, nx, nu)
     groups: np.ndarray         # (G, nx)
-    bridge: np.ndarray         # (G, 2, nx, nm): f[a, x, m]
 
 
 def _stack(models: Sequence[DiscreteModel]) -> _Tables:
-    return _Tables(
-        *(np.stack([getattr(model, name) for model in models])
-          for name in ("p_x", "p_u", "p_m", "psi")),
-        np.array([model.groups for model in models]),
-        np.stack([model.bridge_values() for model in models]))
+    return _Tables(*(np.stack([getattr(model, name) for model in models]) for name in _TABLES),
+                   np.array([model.groups for model in models]))
+
+
+def _shape(model: DiscreteModel) -> tuple:
+    """What models must share to be stacked: every table's shape."""
+    return (*(getattr(model, name).shape for name in _TABLES), len(model.groups))
+
+
+def _validate(tables: _Tables) -> None:
+    """DiscreteModel's checks on a stack of models, in the constructor's order.
+
+    Raises the message of the first check that some model fails; on a
+    one-model stack that is the model's own first error.
+    """
+    p_x, p_u, p_m, psi, groups = tables
+    if ((p_x.ndim, p_u.ndim, p_m.ndim, psi.ndim) != (2, 4, 5, 4)
+            or p_u.shape[1:3] != (2, p_x.shape[1]) or p_m.shape[1:4] != p_u.shape[1:]):
+        raise BridgeboundError("table shapes disagree")
+    if psi.shape != p_u.shape or groups.shape[1] != p_x.shape[1]:
+        raise BridgeboundError("psi or groups shape disagrees")
+    for name, table in (("p_x", p_x), ("p_u", p_u), ("p_m", p_m)):
+        if (table < 0.0).any() or not np.isfinite(table).all():
+            raise BridgeboundError(f"{name} has negative or non-finite entries")
+    total = p_x.sum(axis=1)
+    off = np.abs(total - 1.0) > _SUM_TOL
+    if off.any():
+        raise BridgeboundError(f"p_x sums to {total[off.argmax()]}")
+    if np.max(np.abs(p_u.sum(axis=3) - 1.0)) > _SUM_TOL:
+        raise BridgeboundError("a p_u row does not sum to 1")
+    if np.max(np.abs(p_m.sum(axis=4) - 1.0)) > _SUM_TOL:
+        raise BridgeboundError("a p_m row does not sum to 1")
+    if not np.isfinite(psi).all():
+        raise BridgeboundError("psi has non-finite entries")
+    # each x against the first member of its group
+    first = np.argmax(groups[:, :, None] == groups[:, None, :], axis=2)      # (G, nx)
+    heads = np.take_along_axis(psi, first[:, None, :, None], axis=2)
+    drift = np.abs(psi - heads).max(axis=(1, 3)) > 1e-9                      # (G, nx)
+    if drift.any():
+        j = drift.any(axis=1).argmax()
+        bad = set(groups[j, drift[j]].tolist())
+        g = next(g for g in set(groups[j].tolist()) if g in bad)
+        raise BridgeboundError(f"psi not constant within group {g}")
 
 
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
@@ -403,10 +430,13 @@ def self_test_failure():
 # ---------------------------------------------------------------------------
 
 
+_ALPHA = {k: np.full(k, 2.0) for k in range(1, 6)}    # random_model's simplex sizes
+
+
 def _simplex(rng: np.random.Generator, k: int, rows=None) -> np.ndarray:
     # floor keeps every cell bounded away from zero so ratios stay stable; one
     # call for `rows` draws consumes the stream exactly as `rows` single calls
-    return 0.85 * rng.dirichlet(np.full(k, 2.0), size=rows) + 0.15 / k
+    return 0.85 * rng.dirichlet(_ALPHA[k], size=rows) + 0.15 / k
 
 
 def _pm_perturbation(rng, p_u: np.ndarray, nm: int) -> np.ndarray:
@@ -425,7 +455,7 @@ def _pu_perturbation(rng, pm_stack: np.ndarray) -> np.ndarray:
     kernel is never trivial.
     """
     _, s, vt = np.linalg.svd(pm_stack)
-    rank = int(np.sum(s > 1e-12 * s[0]))
+    rank = int((s > 1e-12 * s[0]).sum())
     basis = vt[rank:]
     v = rng.standard_normal(basis.shape[0]) @ basis
     return v / np.abs(v).max()
@@ -457,17 +487,19 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
 
         # random partition into groups; non-decoupled models force one
         # multi-member group so the decoupling violation is real
-        labels = rng.integers(0, max(1, nx - 1), size=nx) if nx > 1 else np.zeros(1, int)
-        if not decoupled and len(set(labels.tolist())) == nx:
+        labels = rng.integers(0, max(1, nx - 1), size=nx).tolist() if nx > 1 else [0]
+        if not decoupled and len(set(labels)) == nx:
             labels[1] = labels[0]
-        _, groups = np.unique(labels, return_inverse=True)
+        # each label's rank among the distinct labels
+        distinct = sorted(set(labels))
+        groups = [distinct.index(label) for label in labels]
 
         p_x = _simplex(rng, nx)
         p_u = np.empty((2, nx, nu))
         p_m = np.empty((2, nx, nu, nm))
         psi = np.empty((2, nx, nu))
 
-        for g in set(groups.tolist()):
+        for g in set(groups):
             members = [x for x in range(nx) if groups[x] == g]
             psi_g = rng.uniform(0.0, 1.0, size=(2, nu))
             if shared_arms:
@@ -502,7 +534,7 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
                             v = _pu_perturbation(rng, base_pm[a].T)
                             p_u[a, x] = _scaled(base_pu[a], v, rng)
 
-        model = DiscreteModel(p_x, p_u, p_m, psi, tuple(int(g) for g in groups))
+        model = DiscreteModel._unchecked(p_x, p_u, p_m, psi, tuple(groups))
         if _well_separated(model):
             return model
     raise BridgeboundError(f"no well-separated model in {_MODEL_TRIES} tries")
@@ -514,8 +546,7 @@ def _well_separated(model: DiscreteModel) -> bool:
     gap = np.abs(f[:, :, None, :] - f[:, None, :, :]).max(axis=0)   # (nx, nx, nm)
     groups = np.asarray(model.groups)
     same = (groups[:, None] == groups[None, :])[:, :, None]
-    return not (np.any(same & (gap > _INTRA_TOL))
-                or np.any(~same & (gap < _SEPARATION)))
+    return not ((same & (gap > _INTRA_TOL)).any() or (~same & (gap < _SEPARATION)).any())
 
 
 # ---------------------------------------------------------------------------
@@ -604,32 +635,41 @@ def check_model(model: DiscreteModel) -> dict:
 def check_models(models: Sequence[DiscreteModel]) -> List[dict]:
     """check_model of every model, in one batched pass per model shape.
 
-    The models of one shape (nx, nu, nm) are stacked and their cells, tagged
-    with a model index, go through _evaluate and the checks together; each
-    statistic is folded per model over its run of cells by reduceat, which
-    keeps NaN. Every entry matches a lone check_model call bit for bit. If the
-    batch raises, the models are re-checked one at a time in order, so the
-    error is the first one a loop of check_model calls would raise.
+    The models of one shape (nx, nu, nm) are stacked and validated, as their
+    constructor does, and then their cells, tagged with a model index, go
+    through _evaluate and the checks together; each statistic is folded per
+    model over its run of cells by reduceat, which keeps NaN. Every entry
+    matches a lone check_model call bit for bit. Every model is validated
+    before any is checked. If a batch raises, the models are re-validated,
+    then re-checked, one at a time in order, so the error is the first
+    model's own: of its tables if any model's are invalid, else the first one
+    a loop of check_model calls would raise.
     """
     shapes = {}
     for i, model in enumerate(models):
-        shapes.setdefault(model.p_m.shape, []).append(i)
+        shapes.setdefault(_shape(model), []).append(i)
+    batches = [(idx, [models[i] for i in idx]) for idx in shapes.values()]
     results = [None] * len(models)
     try:
-        for idx in shapes.values():
-            for i, res in zip(idx, _check_group([models[i] for i in idx])):
+        stacks = [_stack(group) for _, group in batches]
+        for tables in stacks:
+            _validate(tables)
+        for (idx, group), tables in zip(batches, stacks):
+            for i, res in zip(idx, _check_group(group, tables)):
                 results[i] = res
     except BridgeboundError:
         if len(models) > 1:
             for model in models:
-                _check_group([model])
+                _validate(_stack([model]))
+            for model in models:
+                check_model(model)
         raise
     return results
 
 
-def _check_group(models: Sequence[DiscreteModel]) -> List[dict]:
-    """check_models on models of one shape."""
-    tables = _stack(models)
+def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]:
+    """check_models on models of one shape, given their validated stack."""
+    bridge = np.stack([model.bridge_values() for model in models])   # (G, 2, nx, nm)
     parts = [_partition_mask(model) for model in models]
     members = np.concatenate([rows for rows, _ in parts])      # (s, nx)
     ms = np.concatenate([mvals for _, mvals in parts])         # (s,)
@@ -641,7 +681,7 @@ def _check_group(models: Sequence[DiscreteModel]) -> List[dict]:
     # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a). Stored
     # stratum-major, as a lone model's bridge[:, ms] is, so that mass[0] keeps
     # the stride that fixes the summation order of BLAS's dot in theta_si
-    joint = p_x * np.moveaxis(tables.bridge[g, :, :, ms], 0, 1)   # (2, s, nx)
+    joint = p_x * np.moveaxis(bridge[g, :, :, ms], 0, 1)          # (2, s, nx)
     mass = joint.sum(axis=2)                       # (2, s)
     if np.any(mass <= 0.0):
         s, arm = np.argwhere(mass.T <= 0.0)[0]

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import math
@@ -311,7 +312,7 @@ class TestFit:
         def boom(*a, **kw):
             raise NumericalFailure("synthetic failure for the exit-code contract")
 
-        monkeypatch.setattr(cli, "run", boom)
+        monkeypatch.setattr(gcomp, "run", boom)   # cmd_fit imports run when it runs
         cfg = write_config(tmp_path, "fit.json", {
             "data": str(data_dir / "null.csv"),
             "setting": {"route": "si_anchor"}, **FAST})
@@ -333,12 +334,12 @@ class TestFit:
 
     def test_non_finite_summary_is_numerical_failure(self, data_dir, tmp_path, capsys,
                                                      monkeypatch):
-        def nan_theta(*args, **kwargs):
-            result = gcomp.run(*args, **kwargs)
+        def nan_theta(*args, _run=gcomp.run, **kwargs):
+            result = _run(*args, **kwargs)
             result.records["theta"][0] = np.nan
             return result
 
-        monkeypatch.setattr(cli, "run", nan_theta)
+        monkeypatch.setattr(gcomp, "run", nan_theta)
         cfg = write_config(tmp_path, "fit.json", {
             "data": str(data_dir / "null.csv"), "setting": {"route": "si_anchor"}, **FAST})
         out = tmp_path / "fit.out"
@@ -350,7 +351,7 @@ class TestFit:
         def boom(*a, **kw):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(cli, "run", boom)
+        monkeypatch.setattr(gcomp, "run", boom)   # cmd_fit imports run when it runs
         cfg = write_config(tmp_path, "fit.json", {
             "data": str(data_dir / "null.csv"),
             "setting": {"route": "si_anchor"}, **FAST})
@@ -513,12 +514,12 @@ class TestSweep:
 
     def test_non_finite_column_is_numerical_failure(self, data_dir, tmp_path, capsys,
                                                     monkeypatch):
-        def inf_row(*args, **kwargs):
-            results = gcomp.sweep(*args, **kwargs)
+        def inf_row(*args, _sweep=gcomp.sweep, **kwargs):
+            results = _sweep(*args, **kwargs)
             results[1].rows[2]["nie_upper"] = float("inf")
             return results
 
-        monkeypatch.setattr(cli, "sweep", inf_row)
+        monkeypatch.setattr(gcomp, "sweep", inf_row)
         cfg = write_config(tmp_path, "sweep.json", self.sweep_cfg(data_dir))
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
@@ -625,15 +626,19 @@ LAZY = ["numpy.ma", "bridgebound.oracle", "concurrent.futures", "logging",
         "multiprocessing"]
 # lets every requested draw worker fork, however many CPUs the host has
 _ANY_CPUS = "import bridgebound.gcomp; bridgebound.gcomp._available_cpus = lambda: 64\n"
-# runs one command (argv[2:]) and writes its exit code and the LAZY modules it
-# loaded to argv[1]
-_FOOTPRINT = _ANY_CPUS + """
+# runs one command (argv[2:]) and writes its exit code and which of the listed
+# modules it loaded to argv[1]
+_REPORT = """
 import json, sys
 from bridgebound.cli import main
 code = main(sys.argv[2:])
 with open(sys.argv[1], "w") as fh:
     json.dump([code, [m for m in %r if m in sys.modules]], fh)
-""" % (LAZY,)
+"""
+_FOOTPRINT = _ANY_CPUS + _REPORT % (LAZY,)
+# the posterior engine and the oracle, by module
+ENGINE = ["bridgebound." + name for name in ("gcomp", "calibration", "data", "linear_bayes",
+                                             "bridge", "_kernels", "oracle")]
 
 
 def run_fresh(script, *args):
@@ -647,8 +652,9 @@ def run_fresh(script, *args):
                           capture_output=True, text=True, timeout=300, env=env)
 
 
-def imports_of(data_dir, tmp_path, command, cfg, threads="1"):
-    """[exit code, the LAZY modules loaded] of one command in a fresh interpreter."""
+def imports_of(data_dir, tmp_path, command, cfg, threads="1", script=_FOOTPRINT):
+    """[exit code, the modules loaded] of one command in a fresh interpreter,
+    of LAZY unless script lists others."""
     if command in ("fit", "sweep"):
         cfg = {"data": str(data_dir / "bench.csv"), **FAST, **cfg}
     path = write_config(tmp_path, "cfg.json", cfg)
@@ -656,7 +662,7 @@ def imports_of(data_dir, tmp_path, command, cfg, threads="1"):
     if command in ("fit", "sweep"):
         argv += ["--threads", threads]
     report = tmp_path / "report.json"
-    proc = run_fresh(_FOOTPRINT, str(report), *argv)
+    proc = run_fresh(script, str(report), *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(report.read_text())
 
@@ -674,6 +680,38 @@ def test_command_imports_only_what_it_runs(data_dir, tmp_path, command, cfg, loa
     # numpy.ma (np.quantile's first call) and the exact oracle stay unimported
     # unless the command runs them
     assert imports_of(data_dir, tmp_path, command, cfg) == [0, loads]
+
+
+@pytest.mark.parametrize("command,cfg,loads", [
+    ("simulate", {"spec": {"n": 40, "p": 1, "beta_m": [0.5, 1.0, 0.4]}}, ["bridgebound.data"]),
+    ("verify", {"n_models": 4, "seed": 4}, ["bridgebound.oracle"]),
+])
+def test_command_loads_no_engine_it_does_not_run(data_dir, tmp_path, command, cfg, loads):
+    # without _ANY_CPUS, which imports gcomp: simulate needs the data layer
+    # alone, and verify the oracle alone
+    script = _REPORT % (ENGINE,)
+    assert imports_of(data_dir, tmp_path, command, cfg, script=script) == [0, loads]
+
+
+def test_package_names_resolve_on_first_access():
+    import bridgebound
+    assert set(bridgebound._HOME) == set(bridgebound.__all__)
+    for name in bridgebound.__all__:
+        home = importlib.import_module("bridgebound." + bridgebound._HOME[name])
+        assert getattr(bridgebound, name) is getattr(home, name), name
+    assert set(bridgebound.__all__) <= set(dir(bridgebound))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bridgebound.no_such_name
+    # a fresh import loads no submodule; a star import resolves every name
+    proc = run_fresh(
+        "import sys\n"
+        "import bridgebound\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bridgebound.')))\n"
+        "names = {}\n"
+        "exec('from bridgebound import *', names)\n"
+        "print(sorted(set(bridgebound.__all__) - set(names)))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_forked_workers_import_no_pool(data_dir, tmp_path):
@@ -933,8 +971,8 @@ def test_cli_fuzz_exits_cleanly(data_dir, monkeypatch, command):
     """Mutate the type or value of one or two table keys of a small valid config."""
     base = _fuzz_base(data_dir)[command]
     # a deleted run key falls back to its default; keep those small too
-    monkeypatch.setattr(cli, "DEFAULT_DRAWS", 2)
-    monkeypatch.setattr(cli, "DEFAULT_MEDIATOR_DRAWS", 2)
+    monkeypatch.setattr(gcomp, "DEFAULT_DRAWS", 2)
+    monkeypatch.setattr(gcomp, "DEFAULT_MEDIATOR_DRAWS", 2)
 
     @settings(derandomize=True, max_examples=80)
     @given(edits=FUZZ_EDITS[command])

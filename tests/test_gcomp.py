@@ -15,6 +15,7 @@ from bridgebound.envelope import xi_pointwise
 from bridgebound.errors import (BridgeboundError, ConfigError, NumericalFailure,
                                 VerificationFailure)
 import bridgebound._kernels as _kernels
+import bridgebound.calibration as calibration
 import bridgebound.gcomp as gcomp
 from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
                                _run_grid, counterfactual_mediator_draws, run,
@@ -305,13 +306,13 @@ class TestRun:
         # reference: the fsum mean of xi(lambda * eta_hat, kappa * gamma_i) over
         # the gamma points the engine computed, in its call order
         fitted = []
-        gamma_fit = gcomp.estimate_benchmark_gamma
+        gamma_fit = calibration.estimate_benchmark_gamma
 
         def recording(*args, **kwargs):
             fitted.append(gamma_fit(*args, **kwargs))
             return fitted[-1]
 
-        monkeypatch.setattr(gcomp, "estimate_benchmark_gamma", recording)
+        monkeypatch.setattr(calibration, "estimate_benchmark_gamma", recording)
         for kappa in (1.0, 1.7, math.inf):
             fitted.clear()
             setting = SensitivitySetting(route="benchmark_rank", lambda1=1.4,
@@ -554,13 +555,13 @@ class TestSharedModelPass:
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
         calls = []
-        gamma_fit = gcomp.estimate_benchmark_gamma
+        gamma_fit = calibration.estimate_benchmark_gamma
 
         def counting(*args, **kwargs):
             calls.append(1)
             return gamma_fit(*args, **kwargs)
 
-        monkeypatch.setattr(gcomp, "estimate_benchmark_gamma", counting)
+        monkeypatch.setattr(calibration, "estimate_benchmark_gamma", counting)
         bases = [SensitivitySetting(route="benchmark_raw"),
                  SensitivitySetting(route="benchmark_raw", pooled_gamma=True),
                  SensitivitySetting(route="benchmark_raw", comonotone=True,

@@ -591,6 +591,86 @@ class TestModelValidation:
             single_x_model([0.5, 0.5], [[0.75, 0.25], [0.25, 0.75]],
                            [np.inf, 0.0])
 
+    def test_rank_is_checked(self):
+        # a 5-D p_m whose leading axes fit used to escape as einsum's
+        # ValueError, and a (2, 1) p_x as a "mixes groups" error at check time
+        with pytest.raises(BridgeboundError, match="^table shapes disagree$"):
+            DiscreteModel(TWO_POINT.p_x, TWO_POINT.p_u, TWO_POINT.p_m[..., None],
+                          TWO_POINT.psi, TWO_POINT.groups)
+        model = two_group_model()
+        with pytest.raises(BridgeboundError, match="^table shapes disagree$"):
+            DiscreteModel(model.p_x[:, None], model.p_u, model.p_m, model.psi, model.groups)
+
+
+def two_group_model():
+    """Two covariates in groups of their own, with distinct mediator laws."""
+    p_u = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+    rows = np.array([[0.75, 0.25], [0.25, 0.75]])
+    p_m = np.stack([np.stack([rows, rows[:, ::-1] * 0.5 + 0.25]) for _ in range(2)])
+    psi = np.tile(np.array([1.0, 0.0]), (2, 2, 1))
+    return DiscreteModel(np.array([0.5, 0.5]), p_u, p_m, psi, (0, 1))
+
+
+def four_x_model():
+    """Four covariates in two groups of two, sharing one latent and mediator law."""
+    p_u = np.tile(np.array([0.5, 0.5]), (2, 4, 1))
+    p_m = np.tile(np.array([[0.75, 0.25], [0.25, 0.75]]), (2, 4, 1, 1))
+    psi = np.tile(np.array([1.0, 0.0]), (2, 4, 1))
+    return DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
+
+
+def _edited(model, name, change):
+    """model's constructor arguments, the one named replaced by change(a copy)."""
+    args = {"p_x": model.p_x, "p_u": model.p_u, "p_m": model.p_m, "psi": model.psi,
+            "groups": model.groups}
+    args[name] = change(np.array(args[name]))
+    return args
+
+
+def _set(index, value):
+    def change(table):
+        table[index] = value
+        return table
+    return change
+
+
+# every constructor error TestModelValidation pins: (valid model, argument, edit)
+DEFECTS = {
+    "p_x sum": (two_group_model, "p_x", _set(0, 0.6)),
+    "p_u row sum": (lambda: TWO_POINT, "p_u", _set((0, 0, 1), 0.4)),
+    "p_m row sum": (lambda: TWO_POINT, "p_m", _set((1, 0, 0, 0), 0.8)),
+    "negative p_u": (lambda: TWO_POINT, "p_u", _set((0, 0), [1.5, -0.5])),
+    "non-finite p_m": (lambda: TWO_POINT, "p_m", _set((1, 0, 1, 1), np.nan)),
+    "non-finite psi": (lambda: TWO_POINT, "psi", _set((0, 0, 0), np.inf)),
+    "table shapes": (lambda: single_x_model([1.0], [[1.0]], [0.0]), "p_u",
+                     lambda t: np.ones((2, 2, 1))),
+    "groups shape": (lambda: single_x_model([1.0], [[1.0]], [0.0]), "groups",
+                     lambda g: (0, 0)),
+    "psi drift": (four_x_model, "psi", _set((1, 3, 0), 1.0 + 2e-9)),
+    "p_m rank": (lambda: TWO_POINT, "p_m", lambda t: t[..., None]),
+    "p_x rank": (two_group_model, "p_x", lambda t: t[:, None]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_batch_validates_as_the_constructor_does(monkeypatch, defect):
+    # a model built without checks, after a valid one of its shape: the batch
+    # raises the constructor's own message before it evaluates any cell
+    make, name, change = DEFECTS[defect]
+    valid = make()
+    args = _edited(valid, name, change)
+    with pytest.raises(BridgeboundError) as alone:
+        DiscreteModel(**args)
+    bad = DiscreteModel._unchecked(**args)
+
+    def never(*args):
+        raise AssertionError("_evaluate ran on an unvalidated batch")
+
+    monkeypatch.setattr(oracle, "_evaluate", never)
+    with pytest.raises(BridgeboundError) as batch:
+        check_models([valid, bad])
+    assert str(batch.value) == str(alone.value)
+
 
 class TestFuzzMachinery:
     def test_random_model_kinds(self):
