@@ -7,10 +7,8 @@ with an exact-summation oracle to well below 1e-12 and do not depend on how
 draws are scheduled across threads.
 
 gamma_sup_logratio is elementwise in its points: calibration calls it on one
-block of envelope points at a time. Points whose sup-candidate vertex lies
-past an end of the grid (nearly all of them on the benchmark routes) are
-evaluated on two contiguous columns; only the interior ones are searched and
-evaluated on their four neighbouring grid slots. Its temporaries are
+block of envelope points at a time. It takes the sup of a quadratic over an
+interval in closed form, one evaluation per point, so its temporaries are
 block-sized vectors and its result does not depend on the blocking.
 """
 
@@ -83,27 +81,8 @@ def outcome_mean_sum(m, l0, l1, beta):
     return comp_sum(pred)
 
 
-def gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, w):
-    """Reference sup over every observation; the fast kernel must match it."""
-    const = 0.5 * math.log(sig2_r / sig2_c)
-    ic = 1.0 / (2.0 * sig2_c)
-    ir = 1.0 / (2.0 * sig2_r)
-    out = np.empty(mu_c.shape[0])
-    # chunked so the (points x observations) buffer stays small
-    step = max(1, (1 << 22) // max(w.size, 1))
-    for lo in range(0, mu_c.shape[0], step):
-        hi = min(lo + step, mu_c.shape[0])
-        dr = w[None, :] - mu_r[lo:hi, None]
-        dc = w[None, :] - mu_c[lo:hi, None]
-        out[lo:hi] = np.max(const + dr * dr * ir - dc * dc * ic, axis=1)
-    return out
-
-
 def _logratio_at(wj, mu_c, mu_r, const, ic, ir):
-    """const + dr*dr*ir - dc*dc*ic at grid value(s) wj, as in the brute scan.
-
-    Evaluated in place, in the same order, so the bits are the brute scan's.
-    """
+    """const + (wj - mu_r)^2 ir - (wj - mu_c)^2 ic, on one temporary."""
     dr = wj - mu_r
     np.multiply(dr, dr, out=dr)
     dr *= ir
@@ -116,33 +95,19 @@ def _logratio_at(wj, mu_c, mu_r, const, ic, ir):
 
 
 def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
-    """Sup over the sorted grid w of the log density ratio at each point.
+    """Sup over w in [w[0], w[-1]] of the log density ratio at each point.
 
-    At each point the log ratio is a quadratic in the observation w with
+    w is ascending; only its ends are read. At each point the log ratio
+    log N(w; mu_c, sig2_c) - log N(w; mu_r, sig2_r) is a quadratic in w with
     leading coefficient ir - ic. When it is concave (ir < ic, the usual case
-    since conditioning shrinks the variance) its sup over an ascending grid
-    is at w[c - 1] or w[c], c = searchsorted(w, vertex); the guard slots
-    w[c - 2] and w[c + 1] (indices clipped to the grid) catch a vertex that
-    rounding moved across a grid point. Otherwise the sup is at w[0] or w[-1].
+    since conditioning shrinks the variance) its sup over the interval is at
+    the vertex clipped to the interval; otherwise it is at w[0] or w[-1].
+    A NaN vertex stays NaN, and an infinite one is clipped to an end.
 
-    In the concave case most vertices lie off the grid, and there the four
-    slots hold two values: w[0] and w[1] when vertex <= w[0] (c = 0), and
-    w[-2] and w[-1] when not vertex <= w[-1] (c = n, NaN included). So every
-    point is first evaluated on those two columns, picked per point by which
-    end its vertex is past, and only the interior points, w[0] < vertex <=
-    w[-1], are searched and evaluated on their four slots, then scattered
-    back. Each point thus sees the same candidate set as under the plain
-    four-slot rule, and max is exact, so the result is that rule's to the bit.
-
-    Candidates are evaluated as contiguous columns, by the same expression as
-    gamma_sup_logratio_brute, and folded with np.maximum; a gathered (points,
-    candidates) matrix reduced along its short axis costs several times more
-    per element. The result does not depend on how the points are split into
-    calls. The tests require the two kernels to agree bit for bit on random
-    geometries: grids from one value up, tied rank-like grids, and variances
-    with sig2_r / sig2_c - 1 down to 1e-3. Flatter quadratics can round a
-    farther grid value up to the max, so there the two may differ in the last
-    bits.
+    The interval is the range of the arm's observed values, so in real
+    arithmetic the sup is at least the sup over those values; for a benchmark
+    with few distinct values (a binary W) it can be larger, which keeps the
+    bound valid and makes it more conservative.
     """
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
@@ -152,27 +117,7 @@ def gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w):
         return np.maximum(_logratio_at(w[0], mu_c, mu_r, const, ic, ir),
                           _logratio_at(w[-1], mu_c, mu_r, const, ic, ir))
     vertex = (ir * mu_r - ic * mu_c) / curv
-    last = w.size - 1
-    below_last = vertex <= w[-1]
-    inside = below_last & (vertex > w[0])
-    past_last = ~below_last
-    best = _logratio_at(np.where(past_last, w[max(last - 1, 0)], w[0]), mu_c, mu_r, const, ic, ir)
-    np.maximum(best, _logratio_at(np.where(past_last, w[last], w[min(1, last)]),
-                                  mu_c, mu_r, const, ic, ir), out=best)
-    inner = np.flatnonzero(inside)
-    if inner.size:
-        best[inner] = _sup_near_vertex(w, vertex[inner], mu_c[inner], mu_r[inner], const, ic, ir)
-    return best
-
-
-def _sup_near_vertex(w, vertex, mu_c, mu_r, const, ic, ir):
-    """Max of the log ratio over w[clip(c - 2 .. c + 1)], c = searchsorted(w, vertex)."""
-    c = np.searchsorted(w, vertex)
-    best = _logratio_at(np.take(w, c - 2, mode="clip"), mu_c, mu_r, const, ic, ir)
-    for k in (-1, 0, 1):
-        np.maximum(best, _logratio_at(np.take(w, c + k, mode="clip"), mu_c, mu_r, const, ic, ir),
-                   out=best)
-    return best
+    return _logratio_at(np.clip(vertex, w[0], w[-1], out=vertex), mu_c, mu_r, const, ic, ir)
 
 
 def comp_mean(x) -> float:

@@ -6,7 +6,7 @@ Two routes map data onto (eta, gamma):
   eta_hat is the W coefficient in an augmented outcome regression times the
   within-arm range of W; gamma_hat is the largest fitted-density ratio of
   W | (arm, mediator, bridge) against W | (arm, bridge) over the arm's observed
-  W values. Raw W is standardized internally (full-sample sd) so the result is
+  range of W'. Raw W is standardized internally (full-sample sd) so the result is
   invariant under linear rescaling of W while remaining sensitive to genuine
   re-expression; rank scale replaces W with its within-arm fractional rank and
   is invariant under any strictly increasing transform.
@@ -33,9 +33,8 @@ from .errors import BridgeboundError, DegenerateBenchmark
 from .linear_bayes import default_prior, nig_update, posterior_sigma2_mean
 
 DEFAULT_GAMMA_CAP = 20.0
-# points per block in estimate_benchmark_gamma. Each block's temporaries stay
-# cache-sized; much smaller blocks made the two-thread draw pool slower than one
-# thread (4096 and 8192 did), likely because every numpy call hands off the GIL.
+# points per block in estimate_benchmark_gamma: each block's temporaries stay
+# cache-sized, and the memory an evaluation touches is bounded by the block
 _GAMMA_BLOCK = 16384
 
 
@@ -46,7 +45,7 @@ class BenchmarkContext:
     wprime: np.ndarray
     arm_rows: tuple
     arm_values: tuple     # row order, aligned with arm_rows
-    arm_sorted: tuple     # ascending, for the sup kernel
+    arm_bounds: tuple     # [min, max] per arm, for the sup kernel
     arm_ranges: tuple
 
 
@@ -66,12 +65,12 @@ def prepare_benchmark(data: Dataset, scale: str) -> BenchmarkContext:
         raise BridgeboundError(f"unknown benchmark scale {scale!r}")
     rows = tuple(data.arm_indices(arm) for arm in (0, 1))
     values = tuple(np.ascontiguousarray(wprime[idx]) for idx in rows)
-    sorted_vals = tuple(np.sort(v) for v in values)
-    ranges = tuple(float(v.max() - v.min()) for v in values)
+    bounds = tuple(np.array([v.min(), v.max()]) for v in values)
+    ranges = tuple(float(hi - lo) for lo, hi in bounds)
     for arm, width in enumerate(ranges):
         if width == 0.0:
             warnings.warn(f"benchmark constant within arm {arm}", DegenerateBenchmark)
-    return BenchmarkContext(wprime, rows, values, sorted_vals, ranges)
+    return BenchmarkContext(wprime, rows, values, bounds, ranges)
 
 
 def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,
@@ -95,7 +94,7 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
 
     Fits W' | (m, l0, l1) and W' | (l0, l1) on the arm's rows as conjugate
     Gaussian regressions (posterior-mean coefficients and variances), then
-    maximizes the fitted-density ratio over the arm's observed W' values.
+    maximizes the fitted-density ratio over the arm's observed range of W'.
     Clamped to [1, cap].
 
     The points are walked in blocks of _GAMMA_BLOCK: each block's fitted
@@ -122,14 +121,14 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
     sig2_r = posterior_sigma2_mean(post_r)
     bc = post_c.mean
     br = post_r.mean
-    w_sorted = context.arm_sorted[arm]
+    bounds = context.arm_bounds[arm]
     out = np.empty(shapes[0][0])
     for lo in range(0, out.size, _GAMMA_BLOCK):
         block = slice(lo, lo + _GAMMA_BLOCK)
         m, l0, l1 = pts_m[block], pts_l0[block], pts_l1[block]
         mu_c = bc[0] + bc[1] * m + bc[2] * l0 + bc[3] * l1
         mu_r = br[0] + br[1] * l0 + br[2] * l1
-        log_sup = _kernels.gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, w_sorted)
+        log_sup = _kernels.gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, bounds)
         np.clip(np.exp(log_sup, out=log_sup), 1.0, cap, out=out[block])
     return out
 

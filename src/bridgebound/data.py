@@ -245,7 +245,9 @@ def fractional_ranks(data: Dataset) -> np.ndarray:
     for arm in (0, 1):
         idx = data.arm_indices(arm)  # never empty: Dataset requires p + 2 rows per arm
         w = data.benchmark[idx]
-        out[idx] = np.searchsorted(np.sort(w), w, side="right") / idx.size
+        # the count of values <= w[i] is the cumulative count of w[i]'s distinct value
+        _, which, counts = np.unique(w, return_inverse=True, return_counts=True)
+        out[idx] = np.cumsum(counts)[which] / idx.size
     return out
 
 

@@ -60,8 +60,9 @@ class TestPrepare:
         warped = prepare_benchmark(dataset_with_benchmark(np.exp(w / 10.0)), "rank")
         assert np.array_equal(base.wprime, warped.wprime)
         for arm in (0, 1):
-            assert np.array_equal(base.arm_sorted[arm],
-                                  np.sort(base.arm_values[arm]))
+            values = base.arm_values[arm]
+            assert np.array_equal(base.arm_bounds[arm], [values.min(), values.max()])
+            assert np.array_equal(base.arm_bounds[arm], warped.arm_bounds[arm])
 
 
 class TestEta:
@@ -140,7 +141,7 @@ class TestGamma:
 
     @staticmethod
     def unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap):
-        """One pass over all points: affine means, brute sup, exp, clamp."""
+        """One pass over all points: affine means, range sup, exp, clamp."""
         idx = ctx.arm_rows[arm]
         ones = np.ones(idx.size)
         w_arm = ctx.arm_values[arm]
@@ -152,7 +153,9 @@ class TestGamma:
         bc, br = post_c.mean, post_r.mean
         mu_c = bc[0] + bc[1] * pm + bc[2] * pl0 + bc[3] * pl1
         mu_r = br[0] + br[1] * pl0 + br[2] * pl1
-        log_sup = _kernels.gamma_sup_logratio_brute(mu_c, sig2_c, mu_r, sig2_r, ctx.arm_sorted[arm])
+        values = ctx.arm_values[arm]
+        log_sup = _kernels.gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r,
+                                              np.array([values.min(), values.max()]))
         return np.clip(np.exp(log_sup), 1.0, cap), sig2_c < sig2_r
 
     @pytest.mark.parametrize("points", [10, 64, 3 * 64 + 17])

@@ -1,6 +1,7 @@
 """Each kernel against an independent reference: math.fsum for the sums, an
 explicit design product for the outcome mean, the closed-form normal log
-density, and the brute-force scan for the density-ratio sup."""
+density, and for the density-ratio sup over the observed range, the
+brute-force scan over the observed values and a dense grid on the range."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bridgebound._kernels import (_LANES, comp_mean, comp_sum, gamma_sup_logratio,
-                                  gamma_sup_logratio_brute, normal_logpdf, outcome_mean_sum)
+                                  normal_logpdf, outcome_mean_sum)
 
 from conftest import rng
 
@@ -48,25 +49,20 @@ def neumaier_comp_sum(x):
         return float(np.sum(x))
 
 
-def four_slot_gamma_sup(mu_c, sig2_c, mu_r, sig2_r, w):
-    """gamma_sup_logratio by the plain four-slot rule, kept as a reference:
-    every point, in or off the grid, reads w[clip(c - 2 .. c + 1)]."""
+def observed_values_sup(mu_c, sig2_c, mu_r, sig2_r, w):
+    """Sup of the log density ratio over every observed value w, by brute force."""
     const = 0.5 * math.log(sig2_r / sig2_c)
     ic = 1.0 / (2.0 * sig2_c)
     ir = 1.0 / (2.0 * sig2_r)
-    curv = ir - ic
-    if curv < 0.0:
-        c = np.searchsorted(w, (ir * mu_r - ic * mu_c) / curv)
-        candidates = (np.take(w, c + k, mode="clip") for k in (-2, -1, 0, 1))
-    else:
-        candidates = (w[0], w[-1])
-    best = None
-    for wj in candidates:
-        dr = wj - mu_r
-        dc = wj - mu_c
-        col = const + dr * dr * ir - dc * dc * ic
-        best = col if best is None else np.maximum(best, col, out=best)
-    return best
+    out = np.empty(mu_c.shape[0])
+    # chunked so the (points x observations) buffer stays small
+    step = max(1, (1 << 22) // max(w.size, 1))
+    for lo in range(0, mu_c.shape[0], step):
+        hi = min(lo + step, mu_c.shape[0])
+        dr = w[None, :] - mu_r[lo:hi, None]
+        dc = w[None, :] - mu_c[lo:hi, None]
+        out[lo:hi] = np.max(const + dr * dr * ir - dc * dc * ic, axis=1)
+    return out
 
 
 def test_comp_sum_matches_fsum_on_cancellation():
@@ -186,15 +182,11 @@ def test_outcome_mean_sum_equals_design_dot():
 
 
 class TestGammaSupLogratio:
-    """The kernel evaluates off-grid vertices on two columns and searches only
-    the interior ones; each point must see the four-slot rule's candidates."""
-
-    @staticmethod
-    def brute_and_fast(mu_c, sc, mu_r, sr, w):
-        args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-        fast = gamma_sup_logratio(*args)
-        assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
-        return fast, gamma_sup_logratio_brute(*args)
+    """The kernel takes the sup over the interval [w[0], w[-1]]. Against the
+    scan over the observed values it may only be larger, up to rounding; it
+    is the scan's expression at the clipped vertex (at the better end when
+    the quadratic is not concave), and no point of a dense grid on the
+    interval beats it beyond rounding."""
 
     @staticmethod
     def vertex(mu_c, sc, mu_r, sr):
@@ -202,14 +194,43 @@ class TestGammaSupLogratio:
         with np.errstate(over="ignore", invalid="ignore"):
             return (ir * mu_r - ic * mu_c) / (ir - ic)
 
+    @classmethod
+    def at_clipped_vertex(cls, mu_c, sc, mu_r, sr, w):
+        """The scan's expression where the range sup is attained: at the
+        clipped vertex, or at the better end when the quadratic is not concave."""
+        if not 1.0 / (2.0 * sr) < 1.0 / (2.0 * sc):
+            return np.maximum(observed_values_sup(mu_c, sc, mu_r, sr, w[:1]),
+                              observed_values_sup(mu_c, sc, mu_r, sr, w[-1:]))
+        x = np.clip(cls.vertex(mu_c, sc, mu_r, sr), w[0], w[-1])
+        const = 0.5 * math.log(sr / sc)
+        ic, ir = 1.0 / (2.0 * sc), 1.0 / (2.0 * sr)
+        dr = x - mu_r
+        dc = x - mu_c
+        return const + dr * dr * ir - dc * dc * ic
+
+    @classmethod
+    def range_and_brute(cls, mu_c, sc, mu_r, sr, w, dense_points=300):
+        args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
+        fast = gamma_sup_logratio(*args)
+        brute = observed_values_sup(*args)
+        assert np.array_equal(bits(fast), bits(cls.at_clipped_vertex(*args)))
+        with np.errstate(invalid="ignore"):
+            assert np.all(fast >= brute - 1e-14 * np.maximum(1.0, np.abs(brute)))
+        # a dense grid on the interval, for an evenly spread subset of the points
+        pick = np.unique(np.linspace(0, mu_c.size - 1, min(mu_c.size, dense_points)).astype(int))
+        dense = observed_values_sup(mu_c[pick], np.float64(sc), mu_r[pick], np.float64(sr),
+                                    np.linspace(w[0], w[-1], 10001))
+        with np.errstate(invalid="ignore"):
+            assert np.all(fast[pick] >= dense - 1e-14 * np.maximum(1.0, np.abs(dense)))
+        return fast, brute
+
     @pytest.mark.parametrize("sc,sr", [(0.8, 1.0), (1.0, 0.8), (1.0, 1.0), (0.3, 2.5)])
     def test_matches_brute_scan(self, sc, sr):
         r = rng(5)
         w = np.sort(r.standard_normal(600))
         mu_c = r.standard_normal(3000) * 0.8
         mu_r = mu_c + 0.2 * r.standard_normal(3000)
-        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
-        assert np.array_equal(fast, brute)
+        self.range_and_brute(mu_c, sc, mu_r, sr, w)
 
     def test_small_grids_match_brute(self):
         r = rng(6)
@@ -217,13 +238,14 @@ class TestGammaSupLogratio:
             w = np.sort(r.standard_normal(n))
             mu_c = r.standard_normal(40)
             mu_r = r.standard_normal(40)
-            fast, brute = self.brute_and_fast(mu_c, 0.9, mu_r, 1.1, w)
-            assert np.array_equal(fast, brute)
+            fast, brute = self.range_and_brute(mu_c, 0.9, mu_r, 1.1, w)
+            if n == 1:
+                assert np.array_equal(bits(fast), bits(brute))
 
     def test_identical_laws_give_zero(self):
         mu = np.array([0.3, -1.2, 0.0])
         w = np.sort(rng(7).standard_normal(50))
-        fast, _ = self.brute_and_fast(mu, 1.3, mu.copy(), 1.3, w)
+        fast, _ = self.range_and_brute(mu, 1.3, mu.copy(), 1.3, w)
         assert np.allclose(fast, 0.0, atol=1e-14)
 
     def test_two_normal_closed_form(self):
@@ -248,16 +270,15 @@ class TestGammaSupLogratio:
             sr = float(r.uniform(0.1, 3.0))
         else:  # near-equal variances: a shallow concave quadratic
             sr = sc * (1.0 + 10.0 ** r.uniform(-3.0, 0.5))
-        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
-        assert np.array_equal(fast, brute)
+        self.range_and_brute(mu_c, sc, mu_r, sr, w)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("share_inside", [0.1, 0.9])
     def test_engine_like_geometry(self, seed, share_inside):
         # as in a benchmark fit: 1000 observed values, raw on [0, 2] or tied
         # fractional ranks, two nearly equal variances, so nearly every
-        # vertex lies far past one end of the grid; a tenth are put inside, or
-        # nine tenths, so that most points take the interior search
+        # vertex lies far past one end of the range; a tenth are put inside,
+        # or nine tenths
         r = np.random.default_rng(seed)
         n_obs, n_pts = 1000, 6000
         if seed % 2:
@@ -276,11 +297,7 @@ class TestGammaSupLogratio:
         assert (v < w[0] - 10).any() and (v > w[-1] + 10).any()
         n_inside = ((v > w[0]) & (v <= w[-1])).sum()
         assert n_inside > 0.05 * n_pts
-        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
-        # a subset of brute's candidates by brute's expression: never above it,
-        # and below it only by a rounding step on these flat quadratics
-        assert np.all(fast <= brute)
-        assert np.all(brute - fast <= 1e-14 * np.maximum(1.0, np.abs(brute)))
+        self.range_and_brute(mu_c, sc, mu_r, sr, w)
 
     def test_vertex_at_and_past_the_ends(self):
         # sig2_c = 1/4, sig2_r = 1/2 and mu_r = 0 make the vertex 2 mu_c exactly
@@ -295,34 +312,35 @@ class TestGammaSupLogratio:
         assert np.array_equal(self.vertex(mu_c, 0.25, mu_r, 0.5), targets)
         # vertices of 1e300 square to inf on purpose
         with np.errstate(over="ignore", invalid="ignore"):
-            fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
-        assert np.array_equal(bits(fast), bits(brute))
+            fast, brute = self.range_and_brute(mu_c, 0.25, mu_r, 0.5, w)
+        # at a vertex that is one of the observed values both sups read it
+        on_grid = np.isin(targets, w)
+        assert np.array_equal(bits(fast[on_grid]), bits(brute[on_grid]))
 
     @pytest.mark.parametrize("mirror", [1.0, -1.0])
-    def test_guard_slot_wins_past_an_end(self, mirror):
+    def test_neighbour_rounds_above_an_end(self, mirror):
         # the vertex lies just past w[-1], where the quadratic is increasing,
         # yet w[-2], one ulp below w[-1], rounds to the larger value; mirrored,
-        # w[1] beats w[0] for a vertex just below w[0]
+        # w[1] beats w[0] for a vertex just below w[0]. The range sup reads
+        # the end, so it is below the observed-values scan by that rounding step
         w = mirror * np.array([-0.4385397140957079, 0.5614602859042918, 0.5614602859042921])
         w = np.sort(w)
         mu_c = mirror * np.array([-0.2653871037279886])
         mu_r = mirror * np.array([-0.2654214710460525])
         sc, sr = 0.6732655185893088, 0.6732935023871764
         v = self.vertex(mu_c, sc, mu_r, sr)[0]
-        guard, end = (w[1], w[2]) if mirror > 0 else (w[1], w[0])
+        neighbour, end = (w[1], w[2]) if mirror > 0 else (w[1], w[0])
         assert (v > end) if mirror > 0 else (v <= end)
-        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
-        at = [gamma_sup_logratio_brute(mu_c, np.float64(sc), mu_r, np.float64(sr), np.array([x]))[0]
-              for x in (guard, end)]
-        assert at[0] > at[1] and fast[0] == brute[0] == at[0]
+        fast, brute = self.range_and_brute(mu_c, sc, mu_r, sr, w)
+        at = [observed_values_sup(mu_c, np.float64(sc), mu_r, np.float64(sr), np.array([x]))[0]
+              for x in (neighbour, end)]
+        assert at[0] > at[1] and brute[0] == at[0] and fast[0] == at[1]
 
     @pytest.mark.parametrize("share_inside", [1.0, 0.1])
-    def test_guard_slot_wins_inside_the_grid(self, share_inside):
-        # near-flat quadratics on a narrow grid far from 0: rounding makes
-        # w[c + 1] strictly the largest of the four slots at about one interior
-        # point in fifty; the kernel must still read it, whether every point
-        # or a tenth of them lies inside the grid
-        winners = 0
+    def test_near_flat_geometry(self, share_inside):
+        # near-flat quadratics on a narrow range far from 0, where rounding
+        # can put a neighbouring observed value above the one nearest the
+        # vertex; every point, or a tenth of them, has its vertex inside
         for seed in range(24):
             r = np.random.default_rng(seed)
             n_obs, n_pts = int(r.integers(9, 200)), 2000
@@ -336,22 +354,7 @@ class TestGammaSupLogratio:
             put = r.random(n_pts) < share_inside
             target = r.uniform(w[0], w[-1], put.sum())
             mu_c[put] = (ir * mu_r[put] - (ir - ic) * target) / ic
-            v = self.vertex(mu_c, sc, mu_r, sr)
-            c = np.searchsorted(w, v)
-            const = 0.5 * math.log(sr / sc)
-            at = []
-            for k in (-2, -1, 0, 1):   # each slot by the brute scan's expression
-                wj = w[np.clip(c + k, 0, n_obs - 1)]
-                dr, dc = wj - mu_r, wj - mu_c
-                at.append(const + dr * dr * ir - dc * dc * ic)
-            inside = (v > w[0]) & (v <= w[-1])
-            guard = inside & (at[3] > np.maximum.reduce(at[:3]))
-            winners += np.count_nonzero(guard)
-            args = (mu_c, np.float64(sc), mu_r, np.float64(sr), w)
-            fast = gamma_sup_logratio(*args)
-            assert np.array_equal(bits(fast), bits(four_slot_gamma_sup(*args)))
-            assert np.array_equal(bits(fast[guard]), bits(at[3][guard]))
-        assert winners >= 20
+            self.range_and_brute(mu_c, sc, mu_r, sr, w, dense_points=50)
 
     def test_infinite_and_nan_vertices(self):
         w = np.array([-1.5, -0.5, 0.25, 1.0, 2.0])
@@ -362,7 +365,8 @@ class TestGammaSupLogratio:
                               equal_nan=True)
         # infinite means meet inf - inf on purpose
         with np.errstate(over="ignore", invalid="ignore"):
-            fast, brute = self.brute_and_fast(mu_c, 0.25, mu_r, 0.5, w)
+            fast = gamma_sup_logratio(mu_c, np.float64(0.25), mu_r, np.float64(0.5), w)
+            brute = observed_values_sup(mu_c, np.float64(0.25), mu_r, np.float64(0.5), w)
         expected = [-np.inf, -np.inf, -np.inf, -np.inf, np.nan, np.nan, np.inf]
         assert np.array_equal(fast, expected, equal_nan=True)
         assert np.array_equal(brute, expected, equal_nan=True)
@@ -370,8 +374,9 @@ class TestGammaSupLogratio:
     @pytest.mark.parametrize("n_obs", [1, 2])
     @pytest.mark.parametrize("sc,sr", [(0.8, 1.0), (1.0, 0.8), (1.0, 1.0 + 1e-4)])
     def test_one_and_two_value_grids(self, n_obs, sc, sr):
-        # with at most two values every slot reads the whole grid, so even a
-        # flat quadratic matches the brute scan exactly
+        # one value is the whole range, so both sups read it; between two
+        # values (a binary benchmark) the range sup also reads the points
+        # strictly between them, and is larger wherever the vertex falls there
         r = rng(30 + n_obs)
         w = np.sort(r.standard_normal(n_obs))
         mu_c = r.standard_normal(400) * 2.0
@@ -382,7 +387,8 @@ class TestGammaSupLogratio:
             mu_c[:100] = (ir * mu_r[:100] - (ir - ic) * r.uniform(w[0], w[-1], 100)) / ic
             v = self.vertex(mu_c, sc, mu_r, sr)
             assert (v <= w[0]).any() and (v > w[-1]).any()
-            if n_obs == 2:
-                assert ((v > w[0]) & (v <= w[-1])).any()
-        fast, brute = self.brute_and_fast(mu_c, sc, mu_r, sr, w)
-        assert np.array_equal(bits(fast), bits(brute))
+        fast, brute = self.range_and_brute(mu_c, sc, mu_r, sr, w)
+        if n_obs == 1:
+            assert np.array_equal(bits(fast), bits(brute))
+        elif sc < sr:
+            assert (fast[:100] > brute[:100]).all()
