@@ -9,7 +9,9 @@ mediator_draws); turn the chosen calibration route into an aggregated envelope
 Xi_bar per arm; draw the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar];
 and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models), each driven by its own seed substream, so
-results are byte-identical however many worker processes share them. Steps 1-3
+results are byte-identical however many worker processes share them, and a
+draw a worker did not finish runs again in the calling process with the same
+result, or the same error. Steps 1-3
 run once per draw for any list of settings, whatever their routes and priors;
 each setting gets exactly the values a run of its own would.
 """
@@ -37,8 +39,7 @@ from .data import Dataset
 # the config tables of settings and run arguments live in errors, so that cli
 # parses them without importing this module; they are re-exported here
 from .errors import (PRIOR_KEYS, PRIOR_KINDS, ROUTES, RUN_KEYS, SETTING_KEYS,
-                     BridgeboundError, ConfigError, NumericalFailure,
-                     VerificationFailure, check)
+                     ConfigError, NumericalFailure, VerificationFailure, check)
 from .linear_bayes import default_prior, nig_update, sample_draw
 
 DEFAULT_DRAWS = 2000
@@ -359,77 +360,48 @@ def _run_draws(task, draws: int, workers: int) -> None:
     Process k takes draws k, k + workers, ...; this one is process 0, and the
     others are forked here, once the engine is built. With one worker nothing
     forks: this is the serial loop. A forked worker writes its rows straight
-    into the shared records and leaves by os._exit, so it never flushes this
-    process's stdio buffers; its pipe carries only a failure. The error of the
-    lowest failing draw is raised, with its own type. Every worker is reaped,
-    whatever happens here.
+    into the shared records, marks each finished draw in shared memory, stops
+    at its first failure and leaves by os._exit, so it never flushes this
+    process's stdio buffers. Once the workers are reaped (killed at once if a
+    draw here fails), this process runs every unmarked draw in ascending
+    order: a draw depends on t alone, so a lost worker's draws are finished
+    here and the lowest failing draw raises its own exception, as at one
+    worker. No worker outlives the call.
     """
-    pending = {}   # pid -> read end of its pipe, until the worker is reaped
-    errors = []    # (draw, exception); a worker that broke off sorts last
+    done = _shared_records(draws, 1)[:, 0]
+    pids = []   # workers not yet reaped
     try:
         for k in range(1, workers):
-            r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                os.close(r)
-                for fh in pending.values():
-                    fh.close()
-                _draw_worker(task, range(k, draws, workers), w)
-            pending[pid] = open(r, "rb")
-            os.close(w)
-        for t in range(0, draws, workers):
-            try:
+                try:
+                    for t in range(k, draws, workers):
+                        task(t)
+                        done[t] = 1.0
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        try:
+            for t in range(0, draws, workers):
                 task(t)
-            except Exception as exc:
-                errors.append((t, exc))
-                break
-        # a failure at draw 0 comes first whatever the workers report
-        if not (errors and errors[0][0] == 0):
-            for pid in list(pending):
-                message = pending[pid].read()
-                pending.pop(pid).close()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if status:
-                    errors.append((draws, BridgeboundError(
-                        f"a draw worker exited with status {status}")))
-                elif message:
-                    import pickle
-
-                    errors.append(pickle.loads(message))
+                done[t] = 1.0
+        except Exception:
+            if not pids:
+                raise
+        else:
+            while pids:
+                os.waitpid(pids[-1], 0)
+                pids.pop()
     finally:
-        if pending:
+        if pids:
             import signal
 
-            for pid, fh in pending.items():
-                fh.close()
+            for pid in pids:
                 os.kill(pid, signal.SIGKILL)
+            for pid in pids:
                 os.waitpid(pid, 0)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-
-
-def _draw_worker(task, share: range, fd: int) -> None:
-    """Body of a forked worker: run its share of the draws; on a failure, send
-    the draw and its pickled exception to fd. Exits 0 once done; never returns."""
-    code = 1
-    try:
-        t = share.start
-        try:
-            for t in share:
-                task(t)
-        except BaseException as exc:
-            import pickle
-
-            try:
-                blob = pickle.dumps((t, exc))
-                pickle.loads(blob)
-            except Exception:   # an exception that does not survive pickling
-                blob = pickle.dumps((t, BridgeboundError(f"{type(exc).__name__}: {exc}")))
-            with open(fd, "wb") as fh:
-                fh.write(blob)
-        code = 0
-    finally:
-        os._exit(code)
+    for t in np.flatnonzero(done == 0.0).tolist():
+        task(t)
 
 
 def run(data: Dataset, setting: SensitivitySetting, *,

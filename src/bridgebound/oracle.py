@@ -678,9 +678,7 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
     bounds = np.cumsum([0, *sizes])
     n = len(ms)
     p_x = tables.p_x[g] * members
-    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a). Stored
-    # stratum-major, as a lone model's bridge[:, ms] is, so that mass[0] keeps
-    # the stride that fixes the summation order of BLAS's dot in theta_si
+    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a)
     joint = p_x * np.moveaxis(bridge[g, :, :, ms], 0, 1)          # (2, s, nx)
     mass = joint.sum(axis=2)                       # (2, s)
     if np.any(mass <= 0.0):
@@ -737,21 +735,19 @@ def _scalar_reduction(model: DiscreteModel, p_x, ms, w, delta, xi) -> dict:
 
     p_x and ms give the model's strata, w = P(M=m, stratum | a=0) weighs
     them, and delta and xi hold one row per arm; all are the model's slices
-    of its group's arrays. BLAS's summation order depends on the memory
-    layout, so w keeps its stride and delta and xi are copied to fresh rows,
-    each as it is for the model alone.
+    of its group's arrays. The weighted sums are math.fsum of the elementwise
+    products, so they do not depend on the arrays' memory layout.
     """
     if not (np.array_equal(model.p_u[0], model.p_u[1])
             and np.array_equal(model.psi[0], model.psi[1])):
         return {}
-    delta, xi = delta.copy(), xi.copy()
     # mu1: outcome mean among treated at (m, stratum)
     w1 = p_x[:, :, None] * model.p_u[1] * model.p_m[1, :, :, ms]
     mu1 = (w1 * model.psi[1]).sum(axis=(1, 2)) / w1.sum(axis=(1, 2))
     # each (m, stratum) weighs in by P(M=m, stratum | a=0)
-    theta_si = float(w @ mu1)
-    delta_bar = tuple(float(v) for v in delta @ w)
-    xi_bar = tuple(float(v) for v in xi @ w)
+    theta_si = math.fsum(w * mu1)
+    delta_bar = tuple(math.fsum(row * w) for row in delta)
+    xi_bar = tuple(math.fsum(row * w) for row in xi)
     xi_max = xi.max(axis=1)
 
     inner = (model.p_u[0][:, :, None] * model.p_m[0]

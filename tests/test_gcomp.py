@@ -661,7 +661,8 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("odd,even", [(3, 4), (5, 2), (1, 0), (7, 8)])
     def test_lowest_failing_draw_is_raised(self, bench_data, monkeypatch, forks, odd, even):
-        # with two workers, a forked worker runs the odd draws and this process the even
+        # with two workers, a forked worker runs the odd draws and this process the
+        # even; with three, process k runs the draws t with t % 3 == k
         def failure(t):
             return NumericalFailure(f"draw {t} failed")
 
@@ -670,17 +671,42 @@ class TestForkedWorkers:
         assert self.raised(bench_data, 1) == (NumericalFailure, f"draw {first} failed")
         assert self.raised(bench_data, 2) == (NumericalFailure, f"draw {first} failed")
         assert len(forks) == 1
+        assert self.raised(bench_data, 3) == (NumericalFailure, f"draw {first} failed")
+        assert len(forks) == 3
+
+    def test_failing_draw_runs_once_at_one_worker(self, bench_data, monkeypatch, forks):
+        calls = []
+        self.fail_at(monkeypatch, {3: lambda t: NumericalFailure(f"draw {t} failed")})
+        failing = gcomp._Engine.run_draw
+
+        def counting(self, rng, points_rng, t, storage):
+            calls.append(t)
+            failing(self, rng, points_rng, t, storage)
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", counting)
+        assert self.raised(bench_data, 1) == (NumericalFailure, "draw 3 failed")
+        assert calls == [0, 1, 2, 3] and forks == []
 
     def test_worker_error_that_does_not_unpickle(self, bench_data, monkeypatch):
         self.fail_at(monkeypatch, {3: lambda t: PicklesBadly("x", t)})
         assert self.raised(bench_data, 1) == (PicklesBadly, "x and 3")
-        assert self.raised(bench_data, 2) == (BridgeboundError, "PicklesBadly: x and 3")
+        assert self.raised(bench_data, 2) == (PicklesBadly, "x and 3")
 
-    def test_worker_that_dies_is_an_error(self, bench_data, monkeypatch):
-        self.fail_at(monkeypatch, {3: lambda t: os._exit(5)})
-        kind, message = self.raised(bench_data, 2)
-        assert kind is BridgeboundError
-        assert message == "a draw worker exited with status 5"
+    def test_worker_that_dies_leaves_its_draws_here(self, bench_data, monkeypatch, forks):
+        parent = os.getpid()
+        draw = gcomp._Engine.run_draw
+
+        def dying(self, rng, points_rng, t, storage):
+            if t == 3 and os.getpid() != parent:
+                os._exit(5)
+            draw(self, rng, points_rng, t, storage)
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", dying)
+        run = dict(SHARED, draws=9)
+        serial = _run_grid(bench_data, self.SETTINGS, threads=1, **run)
+        forked = _run_grid(bench_data, self.SETTINGS, threads=2, **run)
+        assert len(forks) == 1
+        assert_bitwise_equal(forked, serial)
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, NumericalFailure])
     def test_first_draw_failing_kills_and_reaps_the_workers(self, bench_data, monkeypatch,

@@ -310,6 +310,25 @@ class TestScalarReduction:
             assert res["xi_bar_sup_gap"] <= 1e-12
             assert res["delta_bar_envelope_gap"] <= 1e-10
 
+    def test_independent_of_the_weights_layout(self, monkeypatch):
+        # the same weights, strided and contiguous, give the same entries bit for bit
+        reduce = oracle._scalar_reduction
+        pairs = []
+
+        def both_layouts(model, p_x, ms, w, delta, xi):
+            strided = np.stack([w, w], axis=1)[:, 0]
+            contiguous = np.ascontiguousarray(w)
+            assert strided.strides != contiguous.strides
+            pairs.append((reduce(model, p_x, ms, strided, delta, xi),
+                          reduce(model, p_x, ms, contiguous, delta, xi)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(oracle, "_scalar_reduction", both_layouts)
+        check_models([model for _, model in corpus_models(90210, 200)])
+        assert sum(1 for a, _ in pairs if a) == 100
+        for a, b in pairs:
+            assert a == b
+
 
 def test_check_model_enumerates_each_cell_once(monkeypatch):
     # one partition per mediator value, then every cell in one batched pass:
