@@ -32,17 +32,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BenchmarkSpec", "BridgeboundError", "ConfigError", "Dataset", "DeltaPrior",
-    "NIGParams", "NumericalFailure", "ROUTES", "RunResult",
-    "SensitivitySetting", "SweepResult", "SyntheticSpec", "VerificationFailure",
-    "DEFAULT_BURN_IN", "DEFAULT_DRAWS", "DEFAULT_GAMMA_CAP", "DEFAULT_MEDIATOR_DRAWS",
-    "benchmark_envelope", "check_sweep_rows", "default_prior",
-    "estimate_benchmark_eta", "estimate_benchmark_gamma", "fractional_ranks",
-    "generate_synthetic", "infer_schema", "load_dataset", "nig_update",
-    "prepare_benchmark", "residual_envelope", "run", "sample_draw",
-    "save_dataset", "sweep", "xi_pointwise",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

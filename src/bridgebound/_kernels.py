@@ -4,7 +4,7 @@ The g-computation engine calls these per posterior draw, over n rows, the n*L
 envelope points of the benchmark routes or the six anchor nodes. All
 summation is compensated (TwoSum lanes folded by fsum) so aggregates agree
 with an exact-summation oracle to well below 1e-12 and do not depend on how
-draws are scheduled across threads.
+draws are scheduled across worker processes.
 
 gamma_sup_logratio is elementwise in its points: calibration calls it on one
 block of envelope points at a time. It takes the sup of a quadratic over an

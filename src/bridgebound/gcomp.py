@@ -37,9 +37,9 @@ from .bridge import bridge_log_pair, mediator_means, outcome_design
 from .calibration import DEFAULT_GAMMA_CAP
 from .data import Dataset
 # the config tables of settings and run arguments live in errors, so that cli
-# parses them without importing this module; they are re-exported here
-from .errors import (PRIOR_KEYS, PRIOR_KINDS, ROUTES, RUN_KEYS, SETTING_KEYS,
-                     ConfigError, NumericalFailure, VerificationFailure, check)
+# parses them without importing this module
+from .errors import (PRIOR_KEYS, RUN_KEYS, SETTING_KEYS, ConfigError, NumericalFailure,
+                     VerificationFailure, check)
 from .linear_bayes import default_prior, nig_update, sample_draw
 
 DEFAULT_DRAWS = 2000
@@ -435,18 +435,22 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
           seed: int, threads: int = 1) -> tuple:
     """Evaluate a grid of one sensitivity axis around each base setting.
 
-    The swept axis sets both arms. Every base and grid point shares one model
-    pass per draw and differs only through calibration, envelope and prior,
-    so each base's SweepResult equals a sweep of that base alone, and a grid
-    of length one reproduces run() exactly. Returns one SweepResult per base.
+    The swept axis sets both arms. kappa and lambda apply to the benchmark
+    routes only, k and g to residual_budget only, and si_anchor takes no axis:
+    a base the axis does not apply to is a ConfigError before any draw. Every
+    base and grid point shares one model pass per draw and differs only
+    through calibration, envelope and prior, so each base's SweepResult
+    equals a sweep of that base alone, and a grid of length one reproduces
+    run() exactly. Returns one SweepResult per base.
     """
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(_AXIS_FIELDS)}")
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    benchmark_axis = axis in ("kappa", "lambda")
+    routes = (("benchmark_raw", "benchmark_rank") if axis in ("kappa", "lambda")
+              else ("residual_budget",))
     for base in base_settings:
-        if benchmark_axis != base.route.startswith("benchmark"):
+        if base.route not in routes:
             raise ConfigError(f"axis {axis!r} does not apply to route {base.route!r}")
     f0, f1 = _AXIS_FIELDS[axis]
     settings = [dataclasses.replace(base, **{f0: v, f1: v})

@@ -25,12 +25,13 @@ messages (the corpus generator builds its models unchecked). Each mediator
 value of each model is partitioned once, the strata of all of them form one
 cell x covariate membership mask with a model index per cell, and every
 (arm, m, stratum) cell of the group is evaluated at once by masked array
-operations. Each statistic is then one max or min per model over its
-run of cells; the scalar reduction reads the same cells, one model at a time.
-check_model is the one-model case and exact_sensitivity evaluates one cell
-with the same array code. run_fuzz checks its corpus in chunks of _CHUNK
-models and folds the per-model worst values in corpus order, naming the model
-behind each.
+operations, the only code that enumerates a conditional law. A cell gives its
+balancing TV and stratum mass with its sensitivity quantities; each statistic
+is one max or min per model over its run of cells, and the scalar reduction
+reads the cells' masses and mu1, one model at a time. check_model is the
+one-model case and exact_sensitivity evaluates one cell with the same code.
+run_fuzz checks its corpus in chunks of _CHUNK models and folds the per-model
+worst values in corpus order, naming the model behind each.
 
 The fuzz generator builds seeded random models whose multi-x strata are exact
 by construction: members of a group share bridge laws either by sharing the
@@ -163,10 +164,9 @@ def _validate(tables: _Tables) -> None:
     heads = np.take_along_axis(psi, first[:, None, :, None], axis=2)
     drift = np.abs(psi - heads).max(axis=(1, 3)) > 1e-9                      # (G, nx)
     if drift.any():
+        # the group of the first drifting covariate of the first such model
         j = drift.any(axis=1).argmax()
-        bad = set(groups[j, drift[j]].tolist())
-        g = next(g for g in set(groups[j].tolist()) if g in bad)
-        raise BridgeboundError(f"psi not constant within group {g}")
+        raise BridgeboundError(f"psi not constant within group {groups[j, drift[j]][0]}")
 
 
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
@@ -211,6 +211,8 @@ class StratumSensitivity:
     gamma_star: np.ndarray
     eta_star: np.ndarray
     decoupled: bool
+    balancing_tv: float        # TV of P(x | a, M=m, stratum) from P(x | stratum)
+    mass: float                # P(M=m, stratum | a)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -230,12 +232,12 @@ def _stratum(members: np.ndarray, k) -> List[int]:
 
 def _evaluate(tables: _Tables, g: np.ndarray, arm: np.ndarray, m: np.ndarray,
               members: np.ndarray, head: np.ndarray) -> StratumSensitivity:
-    """Delta, gamma, eta and their covariate-level analogues for a batch of cells.
+    """Every StratumSensitivity field, for a batch of cells.
 
     Cell k is (arm[k], m[k], stratum) of model g[k] of tables, with the
     stratum given by the boolean row members[k] over x; its psi is that of
-    member head[k]. The one cell evaluator: exact_sensitivity and
-    check_models both run on it.
+    member head[k]. The only code that turns the tables into cell laws:
+    exact_sensitivity and check_models both run on it.
     """
     groups = tables.groups[g]                      # (k, nx)
     mixed = np.any(members & (groups != tables.groups[g, head][:, None]), axis=1)
@@ -258,8 +260,8 @@ def _evaluate(tables: _Tables, g: np.ndarray, arm: np.ndarray, m: np.ndarray,
     mass = joint.sum(axis=1)
     if np.any(mass <= 0.0):
         k = np.argmax(mass <= 0.0)
-        raise BridgeboundError(f"no mediator mass at m={m[k]} in stratum "
-                               f"{_stratum(members, k)}, arm={arm[k]}")
+        raise BridgeboundError(f"stratum {_stratum(members, k)} carries no mass "
+                               f"at m={m[k]}, arm={arm[k]}")
     f1 = joint / mass[:, None]
 
     psi = tables.psi[g, arm, head]                 # (k, nu)
@@ -286,8 +288,11 @@ def _evaluate(tables: _Tables, g: np.ndarray, arm: np.ndarray, m: np.ndarray,
 
     spread = np.abs(p_u - f0[:, None, :]).max(axis=(1, 2), where=members[:, :, None],
                                               initial=0.0)
+    # P(x | a, M=m, S) = weights * fx / mass against P(x | S) = weights
+    tv = 0.5 * np.abs(weights * fx / mass[:, None] - weights).sum(axis=1)
     return StratumSensitivity(delta, gamma, eta, f0, f1, psi, weights,
-                              delta_star, gamma_star, eta_star, spread <= _INTRA_TOL)
+                              delta_star, gamma_star, eta_star, spread <= _INTRA_TOL,
+                              tv, total * mass)
 
 
 def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
@@ -305,7 +310,7 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
         float(cell.delta[0]), float(cell.gamma[0]), float(cell.eta[0]),
         cell.f0[0], cell.f1[0], cell.psi[0], cell.weights[0, idx],
         cell.delta_star[0, idx], cell.gamma_star[0, idx], cell.eta_star[0, idx],
-        bool(cell.decoupled[0]))
+        bool(cell.decoupled[0]), float(cell.balancing_tv[0]), float(cell.mass[0]))
 
 
 # The checks below read one cell or a batch alike: they reduce over the last
@@ -485,11 +490,9 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
             nu = 5 if shared_arms else int(rng.integers(nm + 1, 6))
             nx = int(rng.integers(2, 5))
 
-        # random partition into groups; non-decoupled models force one
-        # multi-member group so the decoupling violation is real
+        # random partition into groups; nx >= 2 labels from nx - 1 values repeat
+        # one, so a non-decoupled model has a multi-member group to decouple
         labels = rng.integers(0, max(1, nx - 1), size=nx).tolist() if nx > 1 else [0]
-        if not decoupled and len(set(labels)) == nx:
-            labels[1] = labels[0]
         # each label's rank among the distinct labels
         distinct = sorted(set(labels))
         groups = [distinct.index(label) for label in labels]
@@ -512,27 +515,20 @@ def random_model(rng: np.random.Generator, *, decoupled: bool = True,
             else:
                 base_pm = _simplex(rng, nm, 2 * nu).reshape(2, nu, nm)
             for j, x in enumerate(members):
-                psi[:, x, :] = psi_g
-                for a in range(2):
-                    if j == 0 or mediator_ignorable:
-                        p_u[a, x] = base_pu[a]
-                        p_m[a, x] = base_pm[a]
-                    elif decoupled:
-                        p_u[a, x] = base_pu[a]
-                        p_m[a, x] = _scaled(base_pm[a],
-                                            _pm_perturbation(rng, base_pu[a], nm), rng)
-                    else:
-                        p_m[a, x] = base_pm[a]
-                if not decoupled and j > 0 and not mediator_ignorable:
-                    if shared_arms:
-                        stack = np.concatenate([base_pm[0].T, base_pm[1].T])
-                        v = _pu_perturbation(rng, stack)
-                        p_u[0, x] = _scaled(base_pu[0], v, rng)
-                        p_u[1, x] = p_u[0, x]
-                    else:
-                        for a in range(2):
-                            v = _pu_perturbation(rng, base_pm[a].T)
-                            p_u[a, x] = _scaled(base_pu[a], v, rng)
+                psi[:, x] = psi_g
+                p_u[:, x] = base_pu
+                p_m[:, x] = base_pm
+                if j == 0 or mediator_ignorable:
+                    continue
+                if decoupled:
+                    for a in range(2):
+                        p_m[a, x] = _scaled(base_pm[a], _pm_perturbation(rng, base_pu[a], nm), rng)
+                elif shared_arms:
+                    v = _pu_perturbation(rng, np.concatenate([base_pm[0].T, base_pm[1].T]))
+                    p_u[:, x] = _scaled(base_pu[0], v, rng)
+                else:
+                    for a in range(2):
+                        p_u[a, x] = _scaled(base_pu[a], _pu_perturbation(rng, base_pm[a].T), rng)
 
         model = DiscreteModel._unchecked(p_x, p_u, p_m, psi, tuple(groups))
         if _well_separated(model):
@@ -616,18 +612,19 @@ def check_model(model: DiscreteModel) -> dict:
     Each mediator value is partitioned once; the strata of all mediator values
     form one cell x covariate membership mask, and _evaluate computes every
     (arm, m, stratum) cell at once. The checks run on the whole batch and each
-    statistic is one max or min over its cells. A cell gives its stratum's
-    balancing TV distance between P(x | a, M=m, stratum) and P(x | a, stratum)
-    and its bound, projection, tightening, quantile and Popoviciu statistics;
-    eta_gap_min_any covers the cells that do not decouple.
+    statistic is one max or min over its cells. A cell gives its balancing TV
+    distance between P(x | a, M=m, stratum) and P(x | stratum), its mass P(M=m,
+    stratum | a), and its bound, projection, tightening, quantile and
+    Popoviciu statistics; eta_gap_min_any covers the cells that do not decouple.
 
     When the latent law and psi are arm-free, the same cells give the scalar
-    reduction: theta enumerated directly and as theta_si + Delta_bar_0 -
-    Delta_bar_1 (scalar_identity is their gap), and the aggregated envelopes
-    xi_bar against their pointwise sup and the aggregated shifts. When the
-    mediator tables are also free of u, the anchor theta_si alone must be
-    exact, and scalar_identity covers that gap too. Models whose arms differ
-    get no reduction entries.
+    reduction: theta_si weighs the arm-1 cells' mu1 = E[psi | a=1, M=m, stratum]
+    by the arm-0 cells' masses, and theta enumerated from the tables must equal
+    theta_si + Delta_bar_0 - Delta_bar_1 (scalar_identity is their gap); the
+    aggregated envelopes xi_bar are checked against their pointwise sup and the
+    aggregated shifts. When the mediator tables are also free of u, the anchor
+    theta_si alone must be exact, and scalar_identity covers that gap too.
+    Models whose arms differ get no reduction entries.
     """
     return check_models([model])[0]
 
@@ -669,7 +666,6 @@ def check_models(models: Sequence[DiscreteModel]) -> List[dict]:
 
 def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]:
     """check_models on models of one shape, given their validated stack."""
-    bridge = np.stack([model.bridge_values() for model in models])   # (G, 2, nx, nm)
     parts = [_partition_mask(model) for model in models]
     members = np.concatenate([rows for rows, _ in parts])      # (s, nx)
     ms = np.concatenate([mvals for _, mvals in parts])         # (s,)
@@ -677,17 +673,6 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
     g = np.repeat(np.arange(len(models)), sizes)               # model of each stratum
     bounds = np.cumsum([0, *sizes])
     n = len(ms)
-    p_x = tables.p_x[g] * members
-    # P(x, M=m | a) per stratum; its total is P(M=m, stratum | a)
-    joint = p_x * np.moveaxis(bridge[g, :, :, ms], 0, 1)          # (2, s, nx)
-    mass = joint.sum(axis=2)                       # (2, s)
-    if np.any(mass <= 0.0):
-        s, arm = np.argwhere(mass.T <= 0.0)[0]
-        raise BridgeboundError(f"stratum {_stratum(members, s)} carries no mass "
-                               f"at m={ms[s]}, arm={arm}")
-    tv = 0.5 * np.abs(joint / mass[:, :, None]
-                      - p_x / p_x.sum(axis=1)[:, None]).sum(axis=2)
-
     heads = members.argmax(axis=1)
     cells = _evaluate(tables, np.concatenate([g, g]), np.repeat([0, 1], n),
                       np.concatenate([ms, ms]), np.concatenate([members, members]),
@@ -701,7 +686,7 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
     decoupled = cells.decoupled
     q = check_quantile_representation(cells)
     stats = {
-        "balancing_tv": fold(np.maximum, tv),
+        "balancing_tv": fold(np.maximum, cells.balancing_tv),
         "bound_gap": fold(np.maximum, bound_gap(cells)),
         "projection_residual": fold(np.maximum, check_projection(cells)),
         "gamma_gap_min": fold(np.minimum, gamma_gap),
@@ -715,6 +700,8 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
     eta_any = fold(np.minimum, np.where(decoupled, np.inf, eta_gap))
     delta = cells.delta.reshape(2, n)
     xi = _xi(cells.eta, cells.gamma).reshape(2, n)
+    mu1 = np.sum(cells.f1 * cells.psi, axis=1)[n:]      # E[psi | a=1, M=m, stratum]
+    w = cells.mass[:n]                                   # P(M=m, stratum | a=0)
 
     results = []
     for j, model in enumerate(models):
@@ -724,27 +711,24 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
         if not all_decoupled[j]:
             out["eta_gap_min_any"] = float(eta_any[j])
         lo, hi = bounds[j], bounds[j + 1]
-        out.update(_scalar_reduction(model, p_x[lo:hi], ms[lo:hi], mass[0, lo:hi],
+        out.update(_scalar_reduction(model, mu1[lo:hi], w[lo:hi],
                                      delta[:, lo:hi], xi[:, lo:hi]))
         results.append(out)
     return results
 
 
-def _scalar_reduction(model: DiscreteModel, p_x, ms, w, delta, xi) -> dict:
-    """check_model's scalar-reduction entries from one model's strata.
+def _scalar_reduction(model: DiscreteModel, mu1, w, delta, xi) -> dict:
+    """check_model's scalar-reduction entries from one model's cells.
 
-    p_x and ms give the model's strata, w = P(M=m, stratum | a=0) weighs
-    them, and delta and xi hold one row per arm; all are the model's slices
-    of its group's arrays. The weighted sums are math.fsum of the elementwise
-    products, so they do not depend on the arrays' memory layout.
+    mu1 = E[psi | a=1, M=m, stratum] and its weight w = P(M=m, stratum | a=0)
+    hold one entry per stratum, delta and xi one row per arm: the model's
+    slices of its group's cells. theta_direct, the identity's independent side,
+    is enumerated from the tables. The weighted sums are math.fsum of the
+    elementwise products, so they do not depend on the arrays' memory layout.
     """
     if not (np.array_equal(model.p_u[0], model.p_u[1])
             and np.array_equal(model.psi[0], model.psi[1])):
         return {}
-    # mu1: outcome mean among treated at (m, stratum)
-    w1 = p_x[:, :, None] * model.p_u[1] * model.p_m[1, :, :, ms]
-    mu1 = (w1 * model.psi[1]).sum(axis=(1, 2)) / w1.sum(axis=(1, 2))
-    # each (m, stratum) weighs in by P(M=m, stratum | a=0)
     theta_si = math.fsum(w * mu1)
     delta_bar = tuple(math.fsum(row * w) for row in delta)
     xi_bar = tuple(math.fsum(row * w) for row in xi)

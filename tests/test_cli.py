@@ -546,6 +546,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg]) == 2
         capsys.readouterr()
 
+    def test_si_anchor_takes_no_axis(self, data_dir, tmp_path, capsys):
+        # a k sweep of the anchor used to write a table of zero half-widths
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": str(data_dir / "null.csv"), "axis": "k", "grid": [0.0, 0.5],
+            "setting": {"route": "si_anchor"}, **FAST})
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "axis 'k' does not apply to route 'si_anchor'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_and_reproduces(self, tmp_path):
@@ -561,6 +571,18 @@ class TestVerify:
         worst = payload["fuzz"]["worst"]
         assert set(worst) == {*payload["fuzz"]["stats"], "eta_gap_min_any"}
         assert all(0 <= entry["model"] < 8 for entry in worst.values())
+
+    def test_statistics_read_at_rounding_level(self, tmp_path, capsys):
+        # the pass thresholds (1e-10) cannot see a 1000-fold loss of precision;
+        # 1e-14 can: the worst entry on this corpus and the default sharpness
+        # grid reads 8.9e-16 under OpenBLAS's SkylakeX, Haswell and Prescott
+        # kernels. eta_gap_min_any is reported, never asserted
+        cfg = write_config(tmp_path, "verify.json", {"n_models": 1000, "seed": 90210})
+        assert cli.main(["verify", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        readings = {**payload["fuzz"]["stats"],
+                    "sharpness.max_abs_gap": payload["sharpness"]["max_abs_gap"]}
+        assert {name: v for name, v in readings.items() if not abs(v) <= 1e-14} == {}
 
     def test_sharpness_grid_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "verify.json", {

@@ -418,6 +418,18 @@ class TestSweep:
             sweep(bench_data, [SensitivitySetting(route="benchmark_raw")],
                   "kappa", [], draws=5, seed=1)
 
+    @pytest.mark.parametrize("axis", ["kappa", "lambda", "k", "g"])
+    def test_si_anchor_takes_no_axis(self, null_data, monkeypatch, axis):
+        # a k or g sweep of the anchor used to write a table of zero half-widths
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw ran before the bases were checked")
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", fail)
+        with pytest.raises(ConfigError,
+                           match=f"^axis '{axis}' does not apply to route 'si_anchor'$"):
+            sweep(null_data, [SensitivitySetting(route="si_anchor")], axis, [1.0, 2.0],
+                  draws=5, seed=1)
+
     def test_check_sweep_rows_catches_violations(self):
         rows = [{"value": 1.0, "si_center": 0.3, "half_width": 0.1},
                 {"value": 2.0, "si_center": 0.3, "half_width": 0.05}]
@@ -469,7 +481,8 @@ class TestSharedModelPass:
             SensitivitySetting(route="residual_budget", g0=2.0, g1=1.5),
             SensitivitySetting(route="residual_budget", g0=3.0, g1=3.0,
                                comonotone=True, delta_prior=BETA),
-            SensitivitySetting(route="si_anchor"),
+            SensitivitySetting(route="residual_budget",
+                               delta_prior=DeltaPrior(kind="endpoint_lower")),
         ]),
     ])
     def test_mixed_bases_match_each_base_alone(self, bench_data, axis, grid, bases):
@@ -516,7 +529,7 @@ class TestSharedModelPass:
 
         calls.clear()
         bases = [SensitivitySetting(route="residual_budget", g0=2.0),
-                 SensitivitySetting(route="si_anchor")]
+                 SensitivitySetting(route="residual_budget", comonotone=True)]
         sweep(bench_data, bases, "k", [0.0, 0.5], **SHARED)
         # no benchmark route, so no envelope points
         assert len(calls) == 2 * SHARED["draws"]
@@ -531,7 +544,7 @@ class TestSharedModelPass:
 
         monkeypatch.setattr(_kernels, "outcome_mean_sum", counting)
         bases = [SensitivitySetting(route="residual_budget", g0=2.0),
-                 SensitivitySetting(route="si_anchor")]
+                 SensitivitySetting(route="residual_budget", comonotone=True)]
         sweep(bench_data, bases, "k", [0.0, 0.5], **SHARED)
         # the anchor and the treated arm; the control arm is derived from the anchor
         assert len(calls) == 2 * SHARED["draws"]

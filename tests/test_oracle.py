@@ -315,12 +315,12 @@ class TestScalarReduction:
         reduce = oracle._scalar_reduction
         pairs = []
 
-        def both_layouts(model, p_x, ms, w, delta, xi):
+        def both_layouts(model, mu1, w, delta, xi):
             strided = np.stack([w, w], axis=1)[:, 0]
             contiguous = np.ascontiguousarray(w)
             assert strided.strides != contiguous.strides
-            pairs.append((reduce(model, p_x, ms, strided, delta, xi),
-                          reduce(model, p_x, ms, contiguous, delta, xi)))
+            pairs.append((reduce(model, mu1, strided, delta, xi),
+                          reduce(model, mu1, contiguous, delta, xi)))
             return pairs[-1][0]
 
         monkeypatch.setattr(oracle, "_scalar_reduction", both_layouts)
@@ -447,8 +447,10 @@ def ref_sensitivity(model, arm, m, stratum):
                       max(float(np.max(f1_x[sup_x] / pu_x[sup_x])), 1.0),
                       float(psi_x[sup_x].max() - psi_x[sup_x].min()))
     decoupled = bool(np.max(np.abs(p_u - f0[None, :])) <= 1e-12) if len(idx) > 1 else True
+    joint_x = weights * (p_u * p_m_at).sum(axis=1)      # P(x, M=m | a, stratum)
+    balancing_tv = 0.5 * float(np.abs(joint_x / joint_x.sum() - weights).sum())
     return StratumSensitivity(delta, gamma, eta, f0, f1, psi, weights,
-                              *star, decoupled)
+                              *star, decoupled, balancing_tv, float(p_x.sum() * joint.sum()))
 
 
 def ref_cell_stats(sens):
@@ -602,6 +604,12 @@ class TestModelValidation:
         psi[1, 3, 0] += 2e-9
         with pytest.raises(BridgeboundError, match="psi not constant within group 1$"):
             DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
+        # with x=2 drifting too, the first drifting covariate names the group,
+        # whatever order the set of labels iterates in
+        drifted = psi.copy()
+        drifted[1, 2, 0] += 2e-9
+        with pytest.raises(BridgeboundError, match="psi not constant within group 3$"):
+            DiscreteModel(np.full(4, 0.25), p_u, p_m, drifted, (3, 9, 3, 9))
         psi[1, 3, 0] = 1.0 + 5e-10
         DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
 
@@ -741,6 +749,18 @@ class TestFuzzMachinery:
         assert set(report.stats) == set(CHECK_THRESHOLDS)
         assert not report.failures()
         assert math.isfinite(report.eta_gap_min_any)
+
+    def test_coupled_models_have_a_multi_member_group(self):
+        # nx >= 2 group labels drawn from nx - 1 values always repeat one, so a
+        # coupled model needs no forced merge to break decoupling
+        r = rng(42)
+        for shared_arms in (False, True):
+            for _ in range(300):
+                groups = random_model(r, decoupled=False, shared_arms=shared_arms).groups
+                assert len(set(groups)) < len(groups), (shared_arms, groups)
+        for i, model in corpus_models(90210, 400):
+            if MODEL_KINDS[i % 4] in ("coupled", "arm-free coupled"):
+                assert len(set(model.groups)) < len(model.groups), i
 
     def test_fuzz_is_deterministic(self):
         a = run_fuzz(n_models=12, seed=4)
