@@ -327,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int,
                        help="worker processes for the draw loop, at most draws and the "
                             "available CPUs")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, sizes="draws, mediator_draws or the sweep grid size")
 
     p_ver = sub.add_parser("verify", help="exact checks of the bound machinery")
     common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, sizes="gammas or etas")
 
     p_sim = sub.add_parser("simulate", help="synthetic dataset with known truth")
     common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, sizes="spec 'n' or 'p'")
     return parser
 
 
@@ -348,11 +348,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the draw records take draws x fields and each benchmark-route draw
-        # n x mediator_draws envelope points, so no bound on a single key rules
-        # this out
-        print(f"config error: draws, mediator_draws or the sweep grid size is too large "
-              f"for memory: {exc}", file=sys.stderr)
+        # no bound on a single key rules this out: the draw records take draws x
+        # fields and each benchmark-route draw n x mediator_draws envelope points,
+        # and a simulated dataset n x p values
+        print(f"config error: {args.sizes} is too large for memory: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

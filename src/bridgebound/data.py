@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -310,6 +311,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
             f"n = {spec.n} with treat_prob {spec.treat_prob} leaves an arm "
             f"below the minimum of p + 2 = {spec.p + 2} rows"
         )
+    # the covariates take n x p float64 values; refuse a size numpy cannot index
+    if 8 * spec.n * max(spec.p, 1) > sys.maxsize:
+        raise MemoryError(f"cannot index {spec.n} x {max(spec.p, 1)} simulated values")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     treat = np.zeros(spec.n)

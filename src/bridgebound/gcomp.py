@@ -8,12 +8,13 @@ points per unit from the control law (the other routes draw none and ignore
 mediator_draws); turn the chosen calibration route into an aggregated envelope
 Xi_bar per arm; draw the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar];
 and assemble theta and the effect contrasts.
-Draws are i.i.d. (conjugate models), each driven by its own seed substream, so
-results are byte-identical however many worker processes share them, and a
-draw a worker did not finish runs again in the calling process with the same
-result, or the same error. Steps 1-3
-run once per draw for any list of settings, whatever their routes and priors;
-each setting gets exactly the values a run of its own would.
+Draws are i.i.d. (conjugate models) and draw t is a function of t alone: it
+seeds child burn_in + t of SeedSequence(seed), takes its envelope points from
+that child's child 1 and writes row t of the records. So results are
+byte-identical however many worker processes share the draws, and a draw a
+worker did not finish runs again in the calling process with the same result,
+or the same error. Steps 1-3 and each calibration run once per draw for any list
+of settings; each setting gets exactly the values a run of its own would.
 """
 
 from __future__ import annotations
@@ -113,11 +114,15 @@ _CORE_FIELDS = (
     "theta_lower", "theta_upper", "nde_lower", "nde_upper",
     "nie_lower", "nie_upper",
 )
-_ROUTE_FIELDS = {
-    "si_anchor": (),
-    "benchmark_raw": ("eta_hat_0", "eta_hat_1", "gamma_max_0", "gamma_max_1"),
-    "benchmark_rank": ("eta_hat_0", "eta_hat_1", "gamma_max_0", "gamma_max_1"),
-    "residual_budget": ("sigma_eta",),
+# per route: its benchmark scale or None, the record fields it adds to
+# _CORE_FIELDS, and the sweep axes that apply to it (axis a sets a0 and a1)
+_ROUTES = {
+    "si_anchor": (None, (), ()),
+    "benchmark_raw": ("raw", ("eta_hat_0", "eta_hat_1", "gamma_max_0", "gamma_max_1"),
+                      ("kappa", "lambda")),
+    "benchmark_rank": ("rank", ("eta_hat_0", "eta_hat_1", "gamma_max_0", "gamma_max_1"),
+                       ("kappa", "lambda")),
+    "residual_budget": (None, ("sigma_eta",), ("k", "g")),
 }
 
 _QUANTILES = ((2.5, 0.025), (25.0, 0.25), (50.0, 0.50), (75.0, 0.75), (97.5, 0.975))
@@ -171,28 +176,26 @@ class RunResult:
         return out
 
 
-_BENCH_SCALE = {"benchmark_raw": "raw", "benchmark_rank": "rank"}
-
 # the probabilists' 3-node Gauss-Hermite rule (nodes 0, +-sqrt(3); weights 2/3,
 # 1/6, 1/6) as six equal-weight nodes, so an integral is a plain sum over them / 6
 _ANCHOR_Z = np.array([[-math.sqrt(3.0), 0.0, 0.0, 0.0, 0.0, math.sqrt(3.0)]])
 
 
 class _Engine:
-    """Dataset-level state shared by every draw of one run or sweep."""
+    """Dataset-level state and the draw records of one run or sweep."""
 
-    def __init__(self, data: Dataset, settings: Sequence[SensitivitySetting],
-                 mediator_draws: int):
+    def __init__(self, data: Dataset, settings: Sequence[SensitivitySetting], *,
+                 draws: int, burn_in: int, mediator_draws: int, seed: int):
         if not settings:
             raise ConfigError("need at least one sensitivity setting")
         self.data = data
         self.settings = list(settings)
-        self.mediator_draws = mediator_draws
+        self.burn_in, self.mediator_draws, self.seed = burn_in, mediator_draws, seed
 
         n = data.n
-        self.design_med = np.column_stack([np.ones(n), data.treatment.astype(np.float64),
-                                           data.covariates])
-        self.med_post = nig_update(default_prior(data.p + 2), self.design_med, data.mediator)
+        design_med = np.column_stack([np.ones(n), data.treatment.astype(np.float64),
+                                      data.covariates])
+        self.med_post = nig_update(default_prior(data.p + 2), design_med, data.mediator)
         self.outcome_prior = default_prior(8)
         self.treated = data.arm_indices(1)
         self.treat_col = data.treatment.astype(np.float64)
@@ -201,19 +204,30 @@ class _Engine:
         # mapped anew on every draw, page-faulting each of their pages
         self.design_y = np.empty((n, 8))
         self.design_treated = np.empty((self.treated.size, 8))
-        self.bench = {}
-        for setting in self.settings:
-            scale = _BENCH_SCALE.get(setting.route)
-            if scale is not None and scale not in self.bench:
-                self.bench[scale] = calibration.prepare_benchmark(data, scale)
+        # a draw computes eta_hat per benchmark scale, the gamma fit per (scale,
+        # gamma_cap), and sigma_eta if any setting needs it, before its settings loop
+        scales = [_ROUTES[s.route][0] for s in self.settings]
+        self.bench = {scale: calibration.prepare_benchmark(data, scale)
+                      for scale in dict.fromkeys(scales) if scale}
+        self.gamma_keys = {(scale, s.gamma_cap): self.bench[scale]
+                           for scale, s in zip(scales, self.settings) if scale}
+        self.budget = "residual_budget" in (s.route for s in self.settings)
         # each benchmark-route draw takes an (n, mediator_draws) grid of envelope
         # points; refuse one numpy cannot even index before any draw or fork
         if self.bench and 8 * n * mediator_draws > sys.maxsize:
             raise MemoryError(f"cannot index {n} x {mediator_draws} envelope points")
+        self.fields = [_CORE_FIELDS + _ROUTES[s.route][1] for s in self.settings]
+        self.records = [_shared_records(draws, len(f)) for f in self.fields]
 
-    def run_draw(self, rng: np.random.Generator, points_rng: Optional[np.random.Generator],
-                 t: int, storage):
+    def run_draw(self, t: int) -> None:
+        """Posterior draw t for every setting, written to row t of self.records."""
         data = self.data
+        # draw t is a function of t alone. Burn-in is honored as a substream offset
+        # so configs that specify it stay reproducible: the main stream is child
+        # burn_in + t of SeedSequence(seed).spawn(), built without the ones before it
+        child = self.burn_in + t
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(child,)))
+
         # 1) mediator model draw, then the outcome model conditional on it
         med = sample_draw(self.med_post, rng)
         mean0, shift = mediator_means(data.covariates, med.beta)
@@ -239,48 +253,48 @@ class _Engine:
         theta_si, delta1 = anchor
         delta0 = theta_si - float(beta_y[2])
 
-        # 3) the benchmark routes' envelope points: Monte Carlo over the control law
-        if points_rng is not None:
-            z = points_rng.standard_normal((data.n, self.mediator_draws))
+        # 3) the benchmark routes' envelope points: Monte Carlo over the control law,
+        # drawn from the child's own child 1, so the main stream does not depend on
+        # which routes share the grid
+        if self.bench:
+            points = np.random.default_rng(np.random.SeedSequence(self.seed,
+                                                                  spawn_key=(child, 1)))
+            z = points.standard_normal((data.n, self.mediator_draws))
             pts = counterfactual_mediator_draws(mean0, shift, med.sigma2, 0, z)
+
+        # 4) every calibration the settings read: eta_hat per scale; per (scale, cap)
+        # and arm, the mean of (gamma - 1) / gamma over the points and the max gamma
+        eta = {scale: calibration.estimate_benchmark_eta(design_y, data.outcome, bench)
+               for scale, bench in self.bench.items()}
+        gaps = {}
+        for (scale, cap), bench in self.gamma_keys.items():
+            gammas = (calibration.estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs,
+                                                           bench, arm, *pts, cap=cap)
+                      for arm in (0, 1))
+            gaps[scale, cap] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
+                                for g in gammas]
+        if self.budget:
+            # mode='raise' would gather into a temporary and copy it over
+            treated = np.take(design_y, self.treated, axis=0, out=self.design_treated,
+                              mode="clip")
+            sigma_eta = calibration.estimate_sigma_eta(data.outcome[self.treated],
+                                                       treated @ beta_y)
 
         # calibration consumes no main-stream variates, so every setting draws its
         # prior base variates from the state a run of its own would reach here
         state = rng.bit_generator.state
-        eta_memo, gamma_memo, sigma_eta = {}, {}, None
         for j, setting in enumerate(self.settings):
-            # 4) route-specific calibration, computed once per draw and shared
-            scale = _BENCH_SCALE.get(setting.route)
+            scale = _ROUTES[setting.route][0]
             if scale is not None:
-                bench = self.bench[scale]
-                if scale not in eta_memo:
-                    eta_memo[scale] = calibration.estimate_benchmark_eta(design_y, data.outcome,
-                                                                         bench)
-                eta_hat = eta_memo[scale]
-                key = (scale, setting.gamma_cap)
-                if key not in gamma_memo:
-                    gammas = (calibration.estimate_benchmark_gamma(
-                                  data.mediator, l0_obs, l1_obs, bench, arm, *pts,
-                                  cap=setting.gamma_cap)
-                              for arm in (0, 1))
-                    # per arm: the mean of (gamma - 1) / gamma over the points, and the max gamma
-                    gamma_memo[key] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
-                                       for g in gammas]
-                (gap0, gmax0), (gap1, gmax1) = gamma_memo[key]
+                (gap0, gmax0), (gap1, gmax1) = gaps[scale, setting.gamma_cap]
                 if setting.pooled_gamma:
                     gap0, gap1 = (gmax0 - 1.0) / gmax0, (gmax1 - 1.0) / gmax1
-                xi0 = calibration.benchmark_envelope(eta_hat[0], gap0, setting.lambda0,
+                xi0 = calibration.benchmark_envelope(eta[scale][0], gap0, setting.lambda0,
                                                      setting.kappa0)
-                xi1 = calibration.benchmark_envelope(eta_hat[1], gap1, setting.lambda1,
+                xi1 = calibration.benchmark_envelope(eta[scale][1], gap1, setting.lambda1,
                                                      setting.kappa1)
-                diag = (*eta_hat, gmax0, gmax1)
+                diag = (*eta[scale], gmax0, gmax1)
             elif setting.route == "residual_budget":
-                if sigma_eta is None:
-                    # mode='raise' would gather into a temporary and copy it over
-                    treated = np.take(design_y, self.treated, axis=0, out=self.design_treated,
-                                      mode="clip")
-                    pred = treated @ beta_y
-                    sigma_eta = calibration.estimate_sigma_eta(data.outcome[self.treated], pred)
                 xi0 = calibration.residual_envelope(sigma_eta, setting.k0, setting.g0)
                 xi1 = calibration.residual_envelope(sigma_eta, setting.k1, setting.g1)
                 diag = (sigma_eta,)
@@ -293,13 +307,13 @@ class _Engine:
             base0 = _delta_base(setting.delta_prior, rng)
             base1 = base0 if setting.comonotone else _delta_base(setting.delta_prior, rng)
 
-            # 6) assemble the setting's row, in _CORE_FIELDS + _ROUTE_FIELDS order
+            # 6) assemble the setting's row, in the order of self.fields[j]
             db0, db1 = xi0 * base0, xi1 * base1
             theta = (theta_si + db0) - db1
             nde, nie = theta - delta0, delta1 - theta
             theta_lower = (theta_si - xi0) - xi1
             theta_upper = (theta_si + xi0) + xi1
-            storage[j][t] = (
+            self.records[j][t] = (
                 theta_si, delta0, delta1, xi0, xi1, db0, db1,
                 theta, nde, nie, nde + nie, theta_lower, theta_upper,
                 theta_lower - delta0, theta_upper - delta0,
@@ -317,30 +331,15 @@ def _run_grid(data: Dataset, settings: Sequence[SensitivitySetting], *,
               draws: int, burn_in: int, mediator_draws: int, seed: int, threads: int):
     check("run", dict(draws=draws, burn_in=burn_in, seed=seed, threads=threads,
                       mediator_draws=mediator_draws), RUN_KEYS)
-    engine = _Engine(data, settings, mediator_draws)
-    fields = [_CORE_FIELDS + _ROUTE_FIELDS[s.route] for s in settings]
-    storage = [_shared_records(draws, len(f)) for f in fields]
-
-    def task(t: int):
-        # draws are i.i.d.; burn-in is honored as a substream offset so configs
-        # that specify it stay reproducible. This is child burn_in + t of
-        # SeedSequence(seed).spawn(), built without the burn_in children before it.
-        key = (burn_in + t,)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-        # the benchmark routes draw their envelope points from that child's own
-        # child 1, so the main stream does not depend on which routes share the grid
-        points_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (1,)))
-                      if engine.bench else None)
-        engine.run_draw(rng, points_rng, t, storage)
-
+    engine = _Engine(data, settings, draws=draws, burn_in=burn_in,
+                     mediator_draws=mediator_draws, seed=seed)
     # a fork copies only the calling thread, so a lock that another thread holds
     # (malloc's, the import lock, a log handler's) would stay locked in the child
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(threads, draws, _available_cpus()) if forkable else 1
-    _run_draws(task, draws, workers)
-
-    return [RunResult(setting, dict(zip(fields[j], storage[j].T)))
-            for j, setting in enumerate(settings)]
+    _run_draws(engine.run_draw, draws, workers)
+    return [RunResult(setting, dict(zip(fields, records.T)))
+            for setting, fields, records in zip(settings, engine.fields, engine.records)]
 
 
 def _shared_records(draws: int, width: int) -> np.ndarray:
@@ -413,14 +412,6 @@ def run(data: Dataset, setting: SensitivitySetting, *,
                      mediator_draws=mediator_draws, seed=seed, threads=threads)[0]
 
 
-_AXIS_FIELDS = {
-    "kappa": ("kappa0", "kappa1"),
-    "lambda": ("lambda0", "lambda1"),
-    "k": ("k0", "k1"),
-    "g": ("g0", "g1"),
-}
-
-
 @dataclass(frozen=True)
 class SweepResult:
     axis: str
@@ -443,17 +434,15 @@ def sweep(data: Dataset, base_settings: Sequence[SensitivitySetting], axis: str,
     equals a sweep of that base alone, and a grid of length one reproduces
     run() exactly. Returns one SweepResult per base.
     """
-    if axis not in _AXIS_FIELDS:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(_AXIS_FIELDS)}")
+    axes = sorted({a for _, _, route_axes in _ROUTES.values() for a in route_axes})
+    if axis not in axes:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {axes}")
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    routes = (("benchmark_raw", "benchmark_rank") if axis in ("kappa", "lambda")
-              else ("residual_budget",))
     for base in base_settings:
-        if base.route not in routes:
+        if axis not in _ROUTES[base.route][2]:
             raise ConfigError(f"axis {axis!r} does not apply to route {base.route!r}")
-    f0, f1 = _AXIS_FIELDS[axis]
-    settings = [dataclasses.replace(base, **{f0: v, f1: v})
+    settings = [dataclasses.replace(base, **{axis + "0": v, axis + "1": v})
                 for base in base_settings for v in grid]
     results = _run_grid(data, settings, draws=draws, burn_in=burn_in,
                         mediator_draws=mediator_draws, seed=seed, threads=threads)

@@ -299,9 +299,17 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
                       stratum: Sequence[int]) -> StratumSensitivity:
     """Enumerate Delta, gamma, eta and their covariate-level analogues.
 
-    One cell through _evaluate; the per-member fields follow stratum's order.
+    One cell through _evaluate; the per-member fields follow stratum's order,
+    which must list distinct covariate indices in [0, nx).
     """
     idx = list(stratum)
+    if arm not in (0, 1):
+        raise BridgeboundError(f"arm must be 0 or 1, got {arm!r}")
+    if not 0 <= m < model.nm:
+        raise BridgeboundError(f"m must lie in [0, {model.nm}), got {m!r}")
+    if not idx or len(set(idx)) < len(idx) or not all(0 <= x < model.nx for x in idx):
+        raise BridgeboundError(
+            f"stratum must list distinct covariates in [0, {model.nx}), got {idx!r}")
     members = np.zeros((1, model.nx), dtype=bool)
     members[0, idx] = True
     cell = _evaluate(_stack([model]), np.zeros(1, dtype=int), np.array([arm]),

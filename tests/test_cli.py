@@ -850,6 +850,10 @@ def test_take_floats_requires_numbers():
     ("fit", {"draws": 10**18}, [], "too large for memory"),
     ("fit", {"data": "bench.csv", "setting": {"route": "benchmark_raw"},
              "mediator_draws": 10**18}, [], "too large for memory"),
+    # a simulated dataset too large for memory, at its first allocation and past
+    # what numpy can index
+    ("simulate", {"spec": {"n": 10**15, "p": 1, "beta_m": [0, 1, 0.5]}}, [], "'n'"),
+    ("simulate", {"spec": {"n": 10**20, "p": 1, "beta_m": [0, 1, 0.5]}}, [], "'n'"),
 ])
 def test_newly_rejected_inputs_name_their_key(data_dir, tmp_path, capsys,
                                               command, edit, flags, key):

@@ -568,20 +568,31 @@ class TestSharedModelPass:
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
         calls = []
-        gamma_fit = calibration.estimate_benchmark_gamma
+        for name in ("estimate_benchmark_gamma", "estimate_benchmark_eta",
+                     "estimate_sigma_eta"):
+            def counting(*args, _fit=getattr(calibration, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fit(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return gamma_fit(*args, **kwargs)
-
-        monkeypatch.setattr(calibration, "estimate_benchmark_gamma", counting)
+            monkeypatch.setattr(calibration, name, counting)
         bases = [SensitivitySetting(route="benchmark_raw"),
                  SensitivitySetting(route="benchmark_raw", pooled_gamma=True),
                  SensitivitySetting(route="benchmark_raw", comonotone=True,
                                     pooled_gamma=True)]
         sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
         # one fit per arm per draw, shared by every setting with the same cap
-        assert len(calls) == 2 * SHARED["draws"]
+        assert calls.count("estimate_benchmark_gamma") == 2 * SHARED["draws"]
+
+        calls.clear()
+        bases = [SensitivitySetting(route="benchmark_raw"),
+                 SensitivitySetting(route="benchmark_rank"),
+                 SensitivitySetting(route="benchmark_rank", gamma_cap=1.2)]
+        sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
+        # per draw: one gamma fit per arm per (scale, cap) key, one eta fit per
+        # scale, and no sigma_eta without a residual_budget setting
+        assert calls.count("estimate_benchmark_gamma") == 2 * 3 * SHARED["draws"]
+        assert calls.count("estimate_benchmark_eta") == 2 * SHARED["draws"]
+        assert calls.count("estimate_sigma_eta") == 0
 
     def test_every_base_checked_before_any_draw(self, bench_data, monkeypatch):
         def fail(*args, **kwargs):
@@ -660,10 +671,10 @@ class TestForkedWorkers:
         """Make run_draw raise failures[t] (an exception factory) at draw t."""
         draw = gcomp._Engine.run_draw
 
-        def failing(self, rng, points_rng, t, storage):
+        def failing(self, t):
             if t in failures:
                 raise failures[t](t)
-            draw(self, rng, points_rng, t, storage)
+            draw(self, t)
 
         monkeypatch.setattr(gcomp._Engine, "run_draw", failing)
 
@@ -692,9 +703,9 @@ class TestForkedWorkers:
         self.fail_at(monkeypatch, {3: lambda t: NumericalFailure(f"draw {t} failed")})
         failing = gcomp._Engine.run_draw
 
-        def counting(self, rng, points_rng, t, storage):
+        def counting(self, t):
             calls.append(t)
-            failing(self, rng, points_rng, t, storage)
+            failing(self, t)
 
         monkeypatch.setattr(gcomp._Engine, "run_draw", counting)
         assert self.raised(bench_data, 1) == (NumericalFailure, "draw 3 failed")
@@ -709,10 +720,10 @@ class TestForkedWorkers:
         parent = os.getpid()
         draw = gcomp._Engine.run_draw
 
-        def dying(self, rng, points_rng, t, storage):
+        def dying(self, t):
             if t == 3 and os.getpid() != parent:
                 os._exit(5)
-            draw(self, rng, points_rng, t, storage)
+            draw(self, t)
 
         monkeypatch.setattr(gcomp._Engine, "run_draw", dying)
         run = dict(SHARED, draws=9)
@@ -728,11 +739,11 @@ class TestForkedWorkers:
         parent = os.getpid()
         draw = gcomp._Engine.run_draw
 
-        def stopped(self, rng, points_rng, t, storage):
+        def stopped(self, t):
             if os.getpid() == parent:
                 raise error
             time.sleep(60)    # a worker that would outlive the run if left alone
-            draw(self, rng, points_rng, t, storage)
+            draw(self, t)
 
         monkeypatch.setattr(gcomp._Engine, "run_draw", stopped)
         start = time.monotonic()

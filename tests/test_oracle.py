@@ -173,6 +173,17 @@ class TestSensitivity:
         with pytest.raises(BridgeboundError, match="mixes groups"):
             exact_sensitivity(bad, 0, 0, [0, 1])
 
+    @pytest.mark.parametrize("arm,m,stratum,name", [
+        (0, 0, [0, 0], "stratum"), (0, 0, [], "stratum"), (0, 0, [2], "stratum"),
+        (0, 0, [-1], "stratum"), (0, 0, [1, -1], "stratum"),
+        (2, 0, [0], "arm"), (-1, 0, [0], "arm"), (0, 2, [0], "m"), (1, -1, [0], "m"),
+    ])
+    def test_bad_cell_arguments_rejected(self, arm, m, stratum, name):
+        # a repeated member used to weigh twice, an empty stratum to escape as an
+        # IndexError and a negative one to wrap to the last covariate
+        with pytest.raises(BridgeboundError, match=f"^{name} must"):
+            exact_sensitivity(mirrored_pair_model(), arm, m, stratum)
+
 
 class TestSharpness:
     def test_unit_gamma_collapses(self):
