@@ -37,6 +37,14 @@ class Dataset:
         med = np.asarray(self.mediator, dtype=np.float64)
         out = np.asarray(self.outcome, dtype=np.float64)
         cov = np.asarray(self.covariates, dtype=np.float64)
+        bench = None if self.benchmark is None else np.asarray(self.benchmark, dtype=np.float64)
+        for name, col in (("treatment", treat), ("mediator", med), ("outcome", out),
+                          ("benchmark", bench)):
+            if col is not None and col.ndim != 1:
+                raise BridgeboundError(f"{name} must be a 1-d column, got shape {col.shape}")
+        if cov.ndim > 2:
+            raise BridgeboundError(
+                f"covariates must have at most 2 dimensions, got shape {cov.shape}")
         if cov.ndim == 1:
             cov = cov.reshape(-1, 1) if cov.size else cov.reshape(len(med), 0)
         n = med.shape[0]
@@ -54,15 +62,13 @@ class Dataset:
             count = int(np.sum(treat_i == arm))
             if count < p + 2:
                 raise BridgeboundError(f"arm {arm} has {count} rows, needs at least {p + 2}")
-        bench = self.benchmark
         if bench is not None:
-            bench = np.asarray(bench, dtype=np.float64)
             if bench.shape[0] != n:
                 raise BridgeboundError("benchmark column length disagrees")
             if not np.all(np.isfinite(bench)):
                 raise BridgeboundError("non-finite value in benchmark column")
         # contiguous columns of its own: a fit's last bits depend on the layout,
-        # and the loader and the generator build them this way (no copy then)
+        # and the generator builds them this way (no copy then)
         object.__setattr__(self, "treatment", treat_i)
         object.__setattr__(self, "mediator", np.ascontiguousarray(med))
         object.__setattr__(self, "outcome", np.ascontiguousarray(out))
@@ -91,10 +97,11 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     duplicated header name reads its last column, a short row's missing cell
     is None and extra trailing cells are ignored. After csv.reader has taken
     the header, numpy's C tokenizer parses the schema columns in one pass.
-    Whatever it refuses, a non-finite value or a file without rows sends the
-    whole file through _load_cells, the csv.reader pass that defines these
-    semantics: it also accepts the spellings only float() reads (1_0, other
-    scripts' digits) and names the first bad cell.
+    Whatever it refuses, a non-finite value or a file without rows rewinds
+    the handle for one csv.reader pass that defines these semantics: it
+    collects every row, then reads each schema cell with float() in
+    row-major order, so it also accepts the spellings only float() reads
+    (1_0, other scripts' digits) and names the first bad cell.
     """
     check("schema", schema, SCHEMA_KEYS)
     cov_names = list(schema.get("covariates", ()))
@@ -103,36 +110,43 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     wanted += cov_names + ([bench_name] if bench_name else [])
     names = list(dict.fromkeys(wanted))
 
+    rows = None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = _read_header(csv.reader(fh), wanted)
-            index = _column_index(header)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for col in wanted:
+                if col not in header:
+                    raise BridgeboundError(f"column '{col}' not in CSV header {header}")
+            index = {name: j for j, name in enumerate(header)}  # a repeated name keeps its last
             block = _parse_columns(fh, [index[name] for name in names])
+            if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
+                fh.seek(0)
+                next(reader)
+                rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc
-    if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
-        columns = _load_cells(path, wanted)
-    else:
-        columns = {name: block[:, j] for j, name in enumerate(names)}
+    if rows is not None:
+        cells = []
+        for row in rows:
+            for name in names:
+                raw = row[index[name]]
+                try:
+                    value = float(raw)
+                except (TypeError, ValueError):
+                    raise BridgeboundError(f"column '{name}': cannot parse {raw!r}") from None
+                if not math.isfinite(value):
+                    raise BridgeboundError(f"column '{name}': non-finite value {raw!r}")
+                cells.append(value)
+        block = np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
 
-    n = len(columns[wanted[0]])
+    columns = {name: block[:, j] for j, name in enumerate(names)}
+    n = block.shape[0]
     cov = (np.column_stack([columns[name] for name in cov_names]) if cov_names
            else np.empty((n, 0)))
     bench = columns[bench_name] if bench_name else None
     return Dataset(columns[schema["treatment"]], columns[schema["mediator"]],
                    columns[schema["outcome"]], cov, bench)
-
-
-def _read_header(reader, wanted: list) -> list:
-    header = next(reader, [])
-    for col in wanted:
-        if col not in header:
-            raise BridgeboundError(f"column '{col}' not in CSV header {header}")
-    return header
-
-
-def _column_index(header: list) -> dict:
-    return {name: j for j, name in enumerate(header)}  # a repeated name keeps its last column
 
 
 def _parse_columns(fh, usecols: list) -> Optional[np.ndarray]:
@@ -143,47 +157,8 @@ def _parse_columns(fh, usecols: list) -> Optional[np.ndarray]:
             warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
             return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
                               usecols=usecols)
-    except ValueError:   # UnicodeDecodeError too: _load_cells reports it
+    except ValueError:   # UnicodeDecodeError too: the csv.reader pass reports it
         return None
-
-
-def _load_cells(path: str, wanted: list) -> dict:
-    """One csv.reader pass, one float64 parse and one finiteness check per
-    schema column. Only when a column fails are the cells parsed one at a
-    time, in row-major schema order, so the error names the first bad cell."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = _read_header(reader, wanted)
-            rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read data {path}: {exc}") from exc
-
-    index = _column_index(header)
-    cells = {name: [row[index[name]] for row in rows] for name in wanted}
-    columns = {}
-    for name, col in cells.items():
-        try:
-            values = np.array(col, dtype=np.float64)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
-            _raise_first_bad_cell(wanted, cells)
-        columns[name] = values
-    return columns
-
-
-def _raise_first_bad_cell(wanted: list, cells: dict) -> None:
-    """Parse cell by cell in row-major order and raise on the first bad one."""
-    for i in range(len(cells[wanted[0]])):
-        for name in wanted:
-            raw = cells[name][i]
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                raise BridgeboundError(f"column '{name}': cannot parse {raw!r}") from None
-            if not math.isfinite(val):
-                raise BridgeboundError(f"column '{name}': non-finite value {raw!r}")
 
 
 _SAVE_BLOCK = 4096

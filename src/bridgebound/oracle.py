@@ -43,6 +43,7 @@ inside the mediator matrix's kernel (non-decoupled).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -169,6 +170,11 @@ def _validate(tables: _Tables) -> None:
         raise BridgeboundError(f"psi not constant within group {groups[j, drift[j]][0]}")
 
 
+def _is_index(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
     """Strata of x values sharing the bridge pair (f0(m|x), f1(m|x)).
 
@@ -176,6 +182,8 @@ def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
     head (first member) matches it on both arms; every open stratum is
     compared, since another stratum's f0 may sort between two members.
     """
+    if not _is_index(m) or not 0 <= m < model.nm:
+        raise BridgeboundError(f"m must lie in [0, {model.nm}), got {m!r}")
     f = model.bridge_values()
     pairs = f[:, :, m].T
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -303,11 +311,12 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
     which must list distinct covariate indices in [0, nx).
     """
     idx = list(stratum)
-    if arm not in (0, 1):
+    if not _is_index(arm) or arm not in (0, 1):
         raise BridgeboundError(f"arm must be 0 or 1, got {arm!r}")
-    if not 0 <= m < model.nm:
+    if not _is_index(m) or not 0 <= m < model.nm:
         raise BridgeboundError(f"m must lie in [0, {model.nm}), got {m!r}")
-    if not idx or len(set(idx)) < len(idx) or not all(0 <= x < model.nx for x in idx):
+    if (not idx or len(set(idx)) < len(idx)
+            or not all(_is_index(x) and 0 <= x < model.nx for x in idx)):
         raise BridgeboundError(
             f"stratum must list distinct covariates in [0, {model.nx}), got {idx!r}")
     members = np.zeros((1, model.nx), dtype=bool)
@@ -401,8 +410,8 @@ def make_sharpness_model(gamma: float, eta: float) -> DiscreteModel:
     mediator value concentrates all mass there, so the density ratio is exactly
     gamma; psi = (eta, 0) swings by eta across the two points.
     """
-    if gamma < 1.0 or eta < 0.0:
-        raise BridgeboundError(f"need gamma >= 1 and eta >= 0, got {gamma}, {eta}")
+    if not (1.0 <= gamma < math.inf and 0.0 <= eta < math.inf):
+        raise BridgeboundError(f"need gamma >= 1 and eta >= 0, both finite, got {gamma}, {eta}")
     p_x = np.array([1.0])
     p_u = np.tile(np.array([1.0 / gamma, 1.0 - 1.0 / gamma]), (2, 1, 1))
     p_m = np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1, 1))

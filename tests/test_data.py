@@ -1,13 +1,19 @@
 import csv
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bridgebound
 from bridgebound.data import (BenchmarkSpec, Dataset, SyntheticSpec,
                               fractional_ranks, generate_synthetic, infer_schema,
                               load_dataset, save_dataset)
@@ -46,6 +52,19 @@ class TestDatasetValidation:
         with pytest.raises(BridgeboundError, match="column lengths disagree"):
             Dataset(np.array([0, 0, 1, 1]), np.zeros(3), np.zeros(4),
                     np.empty((4, 0)))
+
+    @pytest.mark.parametrize("column,value", [
+        ("treatment", np.repeat([[0], [1]], 3, axis=0)), ("mediator", np.zeros((6, 2))),
+        ("outcome", np.zeros((6, 1))), ("benchmark", np.zeros((6, 1))),
+        ("covariates", np.zeros((6, 1, 1))), ("treatment", 1),
+    ], ids=["treatment_column", "mediator_two_columns", "outcome_column", "benchmark_column",
+            "covariates_3d", "treatment_scalar"])
+    def test_column_shapes(self, column, value):
+        # each used to fail late, inside a fit, with a bare numpy error
+        columns = {"treatment": np.repeat([0, 1], 3), "mediator": np.zeros(6),
+                   "outcome": np.zeros(6), "covariates": np.empty((6, 0)), column: value}
+        with pytest.raises(BridgeboundError, match=f"^{column} must"):
+            Dataset(**columns)
 
     def test_arm_indices(self):
         data = small_dataset(benchmark=np.arange(5.0))
@@ -345,6 +364,49 @@ class TestCsvRoundtrip:
                     # contiguous, as a fit's last bits depend on the column layout
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
+
+    def test_large_refusal_pass_matches_clean_load(self, tmp_path):
+        # row 1's treatment cell reads as the same 0 or 1 to float() but not to
+        # numpy's tokenizer, so the whole file takes the csv.reader pass
+        data, _ = generate_synthetic(
+            SyntheticSpec(n=5000, p=2, beta_m=(0.5, 1.0, 0.3, -0.2),
+                          benchmark=BenchmarkSpec(0.0, 2.0)), seed=8)
+        clean, odd = tmp_path / "clean.csv", tmp_path / "odd.csv"
+        save_dataset(data, str(clean))
+        header, first, rest = clean.read_bytes().split(b"\n", 2)
+        odd.write_bytes(b"\xef\xbb\xbf" + b"\n".join([header, b"0_" + first, rest]))
+        schema = infer_schema(str(clean))
+        back, ref = load_dataset(str(odd), schema), load_dataset(str(clean), schema)
+        for name in ("treatment", "mediator", "outcome", "covariates", "benchmark"):
+            a, b = getattr(back, name), getattr(ref, name)
+            assert a.flags.c_contiguous and a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_refused_fifo_fails_instead_of_hanging(self, tmp_path):
+        # the csv.reader pass rewinds the handle it holds; a pipe cannot rewind,
+        # and reopening one by path would wait for a writer that never comes
+        fifo, config = tmp_path / "rows.csv", tmp_path / "fit.json"
+        os.mkfifo(fifo)
+        config.write_text(json.dumps({
+            "data": str(fifo), "schema": BARE_SCHEMA, "setting": {"route": "si_anchor"},
+            "draws": 10}))
+        script = (
+            "import sys, threading\n"
+            "from bridgebound import cli\n"
+            "def feed():\n"
+            "    with open(sys.argv[1], 'w') as fh:\n"
+            "        fh.write('treat,m,y\\n' + '0,0_3,1\\n1,2,0_3\\n' * 4)\n"
+            "threading.Thread(target=feed, daemon=True).start()\n"
+            "sys.exit(cli.main(['fit', '--config', sys.argv[2], '--out', sys.argv[3]]))\n")
+        src = str(Path(bridgebound.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, str(fifo), str(config),
+                               str(tmp_path / "out.json")],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "not seekable" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_header_only_file_warns_nothing(self, tmp_path):
         path = tmp_path / "header.csv"

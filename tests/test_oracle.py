@@ -114,6 +114,12 @@ class TestPartition:
         assert exact_bridge_partition(model, 0) == [[0, 2], [1]]
         assert exact_bridge_partition(model, 1) == [[0, 2], [1]]
 
+    @pytest.mark.parametrize("m", [-1, 2, 1.0, True])
+    def test_bad_mediator_value_rejected(self, m):
+        # -1 used to wrap to the last mediator value; the others escaped as an IndexError
+        with pytest.raises(BridgeboundError, match=r"^m must lie in \[0, 2\)"):
+            exact_bridge_partition(mirrored_pair_model(), m)
+
 
 class TestBalancing:
     def test_single_covariate_is_exactly_balanced(self):
@@ -177,12 +183,22 @@ class TestSensitivity:
         (0, 0, [0, 0], "stratum"), (0, 0, [], "stratum"), (0, 0, [2], "stratum"),
         (0, 0, [-1], "stratum"), (0, 0, [1, -1], "stratum"),
         (2, 0, [0], "arm"), (-1, 0, [0], "arm"), (0, 2, [0], "m"), (1, -1, [0], "m"),
+        (True, 0, [0], "arm"), (1.0, 0, [0], "arm"), (0, True, [0], "m"), (0, 1.0, [0], "m"),
+        (0, 0, [0.0], "stratum"), (0, 0, [True], "stratum"),
     ])
     def test_bad_cell_arguments_rejected(self, arm, m, stratum, name):
         # a repeated member used to weigh twice, an empty stratum to escape as an
-        # IndexError and a negative one to wrap to the last covariate
+        # IndexError and a negative one to wrap to the last covariate; a bool or
+        # a float index escaped as an IndexError
         with pytest.raises(BridgeboundError, match=f"^{name} must"):
             exact_sensitivity(mirrored_pair_model(), arm, m, stratum)
+
+    def test_numpy_integer_cell_arguments_accepted(self):
+        model = mirrored_pair_model()
+        got = exact_sensitivity(model, np.int64(1), np.int8(1), [np.intp(1)])
+        want = exact_sensitivity(model, 1, 1, [1])
+        assert (got.delta, got.gamma, got.eta) == (want.delta, want.gamma, want.eta)
+        assert exact_bridge_partition(model, np.int64(1)) == exact_bridge_partition(model, 1)
 
 
 class TestSharpness:
@@ -206,6 +222,10 @@ class TestSharpness:
             make_sharpness_model(0.5, 1.0)
         with pytest.raises(BridgeboundError, match="eta >= 0"):
             make_sharpness_model(2.0, -1.0)
+        # NaN used to pass the check and fail later, naming p_u or psi
+        for gamma, eta in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+            with pytest.raises(BridgeboundError, match="need gamma >= 1 and eta >= 0"):
+                make_sharpness_model(gamma, eta)
 
 
 class TestProjectionAndTightening:
