@@ -21,7 +21,7 @@ _HOMES = {
     "calibration": ("DEFAULT_GAMMA_CAP", "benchmark_envelope", "estimate_benchmark_eta",
                     "estimate_benchmark_gamma", "prepare_benchmark", "residual_envelope"),
     "data": ("BenchmarkSpec", "Dataset", "SyntheticSpec", "fractional_ranks",
-             "generate_synthetic", "infer_schema", "load_dataset", "save_dataset"),
+             "generate_synthetic", "load_dataset", "save_dataset"),
     "envelope": ("xi_pointwise",),
     "errors": ("BridgeboundError", "ConfigError", "NumericalFailure", "VerificationFailure",
                "ROUTES"),

@@ -157,10 +157,10 @@ def setting_from_dict(raw: dict):
     return SensitivitySetting(**raw)
 
 
-def schema_from_config(cfg: dict, data_path: str) -> dict:
-    from .data import infer_schema
-
-    return cfg["schema"] if "schema" in cfg else infer_schema(data_path)
+def schema_from_config(cfg: dict, data_path: str) -> Optional[dict]:
+    """The config's schema, or None for load_dataset to infer from the header
+    of data_path as it reads it."""
+    return cfg.get("schema")
 
 
 def _run_kwargs(cfg: dict) -> dict:

@@ -88,10 +88,13 @@ class Dataset:
         return np.flatnonzero(self.treatment == arm)
 
 
-def load_dataset(path: str, schema: dict) -> Dataset:
+def load_dataset(path: str, schema: Optional[dict] = None) -> Dataset:
     """Read a UTF-8 CSV with a header row, mapping columns via schema (SCHEMA_KEYS).
 
-    A leading byte-order mark, as spreadsheet programs write, is skipped.
+    Without a schema, the canonical one is inferred from the header (treat,
+    m, y, x1.., optional w). The file is opened once, so a pipe is read once
+    whether the schema is given or inferred. A leading byte-order mark, as
+    spreadsheet programs write, is skipped.
 
     Rows keep csv.DictReader's semantics: blank lines are skipped, a
     duplicated header name reads its last column, a short row's missing cell
@@ -103,18 +106,20 @@ def load_dataset(path: str, schema: dict) -> Dataset:
     row-major order, so it also accepts the spellings only float() reads
     (1_0, other scripts' digits) and names the first bad cell.
     """
-    check("schema", schema, SCHEMA_KEYS)
-    cov_names = list(schema.get("covariates", ()))
-    bench_name = schema.get("benchmark")
-    wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
-    wanted += cov_names + ([bench_name] if bench_name else [])
-    names = list(dict.fromkeys(wanted))
-
+    if schema is not None:
+        check("schema", schema, SCHEMA_KEYS)
     rows = None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
+            if schema is None:
+                schema = _infer_schema(header)
+            cov_names = list(schema.get("covariates", ()))
+            bench_name = schema.get("benchmark")
+            wanted = [schema["treatment"], schema["mediator"], schema["outcome"]]
+            wanted += cov_names + ([bench_name] if bench_name else [])
+            names = list(dict.fromkeys(wanted))
             for col in wanted:
                 if col not in header:
                     raise BridgeboundError(f"column '{col}' not in CSV header {header}")
@@ -188,13 +193,8 @@ def save_dataset(data: Dataset, path: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def infer_schema(path: str) -> dict:
+def _infer_schema(header: list) -> dict:
     """Schema from a canonically named header (treat, m, y, x1.., optional w)."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = next(csv.reader(fh), [])
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read data {path}: {exc}") from exc
     missing = {"treat", "m", "y"} - set(header)
     if missing:
         raise BridgeboundError(

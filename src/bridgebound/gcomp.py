@@ -1,13 +1,14 @@
 """Posterior g-computation with sensitivity envelopes.
 
-Each posterior draw runs the same six steps: sample the mediator model and,
-on the rebuilt bridge regressors, the outcome model; integrate the outcome
-model over both arms' counterfactual mediator laws, exactly, by a Gauss-Hermite
-rule; draw the benchmark routes' envelope points, mediator_draws Monte Carlo
-points per unit from the control law (the other routes draw none and ignore
-mediator_draws); turn the chosen calibration route into an aggregated envelope
-Xi_bar per arm; draw the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar];
-and assemble theta and the effect contrasts.
+Each posterior draw runs the same six steps: sample the mediator model, whose
+draw fixes the pooled mediator law of both arms (bridge.MediatorLaw), and, on
+the bridge regressors rebuilt under that law, the outcome model; integrate the
+outcome model over both arms' counterfactual mediator laws, exactly, by a
+Gauss-Hermite rule; draw the benchmark routes' envelope points, mediator_draws
+Monte Carlo points per unit from the control law (the other routes draw none
+and ignore mediator_draws); turn the chosen calibration route into an
+aggregated envelope Xi_bar per arm; draw the shift Delta_bar from its prior on
+[-Xi_bar, +Xi_bar]; and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models) and draw t is a function of t alone: it
 seeds child burn_in + t of SeedSequence(seed), takes its envelope points from
 that child's child 1 and writes row t of the records. So results are
@@ -34,7 +35,7 @@ import numpy as np
 # wrapper set on a module attribute (a test's monkeypatch, perfbench's tracer)
 # sees every call, whichever module was imported first
 from . import _kernels, calibration
-from .bridge import bridge_log_pair, mediator_means, outcome_design
+from .bridge import MediatorLaw, bridge_log_pair, outcome_design
 from .calibration import DEFAULT_GAMMA_CAP
 from .data import Dataset
 # the config tables of settings and run arguments live in errors, so that cli
@@ -94,17 +95,16 @@ def _delta_base(prior: DeltaPrior, rng: Optional[np.random.Generator]) -> float:
     return -1.0 if prior.kind == "endpoint_lower" else 1.0
 
 
-def counterfactual_mediator_draws(mean0: np.ndarray, treat_shift: float, sigma2: float,
-                                  arm: int, z: np.ndarray):
-    """Mediator values m = mean0 + treat_shift * arm + sqrt(sigma2) * z from arm's fitted law.
+def counterfactual_mediator_draws(law: MediatorLaw, arm: int, z: np.ndarray):
+    """Mediator values law.sample(arm, z) and their bridge pair under law.
 
     z is an (n, k) standard-normal grid, row i for unit i: random variates or
     quadrature nodes. Returns (m, l0, l1) as unit-major flat views of one (n, k)
-    grid; the bridge pair is evaluated at m with the control-arm mean, whichever
-    arm generated it, so it depends on z alone.
+    grid; the bridge pair is evaluated at m under law, whichever arm generated
+    it, so it depends on z alone.
     """
-    m = (mean0[:, None] + treat_shift * arm) + np.sqrt(sigma2) * z
-    l0, l1 = bridge_log_pair(m, mean0[:, None], treat_shift, sigma2)
+    m = law.sample(arm, z)
+    l0, l1 = bridge_log_pair(m, law)
     return m.ravel(), l0.ravel(), l1.ravel()
 
 
@@ -230,25 +230,23 @@ class _Engine:
 
         # 1) mediator model draw, then the outcome model conditional on it
         med = sample_draw(self.med_post, rng)
-        mean0, shift = mediator_means(data.covariates, med.beta)
-        l0_obs, l1_obs = bridge_log_pair(data.mediator, mean0, shift, med.sigma2)
+        law = MediatorLaw.from_draw(data.covariates, med)
+        l0_obs, l1_obs = bridge_log_pair(data.mediator, law)
         design_y = outcome_design(data.mediator, self.treat_col, l0_obs, l1_obs,
-                                  out=self.design_y)
+                                  self.design_y)
         out_post = nig_update(self.outcome_prior, design_y, data.outcome)
         out = sample_draw(out_post, rng)
         beta_y = np.ascontiguousarray(out.beta)
 
         # 2) the anchor and the treated reference arm: the outcome mean at a = 1,
-        # averaged over the units and the control, then the treated, mediator law.
-        # At m = mean0_i + shift * arm + sqrt(sigma2) * z the bridge pair depends on z
-        # alone and the regressors are affine in m, so the unit average is the
-        # integrand at the mean of mean0, a polynomial of degree <= 4 in z that the
-        # 3-node rule integrates exactly. a enters the regressors only as beta_a * a,
-        # so the control reference arm E[Y(0, M(0))] is the anchor less beta_a
-        mbar = np.array([_kernels.comp_mean(mean0)])
+        # averaged over the units and the control, then the treated, mediator law,
+        # by the 3-node rule on the collapsed law (exact; see MediatorLaw.collapsed).
+        # a enters the regressors only as beta_a * a, so the control reference arm
+        # E[Y(0, M(0))] is the anchor less beta_a
+        unit = law.collapsed()
         anchor = []
         for arm in (0, 1):
-            m, l0, l1 = counterfactual_mediator_draws(mbar, shift, med.sigma2, arm, _ANCHOR_Z)
+            m, l0, l1 = counterfactual_mediator_draws(unit, arm, _ANCHOR_Z)
             anchor.append(_kernels.outcome_mean_sum(m, l0, l1, beta_y) / _ANCHOR_Z.size)
         theta_si, delta1 = anchor
         delta0 = theta_si - float(beta_y[2])
@@ -260,7 +258,7 @@ class _Engine:
             points = np.random.default_rng(np.random.SeedSequence(self.seed,
                                                                   spawn_key=(child, 1)))
             z = points.standard_normal((data.n, self.mediator_draws))
-            pts = counterfactual_mediator_draws(mean0, shift, med.sigma2, 0, z)
+            pts = counterfactual_mediator_draws(law, 0, z)
 
         # 4) every calibration the settings read: eta_hat per scale; per (scale, cap)
         # and arm, the mean of (gamma - 1) / gamma over the points and the max gamma

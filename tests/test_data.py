@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import bridgebound
 from bridgebound.data import (BenchmarkSpec, Dataset, SyntheticSpec,
-                              fractional_ranks, generate_synthetic, infer_schema,
-                              load_dataset, save_dataset)
+                              fractional_ranks, generate_synthetic, load_dataset,
+                              save_dataset)
 from bridgebound.errors import BridgeboundError
 
 from conftest import rng
@@ -241,7 +241,7 @@ class TestCsvRoundtrip:
                           benchmark=BenchmarkSpec(0.0, 2.0)), seed=3)
         path = tmp_path / "round.csv"
         save_dataset(data, str(path))
-        back = load_dataset(str(path), infer_schema(str(path)))
+        back = load_dataset(str(path))
         assert np.array_equal(back.treatment, data.treatment)
         assert np.array_equal(back.mediator, data.mediator)
         assert np.array_equal(back.outcome, data.outcome)
@@ -257,9 +257,7 @@ class TestCsvRoundtrip:
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         save_dataset(data, str(plain))
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        schema = infer_schema(str(bom))
-        assert schema == infer_schema(str(plain))
-        for sch in (schema, BARE_SCHEMA):
+        for sch in (None, BARE_SCHEMA):
             back, ref = load_dataset(str(bom), sch), load_dataset(str(plain), sch)
             for name in ("treatment", "mediator", "outcome", "covariates", "benchmark"):
                 assert np.array_equal(getattr(back, name), getattr(ref, name))
@@ -375,8 +373,7 @@ class TestCsvRoundtrip:
         save_dataset(data, str(clean))
         header, first, rest = clean.read_bytes().split(b"\n", 2)
         odd.write_bytes(b"\xef\xbb\xbf" + b"\n".join([header, b"0_" + first, rest]))
-        schema = infer_schema(str(clean))
-        back, ref = load_dataset(str(odd), schema), load_dataset(str(clean), schema)
+        back, ref = load_dataset(str(odd)), load_dataset(str(clean))
         for name in ("treatment", "mediator", "outcome", "covariates", "benchmark"):
             a, b = getattr(back, name), getattr(ref, name)
             assert a.flags.c_contiguous and a.dtype == b.dtype and a.shape == b.shape, name
@@ -385,12 +382,8 @@ class TestCsvRoundtrip:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_refused_fifo_fails_instead_of_hanging(self, tmp_path):
         # the csv.reader pass rewinds the handle it holds; a pipe cannot rewind,
-        # and reopening one by path would wait for a writer that never comes
-        fifo, config = tmp_path / "rows.csv", tmp_path / "fit.json"
-        os.mkfifo(fifo)
-        config.write_text(json.dumps({
-            "data": str(fifo), "schema": BARE_SCHEMA, "setting": {"route": "si_anchor"},
-            "draws": 10}))
+        # and reopening one by path would wait for a writer that never comes.
+        # An inferred schema is read from the same handle's header
         script = (
             "import sys, threading\n"
             "from bridgebound import cli\n"
@@ -402,11 +395,17 @@ class TestCsvRoundtrip:
         src = str(Path(bridgebound.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script, str(fifo), str(config),
-                               str(tmp_path / "out.json")],
-                              capture_output=True, text=True, timeout=30, env=env)
-        assert proc.returncode == 2, proc.stderr
-        assert "not seekable" in proc.stderr and "Traceback" not in proc.stderr
+        for name, schema in (("explicit", {"schema": BARE_SCHEMA}), ("inferred", {})):
+            fifo, config = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            os.mkfifo(fifo)
+            config.write_text(json.dumps({
+                "data": str(fifo), **schema, "setting": {"route": "si_anchor"},
+                "draws": 10}))
+            proc = subprocess.run([sys.executable, "-c", script, str(fifo), str(config),
+                                   str(tmp_path / f"{name}.out")],
+                                  capture_output=True, text=True, timeout=30, env=env)
+            assert proc.returncode == 2, (name, proc.stderr)
+            assert "not seekable" in proc.stderr and "Traceback" not in proc.stderr, name
 
     def test_header_only_file_warns_nothing(self, tmp_path):
         path = tmp_path / "header.csv"
@@ -421,18 +420,27 @@ class TestCsvRoundtrip:
             load_dataset(str(tmp_path / "x.csv"), {"treatment": "treat"})
 
     def test_infer_schema(self, tmp_path):
-        path = tmp_path / "canon.csv"
-        path.write_text("treat,m,y,x2,x1,w\n")
-        schema = infer_schema(str(path))
-        assert schema["covariates"] == ["x1", "x2"]
-        assert schema["benchmark"] == "w"
+        # without a schema the header names the columns: x1, x2 in number
+        # order whatever the header's order, and w as the benchmark if present
+        data, _ = generate_synthetic(
+            SyntheticSpec(n=12, p=2, beta_m=(0.5, 1.0, 0.3, -0.2),
+                          benchmark=BenchmarkSpec(0.0, 2.0)), seed=4)
+        canon = tmp_path / "canon.csv"
+        save_dataset(data, str(canon))
+        rows = list(csv.reader(canon.read_text().splitlines()))
+        path = tmp_path / "swapped.csv"
+        path.write_text("".join(",".join(r[:3] + [r[4], r[3], r[5]]) + "\n" for r in rows))
+        back = load_dataset(str(path))
+        assert np.array_equal(back.covariates, data.covariates)
+        assert np.array_equal(back.benchmark, data.benchmark)
         bare = tmp_path / "bare.csv"
-        bare.write_text("treat,m,y\n")
-        assert "benchmark" not in infer_schema(str(bare))
+        bare.write_text("".join(",".join(r[:3]) + "\n" for r in rows))
+        back = load_dataset(str(bare))
+        assert back.benchmark is None and back.covariates.shape == (12, 0)
         odd = tmp_path / "odd.csv"
         odd.write_text("arm,m,y\n")
         with pytest.raises(BridgeboundError, match="header lacks"):
-            infer_schema(str(odd))
+            load_dataset(str(odd))
 
 
 class TestRanks:

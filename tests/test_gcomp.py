@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from bridgebound.bridge import bridge_log_pair, mediator_means, outcome_design
+from bridgebound.bridge import MediatorLaw, bridge_log_pair, outcome_design
 from bridgebound.calibration import benchmark_envelope
 from bridgebound.data import Dataset, generate_synthetic
 from bridgebound.envelope import xi_pointwise
@@ -27,23 +27,22 @@ from conftest import BENCH_SPEC, rng
 class TestCounterfactualDraws:
     def test_arm_means(self):
         mean0 = np.array([1.5])
-        m0, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 0,
-                                                 rng(1).standard_normal((1, 10_000)))
-        m1, _, _ = counterfactual_mediator_draws(mean0, 0.7, 0.25, 1,
-                                                 rng(2).standard_normal((1, 10_000)))
+        law = MediatorLaw(mean0, 0.7, 0.25)
+        m0, _, _ = counterfactual_mediator_draws(law, 0, rng(1).standard_normal((1, 10_000)))
+        m1, _, _ = counterfactual_mediator_draws(law, 1, rng(2).standard_normal((1, 10_000)))
         assert abs(m0.mean() - 1.5) <= 0.03
         assert abs(m1.mean() - 2.2) <= 0.03
 
     def test_concentrates_at_tiny_variance(self):
         mean0 = np.array([0.4, -0.6, 2.0])
-        m, _, _ = counterfactual_mediator_draws(mean0, 1.0, 1e-12, 1,
+        m, _, _ = counterfactual_mediator_draws(MediatorLaw(mean0, 1.0, 1e-12), 1,
                                                 rng(3).standard_normal((3, 4)))
         assert np.allclose(m, np.repeat(mean0 + 1.0, 4), atol=1e-5)
 
     def test_bridge_pair_orders_by_proximity(self):
         mean0 = np.full(50, 0.2)
         shift, sig2 = 0.9, 0.5
-        m, l0, l1 = counterfactual_mediator_draws(mean0, shift, sig2, 0,
+        m, l0, l1 = counterfactual_mediator_draws(MediatorLaw(mean0, shift, sig2), 0,
                                                   rng(4).standard_normal((50, 3)))
         d0 = np.abs(m - np.repeat(mean0, 3))
         d1 = np.abs(m - np.repeat(mean0 + shift, 3))
@@ -51,7 +50,7 @@ class TestCounterfactualDraws:
 
     def test_unit_major_layout(self):
         mean0 = np.array([0.0, 100.0])
-        m, _, _ = counterfactual_mediator_draws(mean0, 0.0, 1e-4, 0,
+        m, _, _ = counterfactual_mediator_draws(MediatorLaw(mean0, 0.0, 1e-4), 0,
                                                 rng(5).standard_normal((2, 3)))
         assert np.all(np.abs(m[:3]) < 1.0) and np.all(np.abs(m[3:] - 100.0) < 1.0)
 
@@ -61,8 +60,8 @@ def per_unit_quadrature(mean0, shift, sigma2, arm, a, beta):
     the 11-node Gauss-Hermite rule (exact to degree 21) and an exactly rounded sum."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(11)
     m = (mean0[:, None] + shift * arm) + math.sqrt(sigma2) * nodes
-    l0, l1 = bridge_log_pair(m, mean0[:, None], shift, sigma2)
-    pred = outcome_design(m.ravel(), a, l0.ravel(), l1.ravel()) @ beta
+    l0, l1 = bridge_log_pair(m, MediatorLaw(mean0, shift, sigma2))
+    pred = outcome_design(m.ravel(), a, l0.ravel(), l1.ravel(), np.empty((m.size, 8))) @ beta
     return math.fsum(pred * np.tile(weights / weights.sum(), mean0.size)) / mean0.size
 
 
@@ -74,8 +73,8 @@ class TestExactAnchor:
         r = rng(int(1000 * sigma2) + 7 * arm)
         mean0 = 1.5 + 2.0 * r.standard_normal(300)
         beta = r.standard_normal(8)
-        mbar = np.array([_kernels.comp_mean(mean0)])
-        m, l0, l1 = counterfactual_mediator_draws(mbar, shift, sigma2, arm, gcomp._ANCHOR_Z)
+        unit = MediatorLaw(mean0, shift, sigma2).collapsed()
+        m, l0, l1 = counterfactual_mediator_draws(unit, arm, gcomp._ANCHOR_Z)
         got = _kernels.outcome_mean_sum(m, l0, l1, beta) / gcomp._ANCHOR_Z.size
         ref = per_unit_quadrature(mean0, shift, sigma2, arm, 1.0, beta)
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -562,8 +561,8 @@ class TestSharedModelPass:
         res = run(bench_data, SensitivitySetting(), **SHARED)
         assert len(meds) == len(outs) == SHARED["draws"]
         for got, med, out in zip(res.records["delta0"], meds, outs):
-            mean0, shift = mediator_means(bench_data.covariates, med.beta)
-            explicit = per_unit_quadrature(mean0, shift, med.sigma2, 0, 0.0, out.beta)
+            law = MediatorLaw.from_draw(bench_data.covariates, med)
+            explicit = per_unit_quadrature(law.mean0, law.shift, law.sigma2, 0, 0.0, out.beta)
             assert abs(got - explicit) <= 1e-14 * max(1.0, abs(explicit))
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):

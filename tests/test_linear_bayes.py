@@ -5,8 +5,8 @@ import pytest
 
 from bridgebound._kernels import normal_logpdf
 from bridgebound.errors import BridgeboundError
-from bridgebound.linear_bayes import (NIGParams, default_prior, nig_update,
-                                      posterior_sigma2_mean, sample_draw)
+from bridgebound.linear_bayes import (LinearModelDraw, NIGParams, default_prior,
+                                      nig_update, posterior_sigma2_mean, sample_draw)
 
 from conftest import rng
 
@@ -142,9 +142,17 @@ def test_default_prior_shape():
     assert prior.shape == 2.0 and prior.scale == 2.0
 
 
+def test_draw_rejects_bad_variance():
+    # every mediator law comes from a draw, so this is the check that keeps
+    # the bridge pair's variance positive and finite
+    for sigma2 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(BridgeboundError, match="sigma2 must be positive"):
+            LinearModelDraw(np.zeros(3), sigma2)
+
+
 def test_normal_log_density_values():
-    # the kernel does not check the variance; bridge_log_pair rejects a
-    # non-positive one (test_log_pair_rejects_bad_variance)
+    # the kernel does not check the variance; LinearModelDraw rejects a
+    # non-positive or non-finite one (test_draw_rejects_bad_variance)
     # at x = mean with var = 1/(2 pi) the constant cancels the exponent
     assert abs(normal_logpdf(0.7, 0.7, 1.0 / (2.0 * math.pi))) <= 1e-15
     assert math.isclose(normal_logpdf(0.0, 0.0, 1.0),
