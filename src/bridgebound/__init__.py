@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "calibration": ("DEFAULT_GAMMA_CAP", "benchmark_envelope", "estimate_benchmark_eta",
-                    "estimate_benchmark_gamma", "prepare_benchmark", "residual_envelope"),
+                    "estimate_benchmark_gamma", "fit_benchmark_gamma", "prepare_benchmark",
+                    "residual_envelope"),
     "data": ("BenchmarkSpec", "Dataset", "SyntheticSpec", "fractional_ranks",
              "generate_synthetic", "load_dataset", "save_dataset"),
     "envelope": ("xi_pointwise",),

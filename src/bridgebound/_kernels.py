@@ -1,14 +1,15 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The g-computation engine calls these per posterior draw, over n rows, the n*L
-envelope points of the benchmark routes or the six anchor nodes. All
+The g-computation engine calls these per posterior draw, over n rows, a block
+of the benchmark routes' envelope points or the six anchor nodes. All
 summation is compensated (TwoSum lanes folded by fsum) so aggregates agree
 with an exact-summation oracle to well below 1e-12 and do not depend on how
-draws are scheduled across worker processes.
+draws are scheduled across worker processes. CompSum takes the summands in
+blocks, so the engine sums its n*L envelope points without holding them.
 
-gamma_sup_logratio is elementwise in its points: calibration calls it on one
-block of envelope points at a time. It takes the sup of a quadratic over an
-interval in closed form, one evaluation per point, so its temporaries are
+gamma_sup_logratio is elementwise in its points: the engine evaluates it on
+one block of envelope points at a time. It takes the sup of a quadratic over
+an interval in closed form, one evaluation per point, so its temporaries are
 block-sized vectors and its result does not depend on the blocking.
 """
 
@@ -21,44 +22,79 @@ import numpy as np
 _LANES = 4096
 
 
-def comp_sum(x):
-    """Compensated sum: TwoSum lanes folded with an exactly rounded fsum.
+class CompSum:
+    """Streaming compensated sum: add() takes blocks in order, and total() is
+    comp_sum of their concatenation, bit for bit, whatever the split.
 
-    Each lane keeps a running sum s and adds the exact rounding error of
-    s + v to its carry, by Knuth's branch-free TwoSum. That error is the one
-    Neumaier's branch computes, so the lanes hold the same floats; the one
-    exception is an element equal to -DBL_MAX or DBL_MAX, where TwoSum's t - s can
-    overflow, the carry turns nan and the IEEE fallback below answers.
+    The sum runs in _LANES TwoSum lanes, folded at the end with an exactly
+    rounded fsum. Each lane keeps a running sum s and adds the exact rounding
+    error of s + v to its carry, by Knuth's branch-free TwoSum. That error is
+    the one Neumaier's branch computes, so the lanes hold the same floats; the
+    one exception is an element equal to -DBL_MAX or DBL_MAX, where TwoSum's
+    t - s can overflow, the carry turns nan and the IEEE fallback answers.
+
+    Up to 2 * _LANES elements are folded by fsum alone. Past that, element i
+    goes to lane i % _LANES once its whole row of _LANES has arrived (row 0
+    starts the lanes), and the last partial row is folded with the lanes. So
+    the state depends only on the elements seen, in order, and a caller can
+    sum more points than it ever holds at once.
 
     When the sum is not finite (it overflows or meets inf - inf), the plain
-    IEEE sum (inf or nan) is returned, for the output writers to refuse.
+    IEEE sum (inf or nan) of the lane sums and the partial row is returned,
+    for the output writers to refuse; with no lanes that is np.sum of the
+    elements.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.size
-    parts = x
-    if n > 2 * _LANES:
-        k = n // _LANES
-        body = x[: k * _LANES].reshape(k, _LANES)
-        s = body[0].copy()
-        c = np.zeros(_LANES)
-        # lanes that overflow carry inf/nan on to the IEEE fallback below
+
+    def __init__(self):
+        self._s = None           # lane sums, once more than 2 * _LANES elements arrived
+        self._c = None           # lane carries
+        self._rest = np.empty(0)  # elements not yet in a lane
+
+    def add(self, x) -> None:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        rest = np.concatenate([self._rest, x]) if self._rest.size else x
+        start = 0
+        if self._s is None:
+            if rest.size <= 2 * _LANES:
+                self._rest = x.copy() if rest is x else rest
+                return
+            self._s = rest[:_LANES].copy()
+            self._c = np.zeros(_LANES)
+            start = _LANES
+        k = (rest.size - start) // _LANES
+        s, c = self._s, self._c
+        # lanes that overflow carry inf/nan on to the IEEE fallback
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, k):
-                v = body[i]
+            for v in rest[start:start + k * _LANES].reshape(k, _LANES):
                 t = s + v
                 bp = t - s
                 c += (s - (t - bp)) + (v - bp)
                 s = t
-        parts = np.concatenate([s, c, x[k * _LANES:]])
-    try:
-        # fsum walks a list far faster than an ndarray, with the same floats in the same order
-        total = math.fsum(parts.tolist())
-    except (OverflowError, ValueError):
-        total = math.nan
-    if math.isfinite(total):
-        return total
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(x))
+        self._s = s
+        self._rest = rest[start + k * _LANES:].copy()
+
+    def total(self) -> float:
+        if self._s is None:
+            parts = ieee = self._rest
+        else:
+            parts = np.concatenate([self._s, self._c, self._rest])
+            ieee = np.concatenate([self._s, self._rest])
+        try:
+            # fsum walks a list far faster than an ndarray, with the same floats in the same order
+            total = math.fsum(parts.tolist())
+        except (OverflowError, ValueError):
+            total = math.nan
+        if math.isfinite(total):
+            return total
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(ieee))
+
+
+def comp_sum(x):
+    """Compensated sum of a 1-d array: CompSum with x as its one block."""
+    acc = CompSum()
+    acc.add(x)
+    return acc.total()
 
 
 def normal_logpdf(x, mean, var):

@@ -52,6 +52,10 @@ class MediatorLaw:
         return MediatorLaw(np.array([_kernels.comp_mean(self.mean0)]), self.shift,
                            self.sigma2)
 
+    def rows(self, block: slice) -> "MediatorLaw":
+        """The law of the units in block."""
+        return MediatorLaw(self.mean0[block], self.shift, self.sigma2)
+
     def sample(self, arm: int, z: np.ndarray) -> np.ndarray:
         """Mediator values mean0 + shift * arm + sqrt(sigma2) * z from arm's law;
         z is an (n, k) standard-normal grid, row i for unit i."""

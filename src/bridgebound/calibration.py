@@ -33,9 +33,6 @@ from .errors import BridgeboundError, DegenerateBenchmark
 from .linear_bayes import default_prior, nig_update, posterior_sigma2_mean
 
 DEFAULT_GAMMA_CAP = 20.0
-# points per block in estimate_benchmark_gamma: each block's temporaries stay
-# cache-sized, and the memory an evaluation touches is bounded by the block
-_GAMMA_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -86,30 +83,23 @@ def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,
     return coef * context.arm_ranges[0], coef * context.arm_ranges[1]
 
 
-def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.ndarray,
-                             context: BenchmarkContext, arm: int,
-                             pts_m: np.ndarray, pts_l0: np.ndarray, pts_l1: np.ndarray,
-                             cap: float = DEFAULT_GAMMA_CAP) -> np.ndarray:
-    """gamma_hat at each evaluation point, for one arm.
+@dataclass(frozen=True)
+class GammaFit:
+    """One arm's two benchmark regressions, W' | (1, m, l0, l1) with posterior-mean
+    coefficients coef_c and variance sig2_c, and W' | (1, l0, l1) with coef_r and
+    sig2_r, plus the arm's observed range [min W', max W'] for the sup kernel."""
 
-    Fits W' | (m, l0, l1) and W' | (l0, l1) on the arm's rows as conjugate
-    Gaussian regressions (posterior-mean coefficients and variances), then
-    maximizes the fitted-density ratio over the arm's observed range of W'.
-    Clamped to [1, cap].
+    coef_c: np.ndarray
+    sig2_c: float
+    coef_r: np.ndarray
+    sig2_r: float
+    bounds: np.ndarray
 
-    The points are walked in blocks of _GAMMA_BLOCK: each block's fitted
-    means, log-ratio sup, exp and clamp are computed together and written
-    into one preallocated output, so beyond the points and the result the
-    memory an evaluation touches is bounded by the block, not by the number
-    of points. Every step is elementwise, so the result is the same bits as
-    one pass over all points.
-    """
-    if cap < 1.0 or not np.isfinite(cap):
-        raise BridgeboundError(f"gamma cap must be finite and >= 1, got {cap}")
-    shapes = [np.shape(p) for p in (pts_m, pts_l0, pts_l1)]
-    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
-        raise BridgeboundError("evaluation points pts_m, pts_l0 and pts_l1 must be 1-d arrays "
-                               f"of one length, got shapes {shapes}")
+
+def fit_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.ndarray,
+                        context: BenchmarkContext, arm: int) -> GammaFit:
+    """Fit W' | (m, l0, l1) and W' | (l0, l1) on the arm's rows as conjugate
+    Gaussian regressions, once per draw, for estimate_benchmark_gamma."""
     idx = context.arm_rows[arm]
     w_arm = context.arm_values[arm]
     ones = np.ones(idx.size)
@@ -117,20 +107,32 @@ def estimate_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.n
     design_r = np.column_stack([ones, obs_l0[idx], obs_l1[idx]])
     post_c = nig_update(default_prior(4), design_c, w_arm)
     post_r = nig_update(default_prior(3), design_r, w_arm)
-    sig2_c = posterior_sigma2_mean(post_c)
-    sig2_r = posterior_sigma2_mean(post_r)
-    bc = post_c.mean
-    br = post_r.mean
-    bounds = context.arm_bounds[arm]
-    out = np.empty(shapes[0][0])
-    for lo in range(0, out.size, _GAMMA_BLOCK):
-        block = slice(lo, lo + _GAMMA_BLOCK)
-        m, l0, l1 = pts_m[block], pts_l0[block], pts_l1[block]
-        mu_c = bc[0] + bc[1] * m + bc[2] * l0 + bc[3] * l1
-        mu_r = br[0] + br[1] * l0 + br[2] * l1
-        log_sup = _kernels.gamma_sup_logratio(mu_c, sig2_c, mu_r, sig2_r, bounds)
-        np.clip(np.exp(log_sup, out=log_sup), 1.0, cap, out=out[block])
-    return out
+    return GammaFit(post_c.mean, posterior_sigma2_mean(post_c),
+                    post_r.mean, posterior_sigma2_mean(post_r), context.arm_bounds[arm])
+
+
+def estimate_benchmark_gamma(fit: GammaFit, pts_m: np.ndarray, pts_l0: np.ndarray,
+                             pts_l1: np.ndarray, cap: float = DEFAULT_GAMMA_CAP) -> np.ndarray:
+    """gamma_hat at each evaluation point, for the arm of fit.
+
+    The fitted-density ratio of the two regressions, maximized over the arm's
+    observed range of W' and clamped to [1, cap]. Every step is elementwise,
+    so the engine evaluates its envelope points one block at a time: a
+    block's temporaries are block-sized, and its result is the same bits as
+    its share of one pass over all points.
+    """
+    if cap < 1.0 or not np.isfinite(cap):
+        raise BridgeboundError(f"gamma cap must be finite and >= 1, got {cap}")
+    shapes = [np.shape(p) for p in (pts_m, pts_l0, pts_l1)]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+        raise BridgeboundError("evaluation points pts_m, pts_l0 and pts_l1 must be 1-d arrays "
+                               f"of one length, got shapes {shapes}")
+    bc = fit.coef_c
+    br = fit.coef_r
+    mu_c = bc[0] + bc[1] * pts_m + bc[2] * pts_l0 + bc[3] * pts_l1
+    mu_r = br[0] + br[1] * pts_l0 + br[2] * pts_l1
+    log_sup = _kernels.gamma_sup_logratio(mu_c, fit.sig2_c, mu_r, fit.sig2_r, fit.bounds)
+    return np.clip(np.exp(log_sup, out=log_sup), 1.0, cap, out=log_sup)
 
 
 def benchmark_envelope(eta_hat: float, gap_mean: float, lam: float, kappa: float):

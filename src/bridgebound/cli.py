@@ -349,8 +349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except MemoryError as exc:
         # no bound on a single key rules this out: the draw records take draws x
-        # fields and each benchmark-route draw n x mediator_draws envelope points,
-        # and a simulated dataset n x p values
+        # fields, each benchmark-route draw a block of at least one unit's
+        # mediator_draws envelope points, and a simulated dataset n x p values
         print(f"config error: {args.sizes} is too large for memory: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:

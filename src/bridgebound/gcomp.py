@@ -6,9 +6,11 @@ the bridge regressors rebuilt under that law, the outcome model; integrate the
 outcome model over both arms' counterfactual mediator laws, exactly, by a
 Gauss-Hermite rule; draw the benchmark routes' envelope points, mediator_draws
 Monte Carlo points per unit from the control law (the other routes draw none
-and ignore mediator_draws); turn the chosen calibration route into an
-aggregated envelope Xi_bar per arm; draw the shift Delta_bar from its prior on
-[-Xi_bar, +Xi_bar]; and assemble theta and the effect contrasts.
+and ignore mediator_draws), in blocks of whole units whose gammas are summed
+as they come, so a draw's memory does not grow with n * mediator_draws; turn
+the chosen calibration route into an aggregated envelope Xi_bar per arm; draw
+the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar]; and assemble theta
+and the effect contrasts.
 Draws are i.i.d. (conjugate models) and draw t is a function of t alone: it
 seeds child burn_in + t of SeedSequence(seed), takes its envelope points from
 that child's child 1 and writes row t of the records. So results are
@@ -47,6 +49,10 @@ from .linear_bayes import default_prior, nig_update, sample_draw
 DEFAULT_DRAWS = 2000
 DEFAULT_BURN_IN = 500
 DEFAULT_MEDIATOR_DRAWS = 50
+# envelope points per block of a draw's walk over the units, rounded down to
+# whole units but at least one: a block's arrays stay cache-sized, and a draw
+# holds one block of points, not n * mediator_draws
+_POINT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -204,18 +210,20 @@ class _Engine:
         # mapped anew on every draw, page-faulting each of their pages
         self.design_y = np.empty((n, 8))
         self.design_treated = np.empty((self.treated.size, 8))
-        # a draw computes eta_hat per benchmark scale, the gamma fit per (scale,
-        # gamma_cap), and sigma_eta if any setting needs it, before its settings loop
+        # a draw computes eta_hat and the gamma fits per benchmark scale, gamma per
+        # (scale, gamma_cap), and sigma_eta if any setting needs it, before its
+        # settings loop
         scales = [_ROUTES[s.route][0] for s in self.settings]
         self.bench = {scale: calibration.prepare_benchmark(data, scale)
                       for scale in dict.fromkeys(scales) if scale}
-        self.gamma_keys = {(scale, s.gamma_cap): self.bench[scale]
-                           for scale, s in zip(scales, self.settings) if scale}
+        self.gamma_keys = tuple(dict.fromkeys((scale, s.gamma_cap)
+                                              for scale, s in zip(scales, self.settings)
+                                              if scale))
         self.budget = "residual_budget" in (s.route for s in self.settings)
-        # each benchmark-route draw takes an (n, mediator_draws) grid of envelope
-        # points; refuse one numpy cannot even index before any draw or fork
-        if self.bench and 8 * n * mediator_draws > sys.maxsize:
-            raise MemoryError(f"cannot index {n} x {mediator_draws} envelope points")
+        # a benchmark-route draw holds a block of at least one unit's envelope
+        # points; refuse a unit numpy cannot even index before any draw or fork
+        if self.bench and 8 * mediator_draws > sys.maxsize:
+            raise MemoryError(f"cannot index {mediator_draws} envelope points of one unit")
         self.fields = [_CORE_FIELDS + _ROUTES[s.route][1] for s in self.settings]
         self.records = [_shared_records(draws, len(f)) for f in self.fields]
 
@@ -251,26 +259,38 @@ class _Engine:
         theta_si, delta1 = anchor
         delta0 = theta_si - float(beta_y[2])
 
-        # 3) the benchmark routes' envelope points: Monte Carlo over the control law,
-        # drawn from the child's own child 1, so the main stream does not depend on
-        # which routes share the grid
-        if self.bench:
-            points = np.random.default_rng(np.random.SeedSequence(self.seed,
-                                                                  spawn_key=(child, 1)))
-            z = points.standard_normal((data.n, self.mediator_draws))
-            pts = counterfactual_mediator_draws(law, 0, z)
-
-        # 4) every calibration the settings read: eta_hat per scale; per (scale, cap)
-        # and arm, the mean of (gamma - 1) / gamma over the points and the max gamma
+        # 3-4) every calibration the settings read: eta_hat and the two arms' gamma
+        # fits per scale; per (scale, cap) and arm, the mean of (gamma - 1) / gamma
+        # over the envelope points and the max gamma. The points are Monte Carlo over
+        # the control law, drawn from the child's own child 1, so the main stream does
+        # not depend on which routes share them. They are walked in blocks of whole
+        # units, each block's rows of z drawn from that stream in turn (the variates
+        # of one (n, mediator_draws) call), its gammas summed and maxed as they come
         eta = {scale: calibration.estimate_benchmark_eta(design_y, data.outcome, bench)
                for scale, bench in self.bench.items()}
         gaps = {}
-        for (scale, cap), bench in self.gamma_keys.items():
-            gammas = (calibration.estimate_benchmark_gamma(data.mediator, l0_obs, l1_obs,
-                                                           bench, arm, *pts, cap=cap)
-                      for arm in (0, 1))
-            gaps[scale, cap] = [(_kernels.comp_mean((g - 1.0) / g), float(g.max()))
-                                for g in gammas]
+        if self.bench:
+            fits = {scale: [calibration.fit_benchmark_gamma(data.mediator, l0_obs, l1_obs,
+                                                            bench, arm) for arm in (0, 1)]
+                    for scale, bench in self.bench.items()}
+            # per (scale, cap) and arm: the sum of (gamma - 1) / gamma and the max gamma
+            tally = {key: [[_kernels.CompSum(), -math.inf] for _ in (0, 1)]
+                     for key in self.gamma_keys}
+            points = np.random.default_rng(np.random.SeedSequence(self.seed,
+                                                                  spawn_key=(child, 1)))
+            step = max(1, _POINT_BLOCK // self.mediator_draws)
+            for lo in range(0, data.n, step):
+                block = slice(lo, lo + step)
+                z = points.standard_normal((min(step, data.n - lo), self.mediator_draws))
+                pts = counterfactual_mediator_draws(law.rows(block), 0, z)
+                for (scale, cap), arms in tally.items():
+                    for fit, entry in zip(fits[scale], arms):
+                        g = calibration.estimate_benchmark_gamma(fit, *pts, cap=cap)
+                        entry[0].add((g - 1.0) / g)
+                        entry[1] = np.maximum(entry[1], g.max())   # a nan gamma stays nan
+            size = data.n * self.mediator_draws
+            gaps = {key: [(acc.total() / size, float(top)) for acc, top in arms]
+                    for key, arms in tally.items()}
         if self.budget:
             # mode='raise' would gather into a temporary and copy it over
             treated = np.take(design_y, self.treated, axis=0, out=self.design_treated,

@@ -10,6 +10,7 @@ from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      benchmark_envelope,
                                      estimate_benchmark_eta,
                                      estimate_benchmark_gamma,
+                                     fit_benchmark_gamma,
                                      estimate_sigma_eta, prepare_benchmark,
                                      residual_envelope)
 from bridgebound.data import Dataset
@@ -116,28 +117,30 @@ class TestGamma:
     def test_at_least_one_everywhere(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=1.5)
         for arm in (0, 1):
-            gam = estimate_benchmark_gamma(m, l0, l1, ctx, arm, pts, pl0, pl1)
+            gam = estimate_benchmark_gamma(fit_benchmark_gamma(m, l0, l1, ctx, arm), pts, pl0, pl1)
             assert gam.shape == pts.shape
             assert np.all(gam >= 1.0) and np.all(gam <= DEFAULT_GAMMA_CAP)
 
     def test_near_one_when_benchmark_unrelated_to_mediator(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=0.0, n=2000)
-        gam = estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1)
+        gam = estimate_benchmark_gamma(fit_benchmark_gamma(m, l0, l1, ctx, 0), pts, pl0, pl1)
         assert np.all(gam >= 1.0)
         # only estimation noise in the m coefficient separates the two fits
         assert np.max(gam) <= 1.10
 
     def test_cap_binds_under_strong_coupling(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=4.0)
-        gam = estimate_benchmark_gamma(m, l0, l1, ctx, 1, pts, pl0, pl1, cap=1.5)
+        fit = fit_benchmark_gamma(m, l0, l1, ctx, 1)
+        gam = estimate_benchmark_gamma(fit, pts, pl0, pl1, cap=1.5)
         assert np.max(gam) == 1.5
-        unit = estimate_benchmark_gamma(m, l0, l1, ctx, 1, pts, pl0, pl1, cap=1.0)
+        unit = estimate_benchmark_gamma(fit, pts, pl0, pl1, cap=1.0)
         assert np.array_equal(unit, np.ones_like(pts))
 
     def test_invalid_cap(self):
         m, l0, l1, ctx, pts, pl0, pl1 = self.toy_problem(coupling=1.0, n=60)
         with pytest.raises(BridgeboundError, match="gamma cap must be finite"):
-            estimate_benchmark_gamma(m, l0, l1, ctx, 0, pts, pl0, pl1, cap=0.5)
+            estimate_benchmark_gamma(fit_benchmark_gamma(m, l0, l1, ctx, 0), pts, pl0, pl1,
+                                     cap=0.5)
 
     @staticmethod
     def unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap):
@@ -164,8 +167,8 @@ class TestGamma:
     @pytest.mark.parametrize("binding_cap", [False, True])
     def test_blocked_walk_matches_one_pass(self, monkeypatch, points, concave, scale,
                                            binding_cap):
-        # blocks of 64: one partial block, exactly one block, and a ragged fourth block
-        monkeypatch.setattr(calibration, "_GAMMA_BLOCK", 64)
+        # the points evaluated in blocks of 64, as the engine walks its envelope
+        # points: one partial block, exactly one block, and a ragged fourth block
         if not concave:
             # an added regressor never raises the NIG scale, so data alone cannot make
             # the numerator variance exceed the reference one; patch the variances
@@ -185,7 +188,11 @@ class TestGamma:
             if binding_cap:
                 free, _ = self.unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, math.inf)
                 cap = float(np.median(free))
-            got = estimate_benchmark_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap=cap)
+            fit = fit_benchmark_gamma(m, l0, l1, ctx, arm)
+            got = np.concatenate([
+                estimate_benchmark_gamma(fit, pm[lo:lo + 64], pl0[lo:lo + 64], pl1[lo:lo + 64],
+                                         cap=cap)
+                for lo in range(0, points, 64)])
             want, is_concave = self.unblocked_gamma(m, l0, l1, ctx, arm, pm, pl0, pl1, cap)
             assert is_concave == concave
             assert np.array_equal(got, want)
@@ -199,7 +206,7 @@ class TestGamma:
         pts = [np.zeros(shape) for shape in shapes]
         with pytest.raises(BridgeboundError, match=r"pts_m, pts_l0 and pts_l1 must be 1-d arrays "
                                                    r"of one length, got shapes \["):
-            estimate_benchmark_gamma(m, l0, l1, ctx, 0, *pts)
+            estimate_benchmark_gamma(fit_benchmark_gamma(m, l0, l1, ctx, 0), *pts)
 
 
 class TestEnvelopes:

@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,8 +568,8 @@ class TestSharedModelPass:
 
     def test_pooled_and_unpooled_share_one_gamma_fit(self, bench_data, monkeypatch):
         calls = []
-        for name in ("estimate_benchmark_gamma", "estimate_benchmark_eta",
-                     "estimate_sigma_eta"):
+        for name in ("fit_benchmark_gamma", "estimate_benchmark_gamma",
+                     "estimate_benchmark_eta", "estimate_sigma_eta"):
             def counting(*args, _fit=getattr(calibration, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fit(*args, **kwargs)
@@ -579,7 +580,9 @@ class TestSharedModelPass:
                  SensitivitySetting(route="benchmark_raw", comonotone=True,
                                     pooled_gamma=True)]
         sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
-        # one fit per arm per draw, shared by every setting with the same cap
+        # one fit and one evaluation per arm per draw, shared by every setting with
+        # the same cap (the draw's envelope points are one block)
+        assert calls.count("fit_benchmark_gamma") == 2 * SHARED["draws"]
         assert calls.count("estimate_benchmark_gamma") == 2 * SHARED["draws"]
 
         calls.clear()
@@ -587,8 +590,9 @@ class TestSharedModelPass:
                  SensitivitySetting(route="benchmark_rank"),
                  SensitivitySetting(route="benchmark_rank", gamma_cap=1.2)]
         sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
-        # per draw: one gamma fit per arm per (scale, cap) key, one eta fit per
-        # scale, and no sigma_eta without a residual_budget setting
+        # per draw: one gamma fit per arm per scale, evaluated per (scale, cap) key,
+        # one eta fit per scale, and no sigma_eta without a residual_budget setting
+        assert calls.count("fit_benchmark_gamma") == 2 * 2 * SHARED["draws"]
         assert calls.count("estimate_benchmark_gamma") == 2 * 3 * SHARED["draws"]
         assert calls.count("estimate_benchmark_eta") == 2 * SHARED["draws"]
         assert calls.count("estimate_sigma_eta") == 0
@@ -748,3 +752,48 @@ class TestForkedWorkers:
         start = time.monotonic()
         assert self.raised(bench_data, 3)[0] is error
         assert time.monotonic() - start < 30
+
+
+class TestPointBlocks:
+    """A benchmark draw walks its envelope points in blocks of whole units."""
+
+    SETTINGS = [SensitivitySetting(route="benchmark_raw", kappa0=1.5),
+                SensitivitySetting(route="benchmark_rank", gamma_cap=1.3),
+                SensitivitySetting(route="benchmark_rank", comonotone=True, pooled_gamma=True)]
+
+    @pytest.mark.parametrize("block,mediator_draws,step,tail", [
+        (None, 50, 81, 76),   # 81 units a block: four full blocks and a ragged fifth
+        (None, 256, 16, 0),   # 16 units a block: n * mediator_draws is 25 whole blocks
+        (64, 100, 1, 0),      # more points per unit than a block holds: one unit a block
+    ])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_match_one_block(self, bench_data, monkeypatch, block, mediator_draws,
+                                     step, tail, threads):
+        monkeypatch.setattr(gcomp, "_available_cpus", lambda: 64)
+        if block is not None:
+            monkeypatch.setattr(gcomp, "_POINT_BLOCK", block)
+        assert max(1, gcomp._POINT_BLOCK // mediator_draws) == step
+        assert bench_data.n % step == tail and bench_data.n > step
+        run = dict(SHARED, draws=3, mediator_draws=mediator_draws)
+        blocked = _run_grid(bench_data, self.SETTINGS, threads=threads, **run)
+        monkeypatch.setattr(gcomp, "_POINT_BLOCK", bench_data.n * mediator_draws)
+        whole = _run_grid(bench_data, self.SETTINGS, threads=1, **run)
+        assert_bitwise_equal(blocked, whole)
+
+    def test_draw_memory_does_not_grow_with_mediator_draws(self, bench_data):
+        peaks = {}
+        for mediator_draws in (8, 64, 512):
+            engine = gcomp._Engine(bench_data, [SensitivitySetting(route="benchmark_raw")],
+                                   draws=1, burn_in=0, mediator_draws=mediator_draws, seed=5)
+            engine.run_draw(0)
+            tracemalloc.start()
+            try:
+                engine.run_draw(0)
+                peaks[mediator_draws] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # measured with numpy 2.4 on the 400-unit bench_data: 0.30, 0.71 and 0.71 MB
+        # here (from 8 to 64 the walk starts the sum's lanes and fills its block),
+        # against 0.32, 1.92 and 10.65 MB when a draw held all n * mediator_draws points
+        assert peaks[64] <= 3 * peaks[8]
+        assert peaks[512] <= 1.1 * peaks[64]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgebound._kernels import (_LANES, comp_mean, comp_sum, gamma_sup_logratio,
+from bridgebound._kernels import (_LANES, CompSum, comp_mean, comp_sum, gamma_sup_logratio,
                                   normal_logpdf, outcome_mean_sum)
 
 from conftest import rng
@@ -129,6 +129,40 @@ def test_comp_sum_is_neumaier_bit_for_bit():
     # to each lane's carry, so the folded sums are the same floats
     for x in comp_sum_cases():
         assert bits(comp_sum(x)) == bits(neumaier_comp_sum(x)), x.size
+
+
+@st.composite
+def split_arrays(draw):
+    """An array of about 0 to 3 * _LANES elements, with an occasional special
+    value, and cut points that split it into blocks: empty blocks and cuts at a
+    lane row's edge included."""
+    n = max(0, draw(st.sampled_from([0, 1, 2, 3])) * _LANES + draw(st.integers(-3, 3)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = r.standard_normal(n) * 10.0 ** draw(st.integers(-300, 300))
+    specials = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308,
+                                -1.7976931348623157e308])
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), specials),
+                                    max_size=3 if n else 0)):
+        x[pos] = value
+    edges = st.sampled_from([k * _LANES + d for k in range(4) for d in (-1, 0, 1)])
+    cuts = draw(st.lists(st.one_of(st.integers(0, n), edges.map(lambda c: min(max(c, 0), n))),
+                         max_size=6))
+    return x, sorted(cuts)
+
+
+@given(split_arrays())
+def test_comp_sum_streams_in_any_split(case):
+    # summed block by block, the lanes see the same elements in the same rows
+    x, cuts = case
+    acc = CompSum()
+    for lo, hi in zip([0, *cuts], [*cuts, x.size]):
+        acc.add(x[lo:hi])
+    got = acc.total()
+    assert bits(got) == bits(comp_sum(x))
+    if np.isnan(x).any():
+        assert math.isnan(got)
+    if math.isfinite(got):
+        assert bits(got) == bits(neumaier_comp_sum(x))
 
 
 def test_comp_mean_simple():
