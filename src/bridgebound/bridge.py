@@ -1,13 +1,15 @@
-"""The pooled mediator law, its bridge scores and the outcome-model regressor map.
+"""The mediator regression, its law, its bridge scores and the outcome regressor map.
 
-A mediator-model draw fixes one law per unit: M | a, x ~ N(mean0(x) + shift * a,
-sigma2), with mean0(x) = beta[0] + x . beta[2:], the treatment shift beta[1]
-and one variance for both arms. MediatorLaw holds it, and nothing outside
-this module reads its form. The bridge score at a mediator value m is the
-pair of arm-specific conditional densities (f0(m|x), f1(m|x)) under that law.
-Log densities are carried everywhere; exponentiation happens only where a
-density value itself is needed. The outcome regressor layout is a frozen
-interface: (1, m, a, l0, l1, m*l0, m*l1, l0*l1).
+This module owns the mediator model. MediatorModel fits the pooled conjugate
+regression of M on (1, a, x), and nothing outside this module knows that
+design's column order. Each posterior draw fixes one law per unit: M | a, x ~
+N(mean0(x) + shift * a, sigma2), with mean0(x) = beta[0] + x . beta[2:], the
+treatment shift beta[1] and one variance for both arms. MediatorLaw holds it,
+and nothing outside this module reads its form. The bridge score at a mediator
+value m is the pair of arm-specific conditional densities (f0(m|x), f1(m|x))
+under that law. Log densities are carried everywhere; exponentiation happens
+only where a density value itself is needed. The outcome regressor layout is a
+frozen interface: (1, m, a, l0, l1, m*l0, m*l1, l0*l1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+# linear_bayes is called through its module, as gcomp calls its layers (see gcomp)
+from . import _kernels, linear_bayes
+from .data import Dataset
 from .errors import BridgeboundError
 
 
@@ -60,6 +64,28 @@ class MediatorLaw:
         """Mediator values mean0 + shift * arm + sqrt(sigma2) * z from arm's law;
         z is an (n, k) standard-normal grid, row i for unit i."""
         return (self.mean0[:, None] + self.shift * arm) + np.sqrt(self.sigma2) * z
+
+
+@dataclass(frozen=True)
+class MediatorModel:
+    """The pooled mediator regression's conjugate posterior, and the (n, p)
+    covariates each draw's law is evaluated on."""
+
+    posterior: linear_bayes.NIGParams
+    covariates: np.ndarray
+
+    @classmethod
+    def fit(cls, data: Dataset) -> "MediatorModel":
+        """The default prior updated with M on the design (1, a, x)."""
+        design = np.column_stack([np.ones(data.n), data.treatment.astype(np.float64),
+                                  data.covariates])
+        prior = linear_bayes.default_prior(data.p + 2)
+        return cls(linear_bayes.nig_update(prior, design, data.mediator), data.covariates)
+
+    def draw(self, rng: np.random.Generator) -> MediatorLaw:
+        """The law of one posterior draw, taking sample_draw's variates from rng."""
+        return MediatorLaw.from_draw(self.covariates,
+                                     linear_bayes.sample_draw(self.posterior, rng))
 
 
 def bridge_log_pair(m: np.ndarray, law: MediatorLaw):

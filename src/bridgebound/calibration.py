@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# envelope is called through its module, as gcomp calls this one (see gcomp)
-from . import _kernels, envelope
+# envelope and linear_bayes are called through their modules, as gcomp calls
+# this one (see gcomp)
+from . import _kernels, envelope, linear_bayes
 from .data import Dataset, fractional_ranks
 from .errors import BridgeboundError, DegenerateBenchmark
-from .linear_bayes import default_prior, nig_update, posterior_sigma2_mean
 
 DEFAULT_GAMMA_CAP = 20.0
 
@@ -78,7 +78,7 @@ def estimate_benchmark_eta(outcome_design: np.ndarray, response: np.ndarray,
     posterior-mean |coefficient| times the within-arm empirical range of W'.
     """
     design = np.column_stack([outcome_design, context.wprime])
-    post = nig_update(default_prior(design.shape[1]), design, response)
+    post = linear_bayes.nig_update(linear_bayes.default_prior(design.shape[1]), design, response)
     coef = abs(float(post.mean[-1]))
     return coef * context.arm_ranges[0], coef * context.arm_ranges[1]
 
@@ -105,10 +105,11 @@ def fit_benchmark_gamma(obs_m: np.ndarray, obs_l0: np.ndarray, obs_l1: np.ndarra
     ones = np.ones(idx.size)
     design_c = np.column_stack([ones, obs_m[idx], obs_l0[idx], obs_l1[idx]])
     design_r = np.column_stack([ones, obs_l0[idx], obs_l1[idx]])
-    post_c = nig_update(default_prior(4), design_c, w_arm)
-    post_r = nig_update(default_prior(3), design_r, w_arm)
-    return GammaFit(post_c.mean, posterior_sigma2_mean(post_c),
-                    post_r.mean, posterior_sigma2_mean(post_r), context.arm_bounds[arm])
+    post_c = linear_bayes.nig_update(linear_bayes.default_prior(4), design_c, w_arm)
+    post_r = linear_bayes.nig_update(linear_bayes.default_prior(3), design_r, w_arm)
+    return GammaFit(post_c.mean, linear_bayes.posterior_sigma2_mean(post_c),
+                    post_r.mean, linear_bayes.posterior_sigma2_mean(post_r),
+                    context.arm_bounds[arm])
 
 
 def estimate_benchmark_gamma(fit: GammaFit, pts_m: np.ndarray, pts_l0: np.ndarray,

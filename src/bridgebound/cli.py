@@ -159,7 +159,10 @@ def setting_from_dict(raw: dict):
 
 def schema_from_config(cfg: dict, data_path: str) -> Optional[dict]:
     """The config's schema, or None for load_dataset to infer from the header
-    of data_path as it reads it."""
+    of the data file as it reads it.
+
+    data_path is unused; the signature stays only because
+    perfbench/setup_probe.py calls it."""
     return cfg.get("schema")
 
 

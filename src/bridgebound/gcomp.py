@@ -1,12 +1,12 @@
 """Posterior g-computation with sensitivity envelopes.
 
-Each posterior draw runs the same six steps: sample the mediator model, whose
-draw fixes the pooled mediator law of both arms (bridge.MediatorLaw), and, on
-the bridge regressors rebuilt under that law, the outcome model; integrate the
-outcome model over both arms' counterfactual mediator laws, exactly, by a
-Gauss-Hermite rule; draw the benchmark routes' envelope points, mediator_draws
-Monte Carlo points per unit from the control law (the other routes draw none
-and ignore mediator_draws), in blocks of whole units whose gammas are summed
+Each posterior draw runs the same six steps: draw the pooled mediator law of
+both arms from the mediator model (bridge.MediatorModel, which alone knows its
+design), and, on the bridge regressors rebuilt under that law, the outcome
+model; integrate the outcome model over both arms' counterfactual mediator
+laws, exactly, by a Gauss-Hermite rule; draw the benchmark routes' envelope
+points, mediator_draws Monte Carlo points per unit from the control law (the
+other routes draw none and ignore mediator_draws), in blocks of whole units whose gammas are summed
 as they come, so a draw's memory does not grow with n * mediator_draws; turn
 the chosen calibration route into an aggregated envelope Xi_bar per arm; draw
 the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar]; and assemble theta
@@ -33,18 +33,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the kernels and the calibration layer are called through their modules, so a
-# wrapper set on a module attribute (a test's monkeypatch, perfbench's tracer)
-# sees every call, whichever module was imported first
-from . import _kernels, calibration
-from .bridge import MediatorLaw, bridge_log_pair, outcome_design
+# the kernels, the calibration layer and the conjugate models are called through
+# their modules, so a wrapper set on a module attribute (a test's monkeypatch,
+# perfbench's tracer) sees every call, whichever module was imported first
+from . import _kernels, calibration, linear_bayes
+from .bridge import MediatorLaw, MediatorModel, bridge_log_pair, outcome_design
 from .calibration import DEFAULT_GAMMA_CAP
 from .data import Dataset
 # the config tables of settings and run arguments live in errors, so that cli
 # parses them without importing this module
 from .errors import (PRIOR_KEYS, RUN_KEYS, SETTING_KEYS, ConfigError, NumericalFailure,
                      VerificationFailure, check)
-from .linear_bayes import default_prior, nig_update, sample_draw
 
 DEFAULT_DRAWS = 2000
 DEFAULT_BURN_IN = 500
@@ -199,10 +198,8 @@ class _Engine:
         self.burn_in, self.mediator_draws, self.seed = burn_in, mediator_draws, seed
 
         n = data.n
-        design_med = np.column_stack([np.ones(n), data.treatment.astype(np.float64),
-                                      data.covariates])
-        self.med_post = nig_update(default_prior(data.p + 2), design_med, data.mediator)
-        self.outcome_prior = default_prior(8)
+        self.mediator = MediatorModel.fit(data)
+        self.outcome_prior = linear_bayes.default_prior(8)
         self.treated = data.arm_indices(1)
         self.treat_col = data.treatment.astype(np.float64)
         # every draw overwrites these in full: the outcome design, and its treated
@@ -236,14 +233,13 @@ class _Engine:
         child = self.burn_in + t
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(child,)))
 
-        # 1) mediator model draw, then the outcome model conditional on it
-        med = sample_draw(self.med_post, rng)
-        law = MediatorLaw.from_draw(data.covariates, med)
+        # 1) the mediator law, then the outcome model conditional on it
+        law = self.mediator.draw(rng)
         l0_obs, l1_obs = bridge_log_pair(data.mediator, law)
         design_y = outcome_design(data.mediator, self.treat_col, l0_obs, l1_obs,
                                   self.design_y)
-        out_post = nig_update(self.outcome_prior, design_y, data.outcome)
-        out = sample_draw(out_post, rng)
+        out_post = linear_bayes.nig_update(self.outcome_prior, design_y, data.outcome)
+        out = linear_bayes.sample_draw(out_post, rng)
         beta_y = np.ascontiguousarray(out.beta)
 
         # 2) the anchor and the treated reference arm: the outcome mean at a = 1,

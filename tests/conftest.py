@@ -20,6 +20,12 @@ BENCH_SPEC = bb.SyntheticSpec(
     benchmark=bb.BenchmarkSpec(low=0.0, high=2.0, coef_m=0.5, coef_y=0.4),
 )
 
+# no covariates: the mediator design is (1, a), so every unit shares one law
+P0_SPEC = bb.SyntheticSpec(
+    n=300, p=0, beta_m=(0.5, 1.2), c0=1.0, c_a=0.7, c_m=0.9, x_scale=0.6,
+    benchmark=bb.BenchmarkSpec(low=0.0, high=2.0, coef_m=0.5, coef_y=0.4),
+)
+
 NULL_SPEC = bb.SyntheticSpec(
     n=600, p=2, beta_m=(0.2, 1.0, 0.5, -0.3), c0=0.5, c_a=0.4, c_m=0.0,
     x_scale=0.0, sigma_m=1.0, sigma_y=1.0, treat_prob=0.5,
@@ -31,6 +37,14 @@ NULL_SPEC = bb.SyntheticSpec(
 def bench_data():
     """Small dataset with a benchmark column and a real latent mediator link."""
     data, _ = bb.generate_synthetic(BENCH_SPEC, seed=11)
+    return data
+
+
+@pytest.fixture(scope="session")
+def p0_data():
+    """Small dataset without covariates, with a benchmark column."""
+    data, _ = bb.generate_synthetic(P0_SPEC, seed=3)
+    assert data.p == 0
     return data
 
 

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bridgebound.bridge import MediatorLaw, bridge_log_pair, outcome_design
+from bridgebound.bridge import MediatorLaw, MediatorModel, bridge_log_pair, outcome_design
 from bridgebound.errors import BridgeboundError
-from bridgebound.linear_bayes import LinearModelDraw
+from bridgebound.linear_bayes import LinearModelDraw, default_prior, nig_update, sample_draw
 
 from conftest import rng
 
@@ -25,6 +25,29 @@ def test_from_draw_shift_is_arm_coefficient():
     assert np.allclose(law.mean0, [0.5 + 0.8 - 0.8, 0.5 + 0.4])
     with pytest.raises(BridgeboundError, match="mediator beta has length 3"):
         MediatorLaw.from_draw(x, LinearModelDraw([0.5, 1.2, 0.8], 0.3))
+
+
+@pytest.mark.parametrize("name", ["bench_data", "p0_data"])
+def test_model_draw_stream_order(request, name):
+    # the pooled model's contract: its posterior is the (1, a, x) update of the
+    # default prior, and a draw is one sample_draw read through from_draw, so it
+    # takes exactly sample_draw's variates from the generator
+    data = request.getfixturevalue(name)
+    model = MediatorModel.fit(data)
+    design = np.column_stack([np.ones(data.n), data.treatment, data.covariates])
+    want = nig_update(default_prior(data.p + 2), design, data.mediator)
+    assert np.array_equal(model.posterior.mean, want.mean)
+    assert np.array_equal(model.posterior.precision_matrix, want.precision_matrix)
+    assert (model.posterior.shape, model.posterior.scale) == (want.shape, want.scale)
+    assert np.array_equal(model.covariates, data.covariates)
+
+    ours, theirs = rng(12), rng(12)
+    for _ in range(3):
+        got = model.draw(ours)
+        ref = MediatorLaw.from_draw(data.covariates, sample_draw(model.posterior, theirs))
+        assert np.array_equal(got.mean0, ref.mean0)
+        assert (got.shift, got.sigma2) == (ref.shift, ref.sigma2)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_zero_shift_collapses_arms():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bridgebound import _kernels, calibration
+from bridgebound import _kernels, calibration, linear_bayes
 from bridgebound.calibration import (DEFAULT_GAMMA_CAP, BenchmarkContext,
                                      benchmark_envelope,
                                      estimate_benchmark_eta,
@@ -151,8 +151,8 @@ class TestGamma:
         post_c = nig_update(default_prior(4), np.column_stack([ones, m[idx], l0[idx], l1[idx]]),
                             w_arm)
         post_r = nig_update(default_prior(3), np.column_stack([ones, l0[idx], l1[idx]]), w_arm)
-        sig2_c = calibration.posterior_sigma2_mean(post_c)
-        sig2_r = calibration.posterior_sigma2_mean(post_r)
+        sig2_c = linear_bayes.posterior_sigma2_mean(post_c)
+        sig2_r = linear_bayes.posterior_sigma2_mean(post_r)
         bc, br = post_c.mean, post_r.mean
         mu_c = bc[0] + bc[1] * pm + bc[2] * pl0 + bc[3] * pl1
         mu_r = br[0] + br[1] * pl0 + br[2] * pl1
@@ -172,7 +172,7 @@ class TestGamma:
         if not concave:
             # an added regressor never raises the NIG scale, so data alone cannot make
             # the numerator variance exceed the reference one; patch the variances
-            monkeypatch.setattr(calibration, "posterior_sigma2_mean",
+            monkeypatch.setattr(linear_bayes, "posterior_sigma2_mean",
                                 lambda post: 0.4 + 0.1 * post.mean.size)
         r = rng(8)
         n = 300

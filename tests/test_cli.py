@@ -24,8 +24,9 @@ from bridgebound.data import BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, save_datase
 from bridgebound.errors import ConfigError, Key, NumericalFailure, check
 from bridgebound import oracle
 from bridgebound.oracle import CHECK_THRESHOLDS
-from conftest import BENCH_SPEC, NULL_SPEC, nan_after_first
-from bridgebound.data import BenchmarkSpec, SyntheticSpec, generate_synthetic
+from conftest import BENCH_SPEC, NULL_SPEC, P0_SPEC, nan_after_first
+from bridgebound.bridge import MediatorModel
+from bridgebound.data import BenchmarkSpec, SyntheticSpec, generate_synthetic, load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +34,10 @@ def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-data")
     bench, _ = generate_synthetic(BENCH_SPEC, seed=11)
     null, _ = generate_synthetic(NULL_SPEC, seed=23)
+    p0, _ = generate_synthetic(P0_SPEC, seed=3)
     save_dataset(bench, str(root / "bench.csv"))
     save_dataset(null, str(root / "null.csv"))
+    save_dataset(p0, str(root / "p0.csv"))
     return root
 
 
@@ -224,6 +227,44 @@ def test_string_keys_must_be_json_strings(data_dir, tmp_path, capsys, command, k
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert f"config key '{key}' must be a string" in capsys.readouterr().err
+
+
+class TestNoCovariates:
+    """A dataset with p = 0, whose mediator design is (1, a), end to end."""
+
+    ROUTES = {"si_anchor": {},
+              "benchmark_raw": {"kappa0": 1.5, "kappa1": 1.5},
+              "benchmark_rank": {"gamma_cap": 1.3, "pooled_gamma": True},
+              "residual_budget": {"k0": 0.3, "k1": 0.3, "g0": 2.0, "g1": 2.0}}
+
+    def test_one_law_for_every_unit(self, data_dir):
+        data = load_dataset(str(data_dir / "p0.csv"))
+        assert data.p == 0
+        law = MediatorModel.fit(data).draw(np.random.default_rng(4))
+        assert law.mean0.shape == (data.n,) and np.unique(law.mean0).size == 1
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_fit_byte_identical_across_threads(self, data_dir, tmp_path, route):
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(data_dir / "p0.csv"),
+            "setting": {"route": route, **self.ROUTES[route]}, **FAST})
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        assert cli.main(["fit", "--config", cfg, "--threads", "1", "--out", str(one)]) == 0
+        assert cli.main(["fit", "--config", cfg, "--threads", "2", "--out", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert json.loads(one.read_text())["run"]["route"] == route
+
+    def test_kappa_sweep_byte_identical_across_threads(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": str(data_dir / "p0.csv"), "axis": "kappa", "grid": [1.0, 1.5, 2.0],
+            "overlays": [{"label": "raw", "setting": {"route": "benchmark_raw"}},
+                         {"label": "rank", "setting": {"route": "benchmark_rank"}}],
+            **FAST})
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert cli.main(["sweep", "--config", cfg, "--threads", "1", "--out", str(one)]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--threads", "2", "--out", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert len(one.read_text().splitlines()) == 1 + 2 * 3
 
 
 class TestFit:

@@ -18,6 +18,7 @@ from bridgebound.errors import (BridgeboundError, ConfigError, NumericalFailure,
 import bridgebound._kernels as _kernels
 import bridgebound.calibration as calibration
 import bridgebound.gcomp as gcomp
+import bridgebound.linear_bayes as linear_bayes
 from bridgebound.gcomp import (DeltaPrior, SensitivitySetting, _delta_base,
                                _run_grid, counterfactual_mediator_draws, run,
                                sweep, check_sweep_rows)
@@ -549,16 +550,30 @@ class TestSharedModelPass:
         # the anchor and the treated arm; the control arm is derived from the anchor
         assert len(calls) == 2 * SHARED["draws"]
 
+    def test_conjugate_fits_and_draws_go_through_linear_bayes(self, bench_data, monkeypatch):
+        calls = []
+        for name in ("nig_update", "sample_draw"):
+            def counting(*args, _fn=getattr(linear_bayes, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(linear_bayes, name, counting)
+        run(bench_data, SensitivitySetting(route="benchmark_raw"), **SHARED)
+        # the mediator fit once; per draw the outcome fit, eta's augmented fit and
+        # two gamma fits per arm, and one mediator and one outcome draw
+        assert calls.count("nig_update") == 1 + 6 * SHARED["draws"]
+        assert calls.count("sample_draw") == 2 * SHARED["draws"]
+
     def test_derived_delta0_matches_explicit_control_pass(self, bench_data, monkeypatch):
         meds, outs = [], []
-        fit_draw = gcomp.sample_draw
+        fit_draw = linear_bayes.sample_draw
 
         def capture(post, rng):
             draw = fit_draw(post, rng)
             (outs if draw.beta.shape[0] == 8 else meds).append(draw)
             return draw
 
-        monkeypatch.setattr(gcomp, "sample_draw", capture)
+        monkeypatch.setattr(linear_bayes, "sample_draw", capture)
         res = run(bench_data, SensitivitySetting(), **SHARED)
         assert len(meds) == len(outs) == SHARED["draws"]
         for got, med, out in zip(res.records["delta0"], meds, outs):
