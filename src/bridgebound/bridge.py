@@ -1,15 +1,20 @@
-"""The mediator regression, its law, its bridge scores and the outcome regressor map.
+"""The two working regressions, their layouts, the mediator law and its bridge scores.
 
-This module owns the mediator model. MediatorModel fits the pooled conjugate
-regression of M on (1, a, x), and nothing outside this module knows that
-design's column order. Each posterior draw fixes one law per unit: M | a, x ~
-N(mean0(x) + shift * a, sigma2), with mean0(x) = beta[0] + x . beta[2:], the
-treatment shift beta[1] and one variance for both arms. MediatorLaw holds it,
-and nothing outside this module reads its form. The bridge score at a mediator
-value m is the pair of arm-specific conditional densities (f0(m|x), f1(m|x))
-under that law. Log densities are carried everywhere; exponentiation happens
-only where a density value itself is needed. The outcome regressor layout is a
-frozen interface: (1, m, a, l0, l1, m*l0, m*l1, l0*l1).
+This module owns both regressions a posterior draw fits, and nothing outside
+it knows either design's column order.
+
+MediatorModel fits the pooled conjugate regression of M on (1, a, x). Each
+posterior draw fixes one law per unit: M | a, x ~ N(mean0(x) + shift * a,
+sigma2), with mean0(x) = beta[0] + x . beta[2:], the treatment shift beta[1]
+and one variance for both arms. MediatorLaw holds it, and nothing outside this
+module reads its form. The bridge score at a mediator value m is the pair of
+arm-specific conditional densities (f0(m|x), f1(m|x)) under that law. Log
+densities are carried everywhere; exponentiation happens only where a density
+value itself is needed.
+
+OutcomeModel regresses Y on the bridge regressors in the frozen layout
+(1, m, a, l0, l1, m*l0, m*l1, l0*l1) that outcome_design writes. The layout's
+one other reader is _kernels.outcome_mean_sum, its evaluator at a = 1.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import numpy as np
 from . import _kernels, linear_bayes
 from .data import Dataset
 from .errors import BridgeboundError
+
+# the columns of the outcome layout (see outcome_design)
+_OUTCOME_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,47 @@ class MediatorModel:
                                      linear_bayes.sample_draw(self.posterior, rng))
 
 
+@dataclass(frozen=True)
+class OutcomeModel:
+    """The outcome regression of Y on the bridge regressors: its prior, the data
+    and the (n, 8) design buffer that every draw overwrites in full (a fresh
+    multi-megabyte temporary would be mapped anew on every draw, page-faulting
+    each of its pages)."""
+
+    prior: linear_bayes.NIGParams
+    data: Dataset
+    design: np.ndarray
+
+    @classmethod
+    def build(cls, data: Dataset) -> "OutcomeModel":
+        """The default prior on the layout's 8 columns, and the buffer for data."""
+        return cls(linear_bayes.default_prior(_OUTCOME_WIDTH), data,
+                   np.empty((data.n, _OUTCOME_WIDTH)))
+
+    @property
+    def width(self) -> int:
+        """The number of outcome regressors."""
+        return self.design.shape[1]
+
+    def draw(self, l0: np.ndarray, l1: np.ndarray, rng: np.random.Generator):
+        """(design, beta): the design on the observed bridge pair (l0, l1), and the
+        coefficients of one posterior draw, taking sample_draw's variates from rng."""
+        data = self.data
+        design = outcome_design(data.mediator, data.treatment, l0, l1, self.design)
+        posterior = linear_bayes.nig_update(self.prior, design, data.outcome)
+        return design, linear_bayes.sample_draw(posterior, rng).beta
+
+    @staticmethod
+    def arm_effect(beta: np.ndarray) -> float:
+        """beta_a, the outcome mean at a = 1 less that at a = 0 at any (m, x).
+
+        The arm enters the layout only as the beta_a * a column, with no
+        interaction, so E[Y(0, M(0))] is the anchor E[Y(1, M(0))] less beta_a:
+        both average the same mediator points under the control law.
+        """
+        return float(beta[2])
+
+
 def bridge_log_pair(m: np.ndarray, law: MediatorLaw):
     """Log bridge densities (l0, l1) at float64 mediator values m under law.
 
@@ -106,12 +155,12 @@ def outcome_design(m: np.ndarray, a, l0: np.ndarray, l1: np.ndarray,
 
     Columns: 1, m, a, l0, l1, m*l0, m*l1, l0*l1. The log-score interactions are
     what lets a linear fit absorb covariate effects that enter only through the
-    bridge. The arm a enters only as the beta_a * a column, with no interaction,
-    so gcomp derives E[Y(0, M(0))] as E[Y(1, M(0))] - beta_a.
+    bridge. The arm a enters only as the beta_a * a column, with no interaction
+    (see OutcomeModel.arm_effect).
 
-    m, l0 and l1 are float64 columns and out a C-ordered (n, 8) float64 array:
-    an engine passes the same buffer on every draw, so no draw maps a fresh
-    multi-megabyte array.
+    m, l0 and l1 are float64 columns, a is a scalar or a column that the
+    assignment casts (the 0/1 int8 treatment), and out is a C-ordered (n, 8)
+    float64 array: OutcomeModel passes the same buffer on every draw.
     """
     out[:, 0] = 1.0
     out[:, 1] = m

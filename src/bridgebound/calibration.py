@@ -10,9 +10,13 @@ Two routes map data onto (eta, gamma):
   invariant under linear rescaling of W while remaining sensitive to genuine
   re-expression; rank scale replaces W with its within-arm fractional rank and
   is invariant under any strictly increasing transform.
-* residual budget: sigma_eta is the root mean squared treated-arm residual;
-  the user budgets a fraction k of it (eta <= 2 * sigma_eta * sqrt(k)) and a
-  selection ratio cap g.
+* residual budget: sigma_eta is the root mean squared treated-arm residual
+  under the outcome draw, a scale, not a bound on the latent outcome's
+  variance. The user's k sets the latent outcome range eta = 2 * sigma_eta *
+  sqrt(k), so k = 1 budgets a range of twice the residual RMS, and g caps the
+  selection ratio. No variance argument gives this eta as an upper bound:
+  Popoviciu's inequality (var <= range^2 / 4) runs the other way, so 2 * sd
+  is the smallest range a variable of standard deviation sd can have.
 
 Amplification (lambda, kappa) >= 1 scales the benchmark estimates toward "the
 unobserved confounder is this many times stronger than W".
@@ -166,9 +170,13 @@ def estimate_sigma_eta(treated_response: np.ndarray, treated_prediction: np.ndar
 def residual_envelope(sigma_eta: float, k: float, g: float) -> float:
     """Bound 2 * sigma_eta * sqrt(k) * (g - 1) / g from the residual budget.
 
-    k in [0, 1] is the share of residual variance attributed to confounding
-    (range bound via the variance-of-a-bounded-variable inequality); g >= 1
-    caps the selection ratio. Exactly zero at k = 0 or g = 1.
+    k in [0, 1] budgets the latent outcome range eta = 2 * sigma_eta * sqrt(k):
+    k = 1 is twice the treated-arm residual RMS sigma_eta, and k = 1/4 that
+    RMS itself. Read as a share of the residual variance, k would give eta as
+    the smallest range of a variable with that variance (Popoviciu's inequality
+    bounds the variance by range^2 / 4), not the largest, so eta is a budget
+    the user sets, not a bound the residuals imply. g >= 1 caps the selection
+    ratio. Exactly zero at k = 0 or g = 1.
     """
     if not 0.0 <= k <= 1.0:
         raise BridgeboundError(f"k must lie in [0, 1], got {k}")

@@ -1,16 +1,16 @@
 """Posterior g-computation with sensitivity envelopes.
 
 Each posterior draw runs the same six steps: draw the pooled mediator law of
-both arms from the mediator model (bridge.MediatorModel, which alone knows its
-design), and, on the bridge regressors rebuilt under that law, the outcome
-model; integrate the outcome model over both arms' counterfactual mediator
-laws, exactly, by a Gauss-Hermite rule; draw the benchmark routes' envelope
-points, mediator_draws Monte Carlo points per unit from the control law (the
-other routes draw none and ignore mediator_draws), in blocks of whole units whose gammas are summed
-as they come, so a draw's memory does not grow with n * mediator_draws; turn
-the chosen calibration route into an aggregated envelope Xi_bar per arm; draw
-the shift Delta_bar from its prior on [-Xi_bar, +Xi_bar]; and assemble theta
-and the effect contrasts.
+both arms from the mediator model, and, on the bridge regressors rebuilt under
+that law, the outcome model (bridge.MediatorModel and bridge.OutcomeModel, which
+alone know their designs); integrate the outcome model over both arms'
+counterfactual mediator laws, exactly, by a Gauss-Hermite rule; draw the
+benchmark routes' envelope points, mediator_draws Monte Carlo points per unit
+from the control law (the other routes draw none and ignore mediator_draws), in
+blocks of whole units whose gammas are summed as they come, so a draw's memory
+does not grow with n * mediator_draws; turn the chosen calibration route into
+an aggregated envelope Xi_bar per arm; draw the shift Delta_bar from its prior
+on [-Xi_bar, +Xi_bar]; and assemble theta and the effect contrasts.
 Draws are i.i.d. (conjugate models) and draw t is a function of t alone: it
 seeds child burn_in + t of SeedSequence(seed), takes its envelope points from
 that child's child 1 and writes row t of the records. So results are
@@ -33,11 +33,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the kernels, the calibration layer and the conjugate models are called through
-# their modules, so a wrapper set on a module attribute (a test's monkeypatch,
-# perfbench's tracer) sees every call, whichever module was imported first
-from . import _kernels, calibration, linear_bayes
-from .bridge import MediatorLaw, MediatorModel, bridge_log_pair, outcome_design
+# the kernels and the calibration layer are called through their modules, as
+# bridge calls the conjugate models, so a wrapper set on a module attribute (a
+# test's monkeypatch, perfbench's tracer) sees every call, whichever module was
+# imported first
+from . import _kernels, calibration
+from .bridge import MediatorLaw, MediatorModel, OutcomeModel, bridge_log_pair
 from .calibration import DEFAULT_GAMMA_CAP
 from .data import Dataset
 # the config tables of settings and run arguments live in errors, so that cli
@@ -197,16 +198,12 @@ class _Engine:
         self.settings = list(settings)
         self.burn_in, self.mediator_draws, self.seed = burn_in, mediator_draws, seed
 
-        n = data.n
         self.mediator = MediatorModel.fit(data)
-        self.outcome_prior = linear_bayes.default_prior(8)
+        self.outcome = OutcomeModel.build(data)
         self.treated = data.arm_indices(1)
-        self.treat_col = data.treatment.astype(np.float64)
-        # every draw overwrites these in full: the outcome design, and its treated
-        # rows for the residual budget. Fresh multi-megabyte temporaries would be
-        # mapped anew on every draw, page-faulting each of their pages
-        self.design_y = np.empty((n, 8))
-        self.design_treated = np.empty((self.treated.size, 8))
+        # every draw overwrites the outcome design's treated rows in full for the
+        # residual budget, as the model does its design (see OutcomeModel)
+        self.design_treated = np.empty((self.treated.size, self.outcome.width))
         # a draw computes eta_hat and the gamma fits per benchmark scale, gamma per
         # (scale, gamma_cap), and sigma_eta if any setting needs it, before its
         # settings loop
@@ -233,27 +230,24 @@ class _Engine:
         child = self.burn_in + t
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(child,)))
 
-        # 1) the mediator law, then the outcome model conditional on it
+        # 1) the mediator law, then the outcome model on the bridge pair it gives
+        # the observed mediators (each model alone knows its design)
         law = self.mediator.draw(rng)
         l0_obs, l1_obs = bridge_log_pair(data.mediator, law)
-        design_y = outcome_design(data.mediator, self.treat_col, l0_obs, l1_obs,
-                                  self.design_y)
-        out_post = linear_bayes.nig_update(self.outcome_prior, design_y, data.outcome)
-        out = linear_bayes.sample_draw(out_post, rng)
-        beta_y = np.ascontiguousarray(out.beta)
+        design_y, beta_y = self.outcome.draw(l0_obs, l1_obs, rng)
 
         # 2) the anchor and the treated reference arm: the outcome mean at a = 1,
         # averaged over the units and the control, then the treated, mediator law,
         # by the 3-node rule on the collapsed law (exact; see MediatorLaw.collapsed).
-        # a enters the regressors only as beta_a * a, so the control reference arm
-        # E[Y(0, M(0))] is the anchor less beta_a
+        # The control reference arm E[Y(0, M(0))] is the anchor less the arm effect
+        # (see OutcomeModel.arm_effect)
         unit = law.collapsed()
         anchor = []
         for arm in (0, 1):
             m, l0, l1 = counterfactual_mediator_draws(unit, arm, _ANCHOR_Z)
             anchor.append(_kernels.outcome_mean_sum(m, l0, l1, beta_y) / _ANCHOR_Z.size)
         theta_si, delta1 = anchor
-        delta0 = theta_si - float(beta_y[2])
+        delta0 = theta_si - self.outcome.arm_effect(beta_y)
 
         # 3-4) every calibration the settings read: eta_hat and the two arms' gamma
         # fits per scale; per (scale, cap) and arm, the mean of (gamma - 1) / gamma

@@ -102,16 +102,19 @@ def nig_update(prior: NIGParams, design: np.ndarray, response: np.ndarray) -> NI
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
         raise NumericalFailure("non-finite values in design or response")
 
-    prec_n = prior.precision_matrix + design.T @ design
-    rhs = prior.precision_matrix @ prior.mean + design.T @ response
-    low = _chol(prec_n)
-    mean_n = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
-    shape_n = prior.shape + 0.5 * n
-    scale_n = prior.scale + 0.5 * (
-        response @ response
-        + prior.mean @ prior.precision_matrix @ prior.mean
-        - mean_n @ prec_n @ mean_n
-    )
+    # finite data can still overflow the Gram or the scale; the result is then
+    # inf or nan, which the checks below refuse as a NumericalFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec_n = prior.precision_matrix + design.T @ design
+        rhs = prior.precision_matrix @ prior.mean + design.T @ response
+        low = _chol(prec_n)
+        mean_n = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        shape_n = prior.shape + 0.5 * n
+        scale_n = prior.scale + 0.5 * (
+            response @ response
+            + prior.mean @ prior.precision_matrix @ prior.mean
+            - mean_n @ prec_n @ mean_n
+        )
     if not (np.isfinite(scale_n) and scale_n > 0):
         raise NumericalFailure(f"posterior scale degenerated to {scale_n}")
     return NIGParams(mean_n, prec_n, shape_n, scale_n)

@@ -333,17 +333,9 @@ def exact_sensitivity(model: DiscreteModel, arm: int, m: int,
 # The checks below read one cell or a batch alike: they reduce over the last
 # axis and return one value per cell.
 
-def _xi(eta, gamma):
-    """xi_pointwise on arrays: eta * (gamma - 1) / gamma, capped at eta.
-
-    gamma here is a finite density ratio, never the +inf xi_pointwise admits.
-    """
-    return np.minimum(eta * (gamma - 1.0) / gamma, eta)
-
-
 def bound_gap(sens: StratumSensitivity):
     """|Delta| minus the envelope; positive values violate the bound."""
-    return np.abs(sens.delta) - _xi(sens.eta, sens.gamma)
+    return np.abs(sens.delta) - xi_pointwise(sens.eta, sens.gamma)
 
 
 def check_projection(sens: StratumSensitivity):
@@ -716,7 +708,7 @@ def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]
     eta_decoupled = fold(np.minimum, np.where(decoupled, eta_gap, np.inf))
     eta_any = fold(np.minimum, np.where(decoupled, np.inf, eta_gap))
     delta = cells.delta.reshape(2, n)
-    xi = _xi(cells.eta, cells.gamma).reshape(2, n)
+    xi = xi_pointwise(cells.eta, cells.gamma).reshape(2, n)
     mu1 = np.sum(cells.f1 * cells.psi, axis=1)[n:]      # E[psi | a=1, M=m, stratum]
     w = cells.mass[:n]                                   # P(M=m, stratum | a=0)
 

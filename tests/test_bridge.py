@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bridgebound.bridge import MediatorLaw, MediatorModel, bridge_log_pair, outcome_design
+from bridgebound.bridge import (MediatorLaw, MediatorModel, OutcomeModel, bridge_log_pair,
+                               outcome_design)
 from bridgebound.errors import BridgeboundError
 from bridgebound.linear_bayes import LinearModelDraw, default_prior, nig_update, sample_draw
 
@@ -48,6 +49,29 @@ def test_model_draw_stream_order(request, name):
         assert np.array_equal(got.mean0, ref.mean0)
         assert (got.shift, got.sigma2) == (ref.shift, ref.sigma2)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["bench_data", "p0_data"])
+def test_outcome_model_draw_stream_order(request, name):
+    # the outcome model's contract: a draw updates the default prior with Y on
+    # the frozen layout at the observed mediators, arms and bridge pair, written
+    # into the model's one buffer, then takes one sample_draw's variates
+    data = request.getfixturevalue(name)
+    model = OutcomeModel.build(data)
+    assert model.width == 8 and model.design.shape == (data.n, 8)
+    l0, l1 = bridge_log_pair(data.mediator, MediatorModel.fit(data).draw(rng(5)))
+    design = outcome_design(data.mediator, data.treatment.astype(np.float64), l0, l1,
+                            np.empty((data.n, 8)))
+    posterior = nig_update(default_prior(8), design, data.outcome)
+
+    ours, theirs = rng(12), rng(12)
+    for _ in range(3):
+        got, beta = model.draw(l0, l1, ours)
+        assert got is model.design and np.array_equal(got, design)
+        assert np.array_equal(beta, sample_draw(posterior, theirs).beta)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    effect = model.arm_effect(beta)
+    assert type(effect) is float and effect == beta[2]
 
 
 def test_zero_shift_collapses_arms():
@@ -111,7 +135,7 @@ def test_log_pair_one_mean_against_many_values():
 
 
 def test_arm_enters_only_as_its_own_column():
-    # gcomp derives E[Y(0, M(0))] as E[Y(1, M(0))] - beta_a from this
+    # OutcomeModel.arm_effect rests on this: E[Y(0, M(0))] = E[Y(1, M(0))] - beta_a
     r = rng(8)
     m, l0, l1 = (r.standard_normal(200) for _ in range(3))
     diff = (outcome_design(m, 1.0, l0, l1, np.empty((200, 8)))

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -21,12 +22,13 @@ import bridgebound.cli as cli
 import bridgebound.gcomp as gcomp
 from bridgebound.gcomp import PRIOR_KEYS, SETTING_KEYS
 from bridgebound.data import BENCHMARK_KEYS, SCHEMA_KEYS, SPEC_KEYS, save_dataset
-from bridgebound.errors import ConfigError, Key, NumericalFailure, check
+from bridgebound.errors import RUN_KEYS, ConfigError, Key, NumericalFailure, _fits, check
 from bridgebound import oracle
 from bridgebound.oracle import CHECK_THRESHOLDS
 from conftest import BENCH_SPEC, NULL_SPEC, P0_SPEC, nan_after_first
 from bridgebound.bridge import MediatorModel
-from bridgebound.data import BenchmarkSpec, SyntheticSpec, generate_synthetic, load_dataset
+from bridgebound.data import (BenchmarkSpec, Dataset, SyntheticSpec, generate_synthetic,
+                              load_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +307,50 @@ class TestFit:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["fit", "--config", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"data": ', "is not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+        ('["data", "study.csv"]', "config root must be a JSON object"),
+        ("null", "config root must be a JSON object"),
+    ], ids=["truncated", "list_root", "null_root"])
+    def test_unreadable_config_text(self, tmp_path, capsys, text, message):
+        path = tmp_path / "fit.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            cli.load_config(str(path))
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(message + "\n")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_integer_beyond_float_range_is_config_error(self, data_dir, tmp_path, capsys):
+        # 10**400 does not fit a float; 10**300 would, and fail later, as too
+        # large for memory
+        cfg = tmp_path / "fit.json"
+        cfg.write_text('{"data": %s, "setting": {"route": "si_anchor"}, "draws": 1%s}'
+                       % (json.dumps(str(data_dir / "null.csv")), "0" * 400), encoding="utf-8")
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'draws' must be an integer >= 1, got 1000")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_outcome_is_one_line_numerical_failure(self, tmp_path, capsys):
+        # finite outcomes whose squares overflow (the README spec at n = 2000,
+        # seed 11, y times 1e152): the conjugate update refuses the scale, and no
+        # numpy RuntimeWarning (an error in this suite) reaches stderr
+        data, _ = generate_synthetic(dataclasses.replace(BENCH_SPEC, n=2000), seed=11)
+        scaled = Dataset(data.treatment, data.mediator, data.outcome * 1e152,
+                         data.covariates, data.benchmark)
+        save_dataset(scaled, str(tmp_path / "over.csv"))
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": str(tmp_path / "over.csv"), "setting": {"route": "si_anchor"},
+            "draws": 5, "burn_in": 0, "seed": 7})
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: posterior scale degenerated to nan\n"
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {
@@ -842,6 +888,22 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def test_check_refuses_a_non_object():
+    for raw in ([1, 2], "kappa", None):
+        message = f"setting must be a JSON object, got {raw!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            check("setting", raw, SETTING_KEYS)
+
+
+def test_integer_beyond_float_range_fits_no_number_key():
+    # float(10**400) overflows; the key refuses it rather than raising
+    for key in (Key("int", (1, math.inf)), Key("number", inf=True)):
+        assert not _fits("draws", 10**400, key) and not _fits("draws", -10**400, key)
+        assert _fits("draws", 10**300, key)
+    with pytest.raises(ConfigError, match="^run key 'draws' must be an integer >= 1, got 1000"):
+        check("run", {"draws": 10**400}, RUN_KEYS)
 
 
 def test_take_int_rejects_bool_and_float():

@@ -53,6 +53,10 @@ class TestDatasetValidation:
             Dataset(np.array([0, 0, 1, 1]), np.zeros(3), np.zeros(4),
                     np.empty((4, 0)))
 
+    def test_benchmark_length_mismatch(self):
+        with pytest.raises(BridgeboundError, match="^benchmark column length disagrees$"):
+            small_dataset(benchmark=np.arange(4.0))
+
     @pytest.mark.parametrize("column,value", [
         ("treatment", np.repeat([[0], [1]], 3, axis=0)), ("mediator", np.zeros((6, 2))),
         ("outcome", np.zeros((6, 1))), ("benchmark", np.zeros((6, 1))),

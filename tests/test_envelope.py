@@ -23,6 +23,28 @@ def test_xi_scalar_and_array_forms():
     out = xi_pointwise(1.0, 2.0)
     assert isinstance(out, float)
     assert isinstance(xi_pointwise(np.float64(6.0), np.float64(3.0)), float)
+    # elementwise over arrays, bit for bit the scalar calls, inf and overflow included
+    eta = np.array([5.0, 1.0, 6.0, 0.0, 2.5, 2.0, 0.3, 7e5])
+    gamma = np.array([1.0, 2.0, 3.0, 50.0, math.inf, 1e308, 1.1, 4.798295622470661e16])
+    xi = xi_pointwise(eta, gamma)
+    assert isinstance(xi, np.ndarray) and xi.shape == eta.shape
+    want = [xi_pointwise(e, g) for e, g in zip(eta.tolist(), gamma.tolist())]
+    assert xi.tobytes() == np.array(want).tobytes()
+    # broadcast against a scalar eta, and a 2-d grid keeps its shape
+    assert xi_pointwise(2.0, gamma).tobytes() == np.array(
+        [xi_pointwise(2.0, g) for g in gamma.tolist()]).tobytes()
+    assert xi_pointwise(eta.reshape(2, 4), gamma.reshape(2, 4)).shape == (2, 4)
+
+
+@pytest.mark.parametrize("eta,gamma,message", [
+    ([1.0, -0.1, -2.0], 2.0, "eta must be finite and >= 0, got -0.1$"),
+    ([1.0, np.inf], [2.0, 2.0], "eta must be finite and >= 0, got inf$"),
+    (1.0, [2.0, 0.99, np.nan], r"gamma must be >= 1 \(inf allowed\), got 0.99$"),
+    ([1.0, 1.0], [np.inf, np.nan], r"gamma must be >= 1 \(inf allowed\), got nan$"),
+])
+def test_xi_array_refusal_names_the_first_bad_value(eta, gamma, message):
+    with pytest.raises(BridgeboundError, match=message):
+        xi_pointwise(np.asarray(eta), np.asarray(gamma))
 
 
 def test_xi_rejects_out_of_range():

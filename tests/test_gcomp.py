@@ -622,6 +622,28 @@ class TestSharedModelPass:
         with pytest.raises(ConfigError, match="does not apply to route 'residual_budget'"):
             sweep(bench_data, bases, "kappa", [1.0, 2.0], **SHARED)
 
+    def test_no_base_settings_is_config_error(self, bench_data, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a draw ran without any setting")
+
+        monkeypatch.setattr(gcomp._Engine, "run_draw", fail)
+        with pytest.raises(ConfigError, match="^need at least one sensitivity setting$"):
+            sweep(bench_data, [], "kappa", [1.0, 2.0], **SHARED)
+
+
+@pytest.mark.parametrize("points", [2**60, 10**30])
+def test_unindexable_unit_of_envelope_points_refused_before_any_draw(bench_data, monkeypatch,
+                                                                     points):
+    # 8 * points bytes past sys.maxsize: one unit's block could not be indexed,
+    # so the engine refuses before it maps the records or forks
+    def fail(*args, **kwargs):
+        raise AssertionError("a draw ran with an unindexable block")
+
+    monkeypatch.setattr(gcomp._Engine, "run_draw", fail)
+    with pytest.raises(MemoryError, match=f"^cannot index {points} envelope points of one unit$"):
+        run(bench_data, SensitivitySetting(route="benchmark_raw"), draws=2, burn_in=0,
+            mediator_draws=points, seed=1)
+
 
 class PicklesBadly(Exception):
     """Pickles, but cannot be unpickled: its __init__ takes two arguments."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgebound._kernels import normal_logpdf
-from bridgebound.errors import BridgeboundError
+from bridgebound.errors import BridgeboundError, NumericalFailure
 from bridgebound.linear_bayes import (LinearModelDraw, NIGParams, default_prior,
                                       nig_update, posterior_sigma2_mean, sample_draw)
 
@@ -159,3 +159,46 @@ def test_normal_log_density_values():
                         -0.9189385332046727, rel_tol=1e-15)
     # symmetric around the mean; use 0 so both offsets are the same float
     assert normal_logpdf(0.83, 0.0, 2.3) == normal_logpdf(-0.83, 0.0, 2.3)
+
+
+def test_prior_shape_and_entry_refusals():
+    with pytest.raises(BridgeboundError, match=r"^precision matrix must be square, got \(2, 3\)$"):
+        NIGParams(mean=np.zeros(2), precision_matrix=np.ones((2, 3)), shape=1.0, scale=1.0)
+    with pytest.raises(BridgeboundError, match=r"^precision matrix must be square, got \(2,\)$"):
+        NIGParams(mean=np.zeros(2), precision_matrix=np.ones(2), shape=1.0, scale=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BridgeboundError, match="^non-finite entries in prior parameters$"):
+            NIGParams(mean=np.array([0.0, bad]), precision_matrix=np.eye(2),
+                      shape=1.0, scale=1.0)
+
+
+def test_indefinite_precision_is_numerical_failure():
+    # symmetric, so NIGParams takes it; the Cholesky factor in both the update
+    # and the draw refuses it
+    indefinite = NIGParams(mean=np.zeros(2), precision_matrix=-np.eye(2), shape=2.0, scale=2.0)
+    with pytest.raises(NumericalFailure, match="^precision matrix not positive definite: "):
+        nig_update(indefinite, np.zeros((1, 2)), np.zeros(1))
+    with pytest.raises(NumericalFailure, match="^precision matrix not positive definite: "):
+        sample_draw(indefinite, rng(1))
+
+
+def test_update_refuses_mismatched_or_non_finite_data():
+    with pytest.raises(BridgeboundError, match="^5 design rows but 4 responses$"):
+        nig_update(unit_prior(2), np.ones((5, 2)), np.ones(4))
+    design = np.ones((3, 2))
+    design[1, 0] = math.nan
+    with pytest.raises(NumericalFailure, match="^non-finite values in design or response$"):
+        nig_update(unit_prior(2), design, np.ones(3))
+    with pytest.raises(NumericalFailure, match="^non-finite values in design or response$"):
+        nig_update(unit_prior(2), np.ones((3, 2)), np.array([1.0, math.inf, 0.0]))
+
+
+@pytest.mark.parametrize("x_scale,y_scale", [(1.0, 1e155), (1.0, 1e300), (1e200, 1.0)])
+def test_overflowing_finite_data_fails_quietly(x_scale, y_scale):
+    # finite responses whose squares overflow, or a design whose Gram does: the
+    # update refuses the scale as a NumericalFailure, and no RuntimeWarning
+    # escapes (this suite makes them errors)
+    response = y_scale * np.linspace(1.0, 3.0, 2000)
+    design = np.column_stack([np.ones(2000), x_scale * np.linspace(-1.0, 1.0, 2000)])
+    with pytest.raises(NumericalFailure, match="^posterior scale degenerated to nan$"):
+        nig_update(default_prior(2), design, response)

@@ -179,6 +179,26 @@ class TestSensitivity:
         with pytest.raises(BridgeboundError, match="mixes groups"):
             exact_sensitivity(bad, 0, 0, [0, 1])
 
+    def test_zero_mass_stratum_rejected(self):
+        # x = 1 carries no covariate mass; as a stratum of its own it has no law
+        p_m = np.tile(np.array([0.75, 0.25]), (2, 2, 1, 1))
+        model = DiscreteModel(np.array([1.0, 0.0]), np.ones((2, 2, 1)), p_m,
+                              np.zeros((2, 2, 1)), (0, 1))
+        with pytest.raises(BridgeboundError, match=r"^stratum \[1\] has zero covariate mass$"):
+            exact_sensitivity(model, 0, 0, [1])
+
+    def test_member_without_mediator_density_rejected(self):
+        # f_0(m=0 | x=0) = 0 while x = 1 gives the stratum mass at m = 0, so the
+        # covariate-level law of x = 0 is undefined
+        p_m = np.empty((2, 2, 1, 2))
+        p_m[:, 0, 0] = [0.0, 1.0]
+        p_m[:, 1, 0] = [0.5, 0.5]
+        model = DiscreteModel(np.array([0.5, 0.5]), np.ones((2, 2, 1)), p_m,
+                              np.zeros((2, 2, 1)), (0, 0))
+        for arm in (0, 1):
+            with pytest.raises(BridgeboundError, match=rf"^f_{arm}\(m=0 \| x=0\) = 0$"):
+                exact_sensitivity(model, arm, 0, [0, 1])
+
     @pytest.mark.parametrize("arm,m,stratum,name", [
         (0, 0, [0, 0], "stratum"), (0, 0, [], "stratum"), (0, 0, [2], "stratum"),
         (0, 0, [-1], "stratum"), (0, 0, [1, -1], "stratum"),
