@@ -8,6 +8,7 @@ objects."""
 
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 
@@ -55,7 +56,7 @@ def check(where: str, raw, table: dict) -> dict:
     Raises ConfigError naming the object and the first offending key.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {_echo(raw)}")
     unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -64,8 +65,20 @@ def check(where: str, raw, table: dict) -> dict:
             if key.required:
                 raise ConfigError(f"{where} key '{name}' is required")
         elif not _fits(name, raw[name], key):
-            raise ConfigError(f"{where} key '{name}' must be {_what(key)}, got {raw[name]!r}")
+            raise ConfigError(f"{where} key '{name}' must be {_what(key)}, "
+                              f"got {_echo(raw[name])}")
     return raw
+
+
+_ECHO = 60   # characters of an offending value that a message repeats
+
+
+def _echo(value) -> str:
+    """repr(value), cut to _ECHO characters, its length noted, when longer."""
+    text = repr(value)
+    if len(text) <= _ECHO:
+        return text
+    return f"{text[:_ECHO - 3]}... ({len(text)} characters)"
 
 
 def _fits(name: str, value, key: Key) -> bool:
@@ -89,6 +102,8 @@ def _fits(name: str, value, key: Key) -> bool:
         x = float(value)
     except OverflowError:  # an integer beyond the float range
         return False
+    if kind == "int":
+        x = int(value)     # compared exactly: sys.maxsize would round up to 2**63
     lo, hi = key.range
     return ((math.isfinite(x) or (key.inf and x == math.inf))
             and (lo < x < hi if key.open else lo <= x <= hi))
@@ -142,9 +157,10 @@ SETTING_KEYS = {
 }
 
 # the arguments of run() and sweep() that shape the draw loop; each worker
-# beyond the first is a forked process, so threads is capped
-_POSITIVE, _NONNEGATIVE = Key("int", (1, math.inf)), Key("int", (0, math.inf))
-RUN_KEYS = {"draws": _POSITIVE, "burn_in": _NONNEGATIVE, "mediator_draws": _POSITIVE,
+# beyond the first is a forked process, so threads is capped, and numpy
+# indexes no more than sys.maxsize draws, or envelope points of one unit
+_COUNT, _NONNEGATIVE = Key("int", (1, sys.maxsize)), Key("int", (0, math.inf))
+RUN_KEYS = {"draws": _COUNT, "burn_in": _NONNEGATIVE, "mediator_draws": _COUNT,
             "seed": _NONNEGATIVE, "threads": Key("int", (1, 256))}
 
 _COLUMN = Key("str", required=True)

@@ -37,7 +37,14 @@ The fuzz generator builds seeded random models whose multi-x strata are exact
 by construction: members of a group share bridge laws either by sharing the
 latent law and perturbing mediator tables inside the mixture-preserving null
 space (decoupled), or by sharing mediator tables and perturbing the latent law
-inside the mediator matrix's kernel (non-decoupled).
+inside the mediator matrix's kernel (non-decoupled). random_model draws a
+batch of models of one kind in a few vectorized passes over tables padded to
+the largest corpus shape and masked to each model's own; its sums are
+elementwise adds in a fixed order and its kernel directions projections by
+Gram-Schmidt, with no BLAS or LAPACK call, so the corpus does not depend on
+the CPU's kernels. run_fuzz draws its corpus in blocks of _BLOCK models, each
+from its own child stream of the seed with one random_model call per kind,
+so a shorter corpus is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ _SUM_TOL = 1e-12
 _INTRA_TOL = 1e-12      # members of one stratum agree on the bridge to this
 _SEPARATION = 1e-7      # distinct strata differ by at least this
 _MODEL_TRIES = 100      # random_model redraws before giving up
-_CHUNK = 1024           # corpus models run_fuzz generates, then checks, per batch
+_CHUNK = 1024           # corpus models run_fuzz checks per batch
 _TABLES = ("p_x", "p_u", "p_m", "psi")
 
 
@@ -395,6 +402,21 @@ def check_quantile_representation(sens: StratumSensitivity) -> dict:
     }
 
 
+def _sharpness_tables(gamma: np.ndarray, eta: np.ndarray) -> _Tables:
+    """make_sharpness_model's tables at each (gamma, eta) of two flat arrays, stacked."""
+    bad = ~((1.0 <= gamma) & (gamma < math.inf) & (0.0 <= eta) & (eta < math.inf))
+    if bad.any():
+        j = np.argmax(bad)
+        raise BridgeboundError(
+            f"need gamma >= 1 and eta >= 0, both finite, got {gamma[j]}, {eta[j]}")
+    k = len(gamma)
+    p_u = np.stack([1.0 / gamma, 1.0 - 1.0 / gamma], axis=1)[:, None, None, :]
+    psi = np.stack([eta, np.zeros(k)], axis=1)[:, None, None, :]
+    return _Tables(np.ones((k, 1)), np.repeat(p_u, 2, axis=1),
+                   np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (k, 2, 1, 1, 1)),
+                   np.repeat(psi, 2, axis=1), np.zeros((k, 1), dtype=int))
+
+
 def make_sharpness_model(gamma: float, eta: float) -> DiscreteModel:
     """Two-point construction attaining the bound with equality.
 
@@ -402,28 +424,31 @@ def make_sharpness_model(gamma: float, eta: float) -> DiscreteModel:
     mediator value concentrates all mass there, so the density ratio is exactly
     gamma; psi = (eta, 0) swings by eta across the two points.
     """
-    if not (1.0 <= gamma < math.inf and 0.0 <= eta < math.inf):
-        raise BridgeboundError(f"need gamma >= 1 and eta >= 0, both finite, got {gamma}, {eta}")
-    p_x = np.array([1.0])
-    p_u = np.tile(np.array([1.0 / gamma, 1.0 - 1.0 / gamma]), (2, 1, 1))
-    p_m = np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1, 1))
-    psi = np.tile(np.array([eta, 0.0]), (2, 1, 1))
-    return DiscreteModel(p_x, p_u, p_m, psi, (0,))
+    tables = _sharpness_tables(np.array([gamma], dtype=np.float64),
+                               np.array([eta], dtype=np.float64))
+    return DiscreteModel(*(table[0] for table in tables[:4]), (0,))
 
 
-def check_bound_and_sharpness(gamma: float, eta: float):
+def check_bound_and_sharpness(gamma, eta):
     """Achieved |Delta| and the envelope for the extremal construction.
 
     Returns (delta_plus, delta_minus, bound): the construction with psi =
     (eta, 0) attains +bound, the flipped psi = (0, eta) attains -bound.
+    gamma and eta broadcast together; arrays give arrays of their broadcast
+    shape, and the cells of every point, both signs, go through one _evaluate
+    call. Each cell reduces over one covariate and two latent values only, so
+    a point reads the same bits alone or in a grid.
     """
-    model = make_sharpness_model(gamma, eta)
-    sens = exact_sensitivity(model, 0, 0, [0])
-    flipped = DiscreteModel(model.p_x, model.p_u, model.p_m,
-                            model.psi[:, :, ::-1], model.groups)
-    sens_flip = exact_sensitivity(flipped, 0, 0, [0])
-    bound = xi_pointwise(eta, gamma)
-    return sens.delta, sens_flip.delta, bound
+    gamma, eta = np.broadcast_arrays(np.asarray(gamma, dtype=np.float64),
+                                     np.asarray(eta, dtype=np.float64))
+    tables = _sharpness_tables(gamma.ravel(), eta.ravel())
+    flipped = tables._replace(psi=tables.psi[..., ::-1])
+    both = _Tables(*(np.concatenate(pair) for pair in zip(tables, flipped)))
+    k = len(both.p_x)
+    zero = np.zeros(k, dtype=int)
+    delta = _evaluate(both, np.arange(k), zero, zero, np.ones((k, 1), dtype=bool),
+                      zero).delta.reshape(2, *gamma.shape)
+    return delta[0][()], delta[1][()], xi_pointwise(eta, gamma)
 
 
 def self_test_failure():
@@ -444,114 +469,242 @@ def self_test_failure():
 # ---------------------------------------------------------------------------
 
 
-_ALPHA = {k: np.full(k, 2.0) for k in range(1, 6)}    # random_model's simplex sizes
+_NX, _NU, _NM = 4, 5, 4     # the largest corpus shapes; a draw pads its tables to them
+_BLOCK = 160                # corpus models drawn together; a multiple of 40, so every
+                            # block holds the same mix of kinds
 
 
-def _simplex(rng: np.random.Generator, k: int, rows=None) -> np.ndarray:
-    # floor keeps every cell bounded away from zero so ratios stay stable; one
-    # call for `rows` draws consumes the stream exactly as `rows` single calls
-    return 0.85 * rng.dirichlet(_ALPHA[k], size=rows) + 0.15 / k
+class _DrawFailed(BridgeboundError):
+    """random_model found no well-separated draw of one of its models;
+    drawn holds the models before that one, in order."""
+
+    def __init__(self, message: str, drawn: list):
+        super().__init__(message)
+        self.drawn = drawn
 
 
-def _pm_perturbation(rng, p_u: np.ndarray, nm: int) -> np.ndarray:
-    """Rank-one direction keeping row sums and the p_u-mixture fixed."""
-    v = rng.standard_normal(p_u.shape[0])
-    v -= (p_u @ v) / (p_u @ p_u) * p_u
-    w = rng.standard_normal(nm)
-    w -= w.mean()
-    return np.outer(v, w)
+class _Draw(NamedTuple):
+    """Tables of a batch of models, zero-padded to (_NX, _NU, _NM)."""
+
+    nx: np.ndarray             # (n,)
+    nu: np.ndarray             # (n,)
+    nm: np.ndarray             # (n,)
+    groups: np.ndarray         # (n, _NX)
+    p_x: np.ndarray            # (n, _NX)
+    p_u: np.ndarray            # (n, 2, _NX, _NU)
+    p_m: np.ndarray            # (n, 2, _NX, _NU, _NM)
+    psi: np.ndarray            # (n, 2, _NX, _NU)
 
 
-def _pu_perturbation(rng, pm_stack: np.ndarray) -> np.ndarray:
-    """Direction in the kernel of the stacked mediator matrices.
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, first to last, by elementwise adds.
 
-    random_model only stacks 2 or 4 rows over 3 to 5 latent values, so the
-    kernel is never trivial.
+    No BLAS call and no pairwise reduction, so the bits depend on neither the
+    CPU's kernels nor the array's layout; padded zeros add nothing.
     """
-    _, s, vt = np.linalg.svd(pm_stack)
-    rank = int((s > 1e-12 * s[0]).sum())
-    basis = vt[rank:]
-    v = rng.standard_normal(basis.shape[0]) @ basis
-    return v / np.abs(v).max()
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
 
 
-def _scaled(base: np.ndarray, direction: np.ndarray, rng) -> np.ndarray:
-    margin = base.min()
-    peak = np.abs(direction).max()
-    if peak == 0.0 or margin <= 0.0:
-        return base.copy()
-    eps = 0.4 * margin / peak * rng.uniform(0.3, 1.0)
-    return base + eps * direction
+def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values in the cells of mask, in C order, and 0 elsewhere."""
+    out = np.zeros(mask.shape)
+    out[mask] = values
+    return out
 
 
-def random_model(rng: np.random.Generator, *, decoupled: bool = True,
-                 shared_arms: bool = False,
-                 mediator_ignorable: bool = False) -> DiscreteModel:
-    """One seeded random model; multi-x strata are exact by construction."""
-    for _ in range(_MODEL_TRIES):
-        if decoupled:
-            nx = int(rng.integers(1, 5))
-            nu = int(rng.integers(2, 6))
-            nm = int(rng.integers(2, 5))
-        else:
-            # latent-law perturbations need room in the mediator kernel
-            nm = 2
-            nu = 5 if shared_arms else int(rng.integers(nm + 1, 6))
-            nx = int(rng.integers(2, 5))
+def _simplex(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
+    """0.85 * Dirichlet(2) + 0.15 / k over the k cells of each row of mask.
 
-        # random partition into groups; nx >= 2 labels from nx - 1 values repeat
-        # one, so a non-decoupled model has a multi-member group to decouple
-        labels = rng.integers(0, max(1, nx - 1), size=nx).tolist() if nx > 1 else [0]
-        # each label's rank among the distinct labels
-        distinct = sorted(set(labels))
-        groups = [distinct.index(label) for label in labels]
+    A Dirichlet(2) row is a row of standard_gamma(2) variates over its sum;
+    the floor keeps every cell bounded away from zero so ratios stay stable.
+    Cells outside mask, and rows without a cell, read 0.
+    """
+    gamma = _filled(mask, rng.standard_gamma(2.0, np.count_nonzero(mask)))
+    total = _ordered_sum(gamma)[..., None]
+    k = mask.sum(axis=-1, keepdims=True)
+    share = np.divide(gamma, total, out=np.zeros_like(gamma), where=mask)
+    return np.where(mask, 0.85 * share + 0.15 / np.maximum(k, 1), 0.0)
 
-        p_x = _simplex(rng, nx)
-        p_u = np.empty((2, nx, nu))
-        p_m = np.empty((2, nx, nu, nm))
-        psi = np.empty((2, nx, nu))
 
-        for g in set(groups):
-            members = [x for x in range(nx) if groups[x] == g]
-            psi_g = rng.uniform(0.0, 1.0, size=(2, nu))
-            if shared_arms:
-                psi_g[1] = psi_g[0]
-            base_pu = _simplex(rng, nu, 2)
-            if shared_arms:
-                base_pu[1] = base_pu[0]
-            if mediator_ignorable:
-                base_pm = np.repeat(_simplex(rng, nm, 2)[:, None, :], nu, axis=1)
-            else:
-                base_pm = _simplex(rng, nm, 2 * nu).reshape(2, nu, nm)
-            for j, x in enumerate(members):
-                psi[:, x] = psi_g
-                p_u[:, x] = base_pu
-                p_m[:, x] = base_pm
-                if j == 0 or mediator_ignorable:
-                    continue
-                if decoupled:
-                    for a in range(2):
-                        p_m[a, x] = _scaled(base_pm[a], _pm_perturbation(rng, base_pu[a], nm), rng)
-                elif shared_arms:
-                    v = _pu_perturbation(rng, np.concatenate([base_pm[0].T, base_pm[1].T]))
-                    p_u[:, x] = _scaled(base_pu[0], v, rng)
-                else:
-                    for a in range(2):
-                        p_u[a, x] = _scaled(base_pu[a], _pu_perturbation(rng, base_pm[a].T), rng)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _ordered_sum(a * b)[..., None]
 
-        model = DiscreteModel._unchecked(p_x, p_u, p_m, psi, tuple(groups))
-        if _well_separated(model):
-            return model
-    raise BridgeboundError(f"no well-separated model in {_MODEL_TRIES} tries")
+
+def _kernel_direction(z: np.ndarray, rows: Sequence[np.ndarray], valid: np.ndarray):
+    """z projected onto the vectors orthogonal to 1 and to every row of rows.
+
+    Over the valid latent values of each of its rows, by Gram-Schmidt in
+    ordered sums: the z - A'(AA')^-1 A z of A = (1, rows). A normal z gives
+    the isotropic normal law on that kernel whatever basis spans it. Each
+    projection runs twice, so what is left stays orthogonal to rounding level
+    even when a row is nearly constant.
+    """
+    def project(v, basis):
+        for _ in range(2):
+            for q in basis:
+                v = v - _dot(v, q) / _dot(q, q) * q
+        return v
+
+    basis = []
+    for row in (np.where(valid, 1.0, 0.0), *rows):
+        basis.append(project(row, basis))
+    return project(z, basis)
+
+
+def _scaled(rng, base: np.ndarray, direction: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """base + eps * direction, rows over their valid cells (trailing axes).
+
+    eps = 0.4 * margin / peak * U(0.3, 1), margin the row's smallest valid
+    base cell and peak its largest |direction|: every cell stays positive.
+    A zero direction leaves its row as it is.
+    """
+    axes = tuple(range(1, base.ndim))
+    margin = base.min(axis=axes, where=valid, initial=np.inf)
+    peak = np.abs(direction).max(axis=axes)
+    eps = np.divide(0.4 * margin, peak, out=np.zeros_like(peak), where=peak > 0.0)
+    eps *= rng.uniform(0.3, 1.0, size=len(base))
+    return base + eps.reshape(-1, *(1,) * len(axes)) * direction
+
+
+def _draw(rng: np.random.Generator, n: int, decoupled: bool, shared_arms: bool,
+          mediator_ignorable: bool) -> _Draw:
+    """n models of one kind, each in a few vectorized passes over padded tables.
+
+    Multi-x groups are exact by construction. Each group's first member holds
+    its tables; the other members copy them and, unless the mediator is
+    ignorable, perturb them in a direction that leaves the bridge pair fixed:
+    the mediator tables inside the mixture-preserving null space (decoupled),
+    or the latent law inside the kernel of the mediator rows (coupled).
+    """
+    if decoupled:
+        nx = rng.integers(1, 5, n)
+        nu = rng.integers(2, 6, n)
+        nm = rng.integers(2, 5, n)
+    else:
+        # latent-law perturbations need room in the mediator kernel
+        nm = np.full(n, 2)
+        nu = np.full(n, 5) if shared_arms else rng.integers(3, 6, n)
+        nx = rng.integers(2, 5, n)
+    xs = np.arange(_NX) < nx[:, None]                                # (n, _NX)
+    us = np.arange(_NU) < nu[:, None]
+    ms = np.arange(_NM) < nm[:, None]
+
+    # random partition into groups; nx >= 2 labels from nx - 1 values repeat
+    # one, so a coupled model has a multi-member group to decouple
+    labels = np.where(xs, rng.integers(0, np.maximum(1, nx - 1)[:, None], (n, _NX)), 0)
+    present = (xs[:, :, None] & (labels[:, :, None] == np.arange(_NX))).any(axis=1)
+    below = np.cumsum(present, axis=1) - present     # distinct labels below each value
+    groups = np.take_along_axis(below, labels, axis=1)
+    same = (groups[:, :, None] == groups[:, None, :]) & xs[:, None, :]
+    head = same.argmax(axis=2)                       # first member of each x's group
+    first = xs & (head == np.arange(_NX))
+
+    p_x = _simplex(rng, xs)
+    # the heads' tables; an arm-free model draws arm 0's psi and latent law
+    # and copies them to arm 1
+    heads = np.repeat(first[:, None, :, None], 2, axis=1)          # (n, 2, _NX, 1)
+    lead = heads[:, :1 if shared_arms else 2] & us[:, None, None, :]
+    copies = 2 if shared_arms else 1
+    psi = np.repeat(_filled(lead, rng.random(np.count_nonzero(lead))), copies, axis=1)
+    p_u = np.repeat(_simplex(rng, lead), copies, axis=1)
+    if mediator_ignorable:
+        rows = _simplex(rng, heads & ms[:, None, None, :])
+        p_m = np.where(us[:, None, None, :, None], rows[:, :, :, None, :], 0.0)
+    else:
+        p_m = _simplex(rng, (heads & us[:, None, None, :])[..., None] & ms[:, None, None, None, :])
+    # every member takes its group's tables
+    take = (np.arange(n)[:, None, None], np.arange(2)[:, None], head[:, None, :])
+    psi, p_u, p_m = psi[take], p_u[take], p_m[take]
+
+    c, x = np.nonzero(xs & ~first & (not mediator_ignorable))     # the perturbed x's
+    valid_u = us[c]
+    if decoupled:
+        # p_m[a, x] += eps * outer(v, w): v orthogonal to p_u[a, x] keeps the
+        # mixture over u, a centred w keeps the rows' sums
+        for a in range(2):
+            base_u = p_u[c, a, x]
+            v = _filled(valid_u, rng.standard_normal(np.count_nonzero(valid_u)))
+            v -= _dot(base_u, v) / _dot(base_u, base_u) * base_u
+            w = _filled(ms[c], rng.standard_normal(np.count_nonzero(ms[c])))
+            w = np.where(ms[c], w - _ordered_sum(w)[:, None] / nm[c, None], 0.0)
+            p_m[c, a, x] = _scaled(rng, p_m[c, a, x], v[:, :, None] * w[:, None, :],
+                                   valid_u[:, :, None] & ms[c, None, :])
+    else:
+        # p_u[a, x] += eps * v, v in the kernel of the mediator rows (nm = 2: the
+        # ones vector and column m = 0); an arm-free draw shares one v, in the
+        # kernel of both arms' rows
+        for arms in ([0, 1],) if shared_arms else ([0], [1]):
+            z = _filled(valid_u, rng.standard_normal(np.count_nonzero(valid_u)))
+            v = _kernel_direction(z, [p_m[c, a, x, :, 0] for a in arms], valid_u)
+            p_u[c[:, None], arms, x[:, None]] = _scaled(rng, p_u[c, arms[0], x], v,
+                                                        valid_u)[:, None]
+    return _Draw(nx, nu, nm, groups, p_x, p_u, p_m, psi)
+
+
+def _separated(draw: _Draw) -> np.ndarray:
+    """Per model: bridge values collide inside groups and separate across them.
+
+    Over each model's own x's and m's in tables padded to any shape; a NaN
+    bridge value fails either way.
+    """
+    xs = np.arange(draw.p_u.shape[2]) < draw.nx[:, None]
+    ms = np.arange(draw.p_m.shape[4]) < draw.nm[:, None]
+    f = _ordered_sum(draw.p_u[..., None, :] * draw.p_m.swapaxes(3, 4))    # (n, 2, X, M)
+    gap = np.abs(f[:, :, :, None, :] - f[:, :, None, :, :]).max(axis=1)   # (n, X, X, M)
+    same = (draw.groups[:, :, None] == draw.groups[:, None, :])[..., None]
+    bad = np.where(same, ~(gap <= _INTRA_TOL), ~(gap >= _SEPARATION))
+    valid = (xs[:, :, None] & xs[:, None, :])[..., None] & ms[:, None, None, :]
+    return ~(bad & valid).any(axis=(1, 2, 3))
 
 
 def _well_separated(model: DiscreteModel) -> bool:
-    """Bridge values must collide inside groups and separate across them."""
-    f = model.bridge_values()
-    gap = np.abs(f[:, :, None, :] - f[:, None, :, :]).max(axis=0)   # (nx, nx, nm)
-    groups = np.asarray(model.groups)
-    same = (groups[:, None] == groups[None, :])[:, :, None]
-    return not ((same & (gap > _INTRA_TOL)).any() or (~same & (gap < _SEPARATION)).any())
+    """_separated for one model."""
+    shape = (model.nx, model.p_u.shape[2], model.nm, model.groups)
+    draw = _Draw(*(np.array([v]) for v in shape), *(getattr(model, t)[None] for t in _TABLES))
+    return bool(_separated(draw)[0])
+
+
+def _models(draw: _Draw) -> List[DiscreteModel]:
+    """The models of a draw, in order, each cut to its own shape."""
+    models = []
+    for i, (nx, nu, nm, groups) in enumerate(zip(draw.nx.tolist(), draw.nu.tolist(),
+                                                 draw.nm.tolist(), draw.groups.tolist())):
+        models.append(DiscreteModel._unchecked(
+            draw.p_x[i, :nx].copy(), draw.p_u[i, :, :nx, :nu].copy(),
+            draw.p_m[i, :, :nx, :nu, :nm].copy(), draw.psi[i, :, :nx, :nu].copy(),
+            tuple(groups[:nx])))
+    return models
+
+
+def random_model(rng: np.random.Generator, count=None, *, decoupled: bool = True,
+                 shared_arms: bool = False, mediator_ignorable: bool = False):
+    """count seeded random models of one kind, or one model if count is None.
+
+    Multi-x strata are exact by construction. The models are drawn together
+    (_draw), and those that fail the well-separation test are redrawn
+    together, each up to _MODEL_TRIES times in all, so a model's variates
+    depend on the others of its call. If some model is never well
+    separated, raises _DrawFailed holding the models before it.
+    """
+    n = 1 if count is None else count
+    draw = _draw(rng, n, decoupled, shared_arms, mediator_ignorable)
+    ok = _separated(draw)
+    for _ in range(_MODEL_TRIES - 1):
+        redo = np.flatnonzero(~ok)
+        if not redo.size:
+            break
+        fresh = _draw(rng, redo.size, decoupled, shared_arms, mediator_ignorable)
+        for table, new in zip(draw, fresh):
+            table[redo] = new
+        ok[redo] = _separated(fresh)
+    models = _models(draw)
+    if not ok.all():
+        raise _DrawFailed(f"no well-separated model in {_MODEL_TRIES} tries",
+                          models[:int(np.argmin(ok))])
+    return models[0] if count is None else models
 
 
 # ---------------------------------------------------------------------------
@@ -770,29 +923,75 @@ def _corpus_kind(i: int) -> Tuple[int, bool]:
     return i % 4, i % 40 == 2
 
 
+# the positions in a block of each (kind, mediator_ignorable): the same in every block
+_BLOCK_KINDS = {}
+for _j in range(_BLOCK):
+    _BLOCK_KINDS.setdefault(_corpus_kind(_j), []).append(_j)
+
+
+def _draw_block(seed: int, b: int):
+    """(models, error) of corpus block b: models b * _BLOCK onwards.
+
+    The block's stream is child b of SeedSequence(seed), and random_model
+    draws each kind's models of the block in one call, so a model depends
+    on the seed and its block alone. If some kind cannot draw a model, models
+    stop before the first such model of the block, and error is its
+    _DrawFailed; else models holds the whole block and error is None.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+    models = [None] * _BLOCK
+    stop, error = _BLOCK, None
+    for (kind, ignorable), positions in _BLOCK_KINDS.items():
+        try:
+            drawn = random_model(rng, len(positions), decoupled=kind in (0, 2),
+                                 shared_arms=kind in (2, 3), mediator_ignorable=ignorable)
+        except _DrawFailed as exc:
+            drawn = exc.drawn
+            if positions[len(drawn)] < stop:
+                stop, error = positions[len(drawn)], exc
+        for j, model in zip(positions, drawn):
+            models[j] = model
+    return models[:stop], error
+
+
+def _corpus(seed: int, n_models: int):
+    """The first n_models corpus models, in order, drawn a whole block at a time.
+
+    A shorter corpus is a prefix of a longer one. If a block cannot draw a
+    model of the corpus, the models before it are yielded, then its error
+    raises; a model it cannot draw past n_models is never asked for.
+    """
+    for b in range(-(-n_models // _BLOCK)):
+        models, error = _draw_block(seed, b)
+        wanted = n_models - b * _BLOCK
+        yield from models[:wanted]
+        if error is not None and len(models) < wanted:
+            raise error
+
+
 def run_fuzz(n_models: int = 1000, seed: int = 90210) -> FuzzReport:
     """Run every exact check over a seeded corpus of random models.
 
     The corpus cycles through MODEL_KINDS: decoupled, non-decoupled, arm-free
-    decoupled, and arm-free non-decoupled. It is generated serially in chunks
-    of _CHUNK models and check_models checks each chunk in one pass per model
-    shape; on arm-free models that pass also checks the scalar-reduction
-    identity. Every tenth arm-free decoupled model is mediator-ignorable,
-    where the anchor is exact.
+    decoupled, and arm-free non-decoupled. Every tenth arm-free decoupled
+    model is mediator-ignorable, where the anchor is exact. It is drawn in
+    blocks of _BLOCK models, one random_model call per kind a block (see
+    _draw_block), and checked in chunks of _CHUNK models: check_models checks
+    each chunk in one pass per model shape, and on arm-free models that pass
+    also checks the scalar-reduction identity. If a block cannot draw a
+    model of the corpus, every model before it is checked first, so
+    run_fuzz raises what a one-at-a-time draw and check would.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     names = (*CHECK_THRESHOLDS, "eta_gap_min_any")
     extreme = {}
     worst = dict.fromkeys(names)
+    corpus = _corpus(seed, n_models)
     for start in range(0, n_models, _CHUNK):
         chunk = range(start, min(start + _CHUNK, n_models))
         models = []
         try:
-            for i in chunk:
-                kind, ignorable = _corpus_kind(i)
-                models.append(random_model(rng, decoupled=kind in (0, 2),
-                                           shared_arms=kind in (2, 3),
-                                           mediator_ignorable=ignorable))
+            for _ in chunk:
+                models.append(next(corpus))
         except BridgeboundError:
             check_models(models)    # a model checked before the failed draw raises first
             raise

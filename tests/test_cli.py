@@ -325,15 +325,31 @@ class TestFit:
         assert "Traceback" not in err and not out.exists()
 
     def test_integer_beyond_float_range_is_config_error(self, data_dir, tmp_path, capsys):
-        # 10**400 does not fit a float; 10**300 would, and fail later, as too
-        # large for memory
+        # 10**400 does not fit a float
         cfg = tmp_path / "fit.json"
         cfg.write_text('{"data": %s, "setting": {"route": "si_anchor"}, "draws": 1%s}'
                        % (json.dumps(str(data_dir / "null.csv")), "0" * 400), encoding="utf-8")
         out = tmp_path / "fit.out"
         assert cli.main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: config key 'draws' must be an integer >= 1, got 1000")
+        assert err.startswith("config error: config key 'draws' must be an integer in [1, "
+                              "9.22337e+18], got 1000")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("key", ["draws", "mediator_draws"])
+    def test_integer_past_sys_maxsize_names_its_key(self, data_dir, tmp_path, capsys, key):
+        # 300 nines fit a float, so the key's bound at sys.maxsize refuses them
+        # before the draw records are mapped; the message names the key and
+        # repeats only the head of the value
+        cfg = tmp_path / "fit.json"
+        cfg.write_text('{"data": %s, "setting": {"route": "benchmark_raw"}, "%s": %s}'
+                       % (json.dumps(str(data_dir / "bench.csv")), key, "9" * 300),
+                       encoding="utf-8")
+        out = tmp_path / "fit.out"
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key '{key}' must be an integer in [1, ")
+        assert err.rstrip().endswith("(300 characters)") and len(err) < 200
         assert "Traceback" not in err and not out.exists()
 
     def test_overflowing_outcome_is_one_line_numerical_failure(self, tmp_path, capsys):
@@ -695,7 +711,7 @@ class TestVerify:
 
         def nan_at_one_point(gamma, eta):
             plus, minus, bound = exact(gamma, eta)
-            return (np.nan if (gamma, eta) == (2.0, 1.0) else plus), minus, bound
+            return np.where((gamma == 2.0) & (eta == 1.0), np.nan, plus), minus, bound
 
         monkeypatch.setattr(oracle, "check_bound_and_sharpness", nan_at_one_point)
         cfg = write_config(tmp_path, "verify.json", {"n_models": 4, "seed": 4})
@@ -902,8 +918,17 @@ def test_integer_beyond_float_range_fits_no_number_key():
     for key in (Key("int", (1, math.inf)), Key("number", inf=True)):
         assert not _fits("draws", 10**400, key) and not _fits("draws", -10**400, key)
         assert _fits("draws", 10**300, key)
-    with pytest.raises(ConfigError, match="^run key 'draws' must be an integer >= 1, got 1000"):
+    with pytest.raises(ConfigError, match=r"^run key 'draws' must be an integer in \[1, "
+                                          r"9\.22337e\+18\], got 1000"):
         check("run", {"draws": 10**400}, RUN_KEYS)
+
+
+def test_count_keys_end_at_sys_maxsize_exactly():
+    # sys.maxsize rounds up to 2**63 as a float; an integer key compares exactly
+    for name in ("draws", "mediator_draws"):
+        assert check("run", {name: sys.maxsize}, RUN_KEYS) == {name: sys.maxsize}
+        with pytest.raises(ConfigError, match=f"^run key '{name}' must be an integer in "):
+            check("run", {name: sys.maxsize + 1}, RUN_KEYS)
 
 
 def test_take_int_rejects_bool_and_float():

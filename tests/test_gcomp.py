@@ -631,7 +631,7 @@ class TestSharedModelPass:
             sweep(bench_data, [], "kappa", [1.0, 2.0], **SHARED)
 
 
-@pytest.mark.parametrize("points", [2**60, 10**30])
+@pytest.mark.parametrize("points", [2**60, 2**62])
 def test_unindexable_unit_of_envelope_points_refused_before_any_draw(bench_data, monkeypatch,
                                                                      points):
     # 8 * points bytes past sys.maxsize: one unit's block could not be indexed,
@@ -643,6 +643,19 @@ def test_unindexable_unit_of_envelope_points_refused_before_any_draw(bench_data,
     with pytest.raises(MemoryError, match=f"^cannot index {points} envelope points of one unit$"):
         run(bench_data, SensitivitySetting(route="benchmark_raw"), draws=2, burn_in=0,
             mediator_draws=points, seed=1)
+
+
+def test_envelope_points_past_sys_maxsize_fail_the_run_key(bench_data, monkeypatch):
+    # numpy indexes no more than sys.maxsize points, so the run key refuses
+    # 10**30 of them a unit, and names itself, before any engine is built
+    def fail(*args, **kwargs):
+        raise AssertionError("an engine was built past the run key's bound")
+
+    monkeypatch.setattr(gcomp._Engine, "__init__", fail)
+    with pytest.raises(ConfigError, match=r"^run key 'mediator_draws' must be an integer "
+                                          r"in \[1, 9\.22337e\+18\], got 1000"):
+        run(bench_data, SensitivitySetting(route="benchmark_raw"), draws=2, burn_in=0,
+            mediator_draws=10**30, seed=1)
 
 
 class PicklesBadly(Exception):

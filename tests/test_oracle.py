@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,10 @@ from bridgebound.oracle import (CHECK_THRESHOLDS, MODEL_KINDS, DiscreteModel, Fu
                                 self_test_failure)
 
 from conftest import nan_after_first, rng
+
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CORPUS_DIGEST = "9ac030cffeea0ea8b15613d0588dca7d026455ec1dbf24f7c9bfcc50cd57545c"
 
 
 def single_x_model(p_u, p_m, psi):
@@ -51,12 +59,18 @@ def mirrored_pair_model():
 
 
 def corpus_models(seed, n_models):
-    """(index, model) of run_fuzz's corpus, replaying its generator calls."""
-    r = rng(seed)
-    for i in range(n_models):
-        kind = i % 4
-        yield i, random_model(r, decoupled=kind in (0, 2), shared_arms=kind in (2, 3),
-                              mediator_ignorable=kind == 2 and i % 40 == 2)
+    """(index, model) of run_fuzz's corpus, from the oracle's own block draw."""
+    return enumerate(oracle._corpus(seed, n_models))
+
+
+def corpus_digest(seed, n_models):
+    """sha256 of the tables of the first n_models corpus models."""
+    h = hashlib.sha256()
+    for _, model in corpus_models(seed, n_models):
+        for table in (model.p_x, model.p_u, model.p_m, model.psi,
+                      np.asarray(model.groups, dtype=np.int64)):
+            h.update(table.tobytes())
+    return h.hexdigest()
 
 
 def straddled_stratum_model():
@@ -452,12 +466,14 @@ def test_failed_draw_raises_after_the_models_before_it(monkeypatch):
     dead = single_x_model([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
 
     def draws(models):
+        # each call draws its whole count as copies of the next model; a call
+        # after the last model fails before its first one
         models = iter(models)
 
-        def drawn(rng, **kind):
+        def drawn(rng, count, **kind):
             for model in models:
-                return model
-            raise BridgeboundError("no draw left")
+                return [model] * count
+            raise oracle._DrawFailed("no draw left", [])
         return drawn
 
     monkeypatch.setattr(oracle, "random_model", draws([TWO_POINT, dead]))
@@ -466,6 +482,36 @@ def test_failed_draw_raises_after_the_models_before_it(monkeypatch):
     monkeypatch.setattr(oracle, "random_model", draws([TWO_POINT]))
     with pytest.raises(BridgeboundError, match="no draw left"):
         run_fuzz(n_models=4)
+
+
+def test_unseparated_model_is_redrawn_then_stops_its_block(monkeypatch):
+    # model 3 of the block's first call (corpus model 12) never separates: it
+    # alone is redrawn, _MODEL_TRIES times in all, then the call raises with
+    # the models before it and the block stops at it
+    separated = oracle._separated
+    sizes = []
+
+    def fourth_never(draw):
+        ok = separated(draw)
+        sizes.append(len(ok))
+        if len(sizes) == 1:
+            ok[3] = False
+        elif len(sizes) <= oracle._MODEL_TRIES:
+            ok[:] = False
+        return ok
+
+    monkeypatch.setattr(oracle, "_separated", fourth_never)
+    models, error = oracle._draw_block(1, 0)
+    assert sizes[:oracle._MODEL_TRIES + 1] == [40] + [1] * (oracle._MODEL_TRIES - 1) + [40]
+    assert isinstance(error, BridgeboundError)
+    assert str(error) == f"no well-separated model in {oracle._MODEL_TRIES} tries"
+    assert len(models) == 12 and all(isinstance(m, DiscreteModel) for m in models)
+    # a corpus that ends before model 12 never asks for it
+    sizes.clear()
+    assert run_fuzz(n_models=12, seed=1).n_models == 12
+    sizes.clear()
+    with pytest.raises(BridgeboundError, match="^no well-separated model in"):
+        run_fuzz(n_models=13, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -820,15 +866,43 @@ class TestFuzzMachinery:
 
     def test_corpus_stream_is_pinned(self):
         # sha256 of the first 40 corpus models' tables for seed 90210, taken
-        # with one dirichlet call per simplex row (commit c2a97a8, numpy
-        # 2.4.6); drawing a table's rows in one call must not move a bit
-        h = hashlib.sha256()
-        for _, model in corpus_models(90210, 40):
-            for table in (model.p_x, model.p_u, model.p_m, model.psi,
-                          np.asarray(model.groups, dtype=np.int64)):
-                h.update(table.tobytes())
-        assert h.hexdigest() == (
-            "3c6e7190c41ac054880d2951bb4e5f3f8225ab2e6e9047d4f8788fcaa103ca25")
+        # from the padded block draw (numpy 2.4.6); the same under OpenBLAS's
+        # SkylakeX, Haswell and Prescott kernels and with numpy's AVX-512 and
+        # AVX2 paths disabled
+        assert corpus_digest(90210, 40) == CORPUS_DIGEST
+
+    def test_corpus_stream_does_not_depend_on_the_blas_kernel(self):
+        # the generator makes no BLAS or LAPACK call, so another OpenBLAS
+        # kernel draws the same bits
+        script = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+                  "from test_oracle import corpus_digest; print(corpus_digest(90210, 40))")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        out = subprocess.run([sys.executable, "-c", script, SRC, TESTS], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == CORPUS_DIGEST
+
+    def test_corpus_covers_every_shape_class(self):
+        # every (kind, nx, nu, nm) the draw's ranges allow, and nothing else:
+        # 48 each for the decoupled kinds, 9 coupled and 3 arm-free coupled
+        allowed = {(kind, nx, nu, nm) for kind in (0, 2) for nx in range(1, 5)
+                   for nu in range(2, 6) for nm in range(2, 5)}
+        allowed |= {(1, nx, nu, 2) for nx in range(2, 5) for nu in range(3, 6)}
+        allowed |= {(3, nx, 5, 2) for nx in range(2, 5)}
+        assert len(allowed) == 108
+        seen = {(i % 4, *model.p_m.shape[1:]) for i, model in corpus_models(90210, 4000)}
+        assert seen == allowed
+
+    def test_shorter_corpus_is_a_prefix(self):
+        # a model depends on the seed and its block alone: 161 models span two
+        # blocks, 39 part of one
+        long = [model for _, model in corpus_models(7, 170)]
+        for short in (1, 39, 161):
+            models = [model for _, model in corpus_models(7, short)]
+            assert len(models) == short
+            for a, b in zip(long, models):
+                assert a.groups == b.groups
+                for table in ("p_x", "p_u", "p_m", "psi"):
+                    assert np.array_equal(getattr(a, table), getattr(b, table))
 
     def test_worst_model_is_named(self):
         report = run_fuzz(n_models=80, seed=90210)
