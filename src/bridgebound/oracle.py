@@ -21,15 +21,17 @@ error rather than Monte Carlo error:
 check_models runs all of them on a list of models in shape-grouped batches.
 Models of one shape (nx, nu, nm) have their tables stacked on a leading model
 axis and validated together, with the public constructor's checks and
-messages (the corpus generator builds its models unchecked). Each mediator
-value of each model is partitioned once, the strata of all of them form one
-cell x covariate membership mask with a model index per cell, and every
-(arm, m, stratum) cell of the group is evaluated at once by masked array
+messages (the corpus generator builds its models unchecked). One _strata call
+partitions the group at every mediator value of every model, on the bridge
+gaps the generator's well-separation test reads too (_bridge_gap); the strata
+form one cell x covariate membership mask with a model index per cell, and
+every (arm, m, stratum) cell of the group is evaluated at once by masked array
 operations, the only code that enumerates a conditional law. A cell gives its
 balancing TV and stratum mass with its sensitivity quantities; each statistic
 is one max or min per model over its run of cells, and the scalar reduction
 reads the cells' masses and mu1, one model at a time. check_model is the
-one-model case and exact_sensitivity evaluates one cell with the same code.
+one-model case, exact_bridge_partition one (model, m) of _strata, and
+exact_sensitivity evaluates one cell with the same code.
 run_fuzz checks its corpus in chunks of _CHUNK models and folds the per-model
 worst values in corpus order, naming the model behind each.
 
@@ -86,6 +88,9 @@ class DiscreteModel:
     def __post_init__(self):
         for name in _TABLES:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for label in self.groups:
+            if not _is_index(label):
+                raise BridgeboundError(f"group label {label!r} is not an integer")
         object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
         _validate(_stack([self]))
 
@@ -108,18 +113,6 @@ class DiscreteModel:
     @property
     def nm(self) -> int:
         return self.p_m.shape[3]
-
-    def bridge_values(self) -> np.ndarray:
-        """f[a, x, m] = P(M = m | A = a, X = x), marginal over U (read-only).
-
-        Enumerated on first use, then kept.
-        """
-        bridge = self.__dict__.get("_bridge")
-        if bridge is None:
-            bridge = np.einsum("axu,axum->axm", self.p_u, self.p_m)
-            bridge.flags.writeable = False
-            object.__setattr__(self, "_bridge", bridge)
-        return bridge
 
 
 class _Tables(NamedTuple):
@@ -182,28 +175,58 @@ def _is_index(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, first to last, by elementwise adds.
+
+    No BLAS call and no pairwise reduction, so the bits depend on neither the
+    CPU's kernels nor the array's layout; padded zeros add nothing.
+    """
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def _bridge_gap(p_u: np.ndarray, p_m: np.ndarray) -> np.ndarray:
+    """gap[g, x, y, m] = max over a of |f_a(m | x) - f_a(m | y)| in model g.
+
+    f_a(m | x) = P(M = m | A = a, X = x), marginal over U, is an ordered sum,
+    so the gaps read the same bits whatever the CPU's kernels and whatever
+    zero padding the tables carry. A NaN bridge value gives NaN gaps.
+    """
+    f = _ordered_sum(p_u[..., None, :] * p_m.swapaxes(3, 4))               # (G, 2, X, M)
+    return np.abs(f[:, :, :, None, :] - f[:, :, None, :, :]).max(axis=1)   # (G, X, X, M)
+
+
+def _strata(p_u: np.ndarray, p_m: np.ndarray):
+    """(g, m, members) of the strata of a stack of same-shape models.
+
+    members[k] is stratum k of model g[k] at mediator value m[k], the x's
+    sharing a bridge pair, as a boolean row over x. Each x, in index order,
+    joins the first stratum whose head (first member) is within _INTRA_TOL of
+    it on both arms, or opens one; the walk over x runs on every (model, m)
+    at once. Strata come by model, then m, then head.
+    """
+    close = _bridge_gap(p_u, p_m).transpose(0, 3, 1, 2) <= _INTRA_TOL     # (G, M, X, X)
+    nx = close.shape[-1]
+    head = np.zeros(close.shape[:-1], dtype=int)                           # (G, M, X)
+    for x in range(1, nx):
+        joins = (head[..., :x] == np.arange(x)) & close[..., x, :x]
+        head[..., x] = np.where(joins.any(axis=-1), joins.argmax(axis=-1), x)
+    g, m, first = np.nonzero(head == np.arange(nx))
+    return g, m, head[g, m] == first[:, None]
+
+
 def exact_bridge_partition(model: DiscreteModel, m: int) -> List[List[int]]:
     """Strata of x values sharing the bridge pair (f0(m|x), f1(m|x)).
 
-    Each x, in lexicographic order of its pair, joins the first stratum whose
-    head (first member) matches it on both arms; every open stratum is
-    compared, since another stratum's f0 may sort between two members.
+    The one-model view of _strata, the partition check_models runs: strata
+    in order of their heads (first members), members in index order.
     """
     if not _is_index(m) or not 0 <= m < model.nm:
         raise BridgeboundError(f"m must lie in [0, {model.nm}), got {m!r}")
-    f = model.bridge_values()
-    pairs = f[:, :, m].T
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    close = np.all(np.abs(pairs[:, None, :] - pairs[None, :, :]) <= _INTRA_TOL, axis=2)
-    strata: List[List[int]] = []
-    for x in order.tolist():
-        for stratum in strata:
-            if close[x, stratum[0]]:
-                stratum.append(x)
-                break
-        else:
-            strata.append([x])
-    return [sorted(s) for s in strata]
+    _, at, members = _strata(model.p_u[None], model.p_m[None])
+    return [np.flatnonzero(row).tolist() for row in members[at == m]]
 
 
 @dataclass(frozen=True)
@@ -496,18 +519,6 @@ class _Draw(NamedTuple):
     psi: np.ndarray            # (n, 2, _NX, _NU)
 
 
-def _ordered_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, first to last, by elementwise adds.
-
-    No BLAS call and no pairwise reduction, so the bits depend on neither the
-    CPU's kernels nor the array's layout; padded zeros add nothing.
-    """
-    total = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        total += a[..., j]
-    return total
-
-
 def _filled(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     """values in the cells of mask, in C order, and 0 elsewhere."""
     out = np.zeros(mask.shape)
@@ -652,8 +663,7 @@ def _separated(draw: _Draw) -> np.ndarray:
     """
     xs = np.arange(draw.p_u.shape[2]) < draw.nx[:, None]
     ms = np.arange(draw.p_m.shape[4]) < draw.nm[:, None]
-    f = _ordered_sum(draw.p_u[..., None, :] * draw.p_m.swapaxes(3, 4))    # (n, 2, X, M)
-    gap = np.abs(f[:, :, :, None, :] - f[:, :, None, :, :]).max(axis=1)   # (n, X, X, M)
+    gap = _bridge_gap(draw.p_u, draw.p_m)                                  # (n, X, X, M)
     same = (draw.groups[:, :, None] == draw.groups[:, None, :])[..., None]
     bad = np.where(same, ~(gap <= _INTRA_TOL), ~(gap >= _SEPARATION))
     valid = (xs[:, :, None] & xs[:, None, :])[..., None] & ms[:, None, None, :]
@@ -756,28 +766,17 @@ class FuzzReport:
                         else value <= CHECK_THRESHOLDS[name])}
 
 
-def _partition_mask(model: DiscreteModel):
-    """(members, m) of every (m, stratum): one boolean row over x per stratum."""
-    rows, ms = [], []
-    for m in range(model.nm):
-        for stratum in exact_bridge_partition(model, m):
-            row = np.zeros(model.nx, dtype=bool)
-            row[stratum] = True
-            rows.append(row)
-            ms.append(m)
-    return np.array(rows), np.array(ms)
-
-
 def check_model(model: DiscreteModel) -> dict:
     """Worst value of every exact check on one model: check_models on [model].
 
-    Each mediator value is partitioned once; the strata of all mediator values
-    form one cell x covariate membership mask, and _evaluate computes every
-    (arm, m, stratum) cell at once. The checks run on the whole batch and each
-    statistic is one max or min over its cells. A cell gives its balancing TV
-    distance between P(x | a, M=m, stratum) and P(x | stratum), its mass P(M=m,
-    stratum | a), and its bound, projection, tightening, quantile and
-    Popoviciu statistics; eta_gap_min_any covers the cells that do not decouple.
+    One _strata call partitions every mediator value into the strata
+    exact_bridge_partition lists; they form one cell x covariate membership
+    mask, and _evaluate computes every (arm, m, stratum) cell at once. The
+    checks run on the whole batch and each statistic is one max or min over
+    its cells. A cell gives its balancing TV distance between P(x | a, M=m,
+    stratum) and P(x | stratum), its mass P(M=m, stratum | a), and its bound,
+    projection, tightening, quantile and Popoviciu statistics; eta_gap_min_any
+    covers the cells that do not decouple.
 
     When the latent law and psi are arm-free, the same cells give the scalar
     reduction: theta_si weighs the arm-1 cells' mu1 = E[psi | a=1, M=m, stratum]
@@ -795,14 +794,14 @@ def check_models(models: Sequence[DiscreteModel]) -> List[dict]:
     """check_model of every model, in one batched pass per model shape.
 
     The models of one shape (nx, nu, nm) are stacked and validated, as their
-    constructor does, and then their cells, tagged with a model index, go
-    through _evaluate and the checks together; each statistic is folded per
-    model over its run of cells by reduceat, which keeps NaN. Every entry
-    matches a lone check_model call bit for bit. Every model is validated
-    before any is checked. If a batch raises, the models are re-validated,
-    then re-checked, one at a time in order, so the error is the first
-    model's own: of its tables if any model's are invalid, else the first one
-    a loop of check_model calls would raise.
+    constructor does, then partitioned by one _strata call, and their cells,
+    tagged with a model index, go through _evaluate and the checks together;
+    each statistic is folded per model over its run of cells by reduceat,
+    which keeps NaN. Every entry matches a lone check_model call bit for bit.
+    Every model is validated before any is checked. If a batch raises, the
+    models are re-validated, then re-checked, one at a time in order, so the
+    error is the first model's own: of its tables if any model's are invalid,
+    else the first one a loop of check_model calls would raise.
     """
     shapes = {}
     for i, model in enumerate(models):
@@ -828,12 +827,8 @@ def check_models(models: Sequence[DiscreteModel]) -> List[dict]:
 
 def _check_group(models: Sequence[DiscreteModel], tables: _Tables) -> List[dict]:
     """check_models on models of one shape, given their validated stack."""
-    parts = [_partition_mask(model) for model in models]
-    members = np.concatenate([rows for rows, _ in parts])      # (s, nx)
-    ms = np.concatenate([mvals for _, mvals in parts])         # (s,)
-    sizes = [len(mvals) for _, mvals in parts]
-    g = np.repeat(np.arange(len(models)), sizes)               # model of each stratum
-    bounds = np.cumsum([0, *sizes])
+    g, ms, members = _strata(tables.p_u, tables.p_m)          # by model, then m
+    bounds = np.searchsorted(g, np.arange(len(models) + 1))   # each model's run of strata
     n = len(ms)
     heads = members.argmax(axis=1)
     cells = _evaluate(tables, np.concatenate([g, g]), np.repeat([0, 1], n),

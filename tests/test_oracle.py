@@ -128,6 +128,15 @@ class TestPartition:
         assert exact_bridge_partition(model, 0) == [[0, 2], [1]]
         assert exact_bridge_partition(model, 1) == [[0, 2], [1]]
 
+    def test_matches_the_lexicographic_walk(self):
+        # the same strata as ref_partition's walk, listed in order of their heads
+        models = [model for _, model in corpus_models(90210, 4000)]
+        for model in (*models, straddled_stratum_model(), mirrored_pair_model()):
+            for m in range(model.nm):
+                strata = exact_bridge_partition(model, m)
+                assert sorted(strata) == sorted(ref_partition(model, m))
+                assert [s[0] for s in strata] == sorted(s[0] for s in strata)
+
     @pytest.mark.parametrize("m", [-1, 2, 1.0, True])
     def test_bad_mediator_value_rejected(self, m):
         # -1 used to wrap to the last mediator value; the others escaped as an IndexError
@@ -396,11 +405,12 @@ class TestScalarReduction:
 
 
 def test_check_model_enumerates_each_cell_once(monkeypatch):
-    # one partition per mediator value, then every cell in one batched pass:
-    # no per-cell exact_sensitivity call
+    # one partition per shape group, then every cell in one batched pass: no
+    # per-m exact_bridge_partition and no per-cell exact_sensitivity call
     model = random_model(rng(39), decoupled=False, shared_arms=True)
     strata = sum(len(exact_bridge_partition(model, m)) for m in range(model.nm))
-    calls = {"exact_bridge_partition": 0, "exact_sensitivity": 0, "_evaluate": 0}
+    calls = {"_strata": 0, "exact_bridge_partition": 0, "exact_sensitivity": 0,
+             "_evaluate": 0}
     cells = []
     for name in calls:
         def counted(*args, _inner=getattr(oracle, name), _name=name):
@@ -412,9 +422,14 @@ def test_check_model_enumerates_each_cell_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     res = check_model(model)
     assert "scalar_identity" in res
-    assert calls == {"exact_bridge_partition": model.nm, "exact_sensitivity": 0,
+    assert calls == {"_strata": 1, "exact_bridge_partition": 0, "exact_sensitivity": 0,
                      "_evaluate": 1}
     assert cells == [2 * strata]
+    # a list of two shapes: one partition per shape group
+    calls.update(dict.fromkeys(calls, 0))
+    check_models([model, TWO_POINT, model])
+    assert calls == {"_strata": 2, "exact_bridge_partition": 0, "exact_sensitivity": 0,
+                     "_evaluate": 2}
 
 
 def float_bits(value):
@@ -520,6 +535,32 @@ def test_unseparated_model_is_redrawn_then_stops_its_block(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def ref_bridge(model):
+    """f[a, x, m] = P(M = m | A = a, X = x), marginal over U."""
+    return np.einsum("axu,axum->axm", model.p_u, model.p_m)
+
+
+def ref_partition(model, m):
+    """Strata at m by a walk in lexicographic order of the bridge pair.
+
+    Each x joins the first stratum whose head (first member) matches it on
+    both arms; every open stratum is compared, since another stratum's f0 may
+    sort between two members. Members come sorted.
+    """
+    pairs = ref_bridge(model)[:, :, m].T
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    close = np.all(np.abs(pairs[:, None, :] - pairs[None, :, :]) <= oracle._INTRA_TOL, axis=2)
+    strata = []
+    for x in order.tolist():
+        for stratum in strata:
+            if close[x, stratum[0]]:
+                stratum.append(x)
+                break
+        else:
+            strata.append([x])
+    return [sorted(s) for s in strata]
+
+
 def ref_sensitivity(model, arm, m, stratum):
     idx = list(stratum)
     psi = model.psi[arm, idx[0], :]
@@ -577,7 +618,7 @@ def ref_cell_stats(sens):
 
 
 def ref_check_model(model):
-    f = model.bridge_values()
+    f = ref_bridge(model)
     arm_free = (np.array_equal(model.p_u[0], model.p_u[1])
                 and np.array_equal(model.psi[0], model.psi[1]))
     out = {}
@@ -593,7 +634,7 @@ def ref_check_model(model):
     xi_max = [0.0, 0.0]
     for m in range(model.nm):
         cell_of = {}
-        for stratum in exact_bridge_partition(model, m):
+        for stratum in ref_partition(model, m):
             idx = np.asarray(stratum)
             px = model.p_x[idx]
             for arm in (0, 1):
@@ -709,6 +750,27 @@ class TestModelValidation:
             DiscreteModel(np.full(4, 0.25), p_u, p_m, drifted, (3, 9, 3, 9))
         psi[1, 3, 0] = 1.0 + 5e-10
         DiscreteModel(np.full(4, 0.25), p_u, p_m, psi, (0, 1, 0, 1))
+
+    @pytest.mark.parametrize("labels, bad", [
+        ((0.2, 0.9), 0.2), ((0, 0.7), 0.7), ((0, 1.0), 1.0), (("0", 0), "'0'"),
+        ((0, True), True),
+    ])
+    def test_non_integer_group_label_rejected(self, labels, bad):
+        # int() used to truncate 0.2 and 0.9 both to 0, and a drift between them
+        # was then reported in group 0, a label the caller never gave
+        model = mirrored_pair_model()
+        psi = model.psi.copy()
+        psi[:, 1, :] = [0.0, 1.0]
+        with pytest.raises(BridgeboundError) as exc:
+            DiscreteModel(model.p_x, model.p_u, model.p_m, psi, labels)
+        assert str(exc.value) == f"group label {bad} is not an integer"
+
+    def test_numpy_integer_group_labels_accepted(self):
+        model = mirrored_pair_model()
+        labels = (np.int64(3), np.int8(3))
+        rebuilt = DiscreteModel(model.p_x, model.p_u, model.p_m, model.psi, labels)
+        assert rebuilt.groups == (3, 3)
+        assert all(type(g) is int for g in rebuilt.groups)
 
     def test_non_finite_rejected(self):
         with pytest.raises(BridgeboundError, match="psi has non-finite"):
